@@ -18,19 +18,12 @@ from .zonal import normalize_zonal, zonal_basis
 
 
 def pair_angle_matrix(S):
-    """Squared principal-angle cosines for every ordered pair: (N, N, m),
-    each row of the last axis sorted descending."""
-    B = S.basis_stack()
-    N, n, m = B.shape
-    X = B.conj().transpose(0, 2, 1)
-    out = np.empty((N, N, m))
-    step = max(1, int(4e6) // max(1, N * m * m))
-    for lo in range(0, N, step):
-        hi = min(N, lo + step)
-        w = np.einsum("iak,jkb->ijab", X[lo:hi], B, optimize=True)
-        sv = np.linalg.svd(w, compute_uv=False)
-        out[lo:hi] = np.clip(sv * sv, 0.0, 1.0)
-    return out
+    """Squared principal-angle cosines of every ordered pair, (N, N, m),
+    descending, read-only: the code's shared PairGeometry, computed once.
+    For m = 1 they are the gram; for m > 1, eigvalsh(W^dagger W) of each
+    overlap W.  Values outside [-ANGLE_SLACK, 1+ANGLE_SLACK] or NaN raise
+    NumericalHealthError instead of being clipped."""
+    return S.geometry.angles()
 
 
 def _split_1d(values, tol):
@@ -111,44 +104,36 @@ class RelationPartition:
                             for k, r in enumerate(self.reps)]))
 
 
-def angle_classes(S, tol=1e-8):
-    """Partition the ordered pairs by principal-angle vector (max-norm
-    clustering at tol).  The diagonal forms class 0 by construction; the
-    remaining classes are ordered by representative, lexicographically
+def _relations(X, identity, tol):
+    """Cluster the off-diagonal rows of X (N, N, k) at tol (max norm) into a
+    RelationPartition: class 0 is the diagonal, with representative
+    `identity`; the rest are ordered by representative, lexicographically
     descending (closest to the identity first)."""
-    if len(S) < 2:
+    N = X.shape[0]
+    if N < 2:
         raise OutOfRange("need at least 2 members")
-    N, m = len(S), S.m
-    Y = pair_angle_matrix(S)
     mask = ~np.eye(N, dtype=bool)
-    flat = Y[mask]
+    flat = X[mask]
     labels, k = _cluster_vectors(flat, tol)
     reps = [tuple(flat[labels == j].mean(axis=0)) for j in range(k)]
     order = sorted(range(k), key=lambda j: reps[j], reverse=True)
     relabel = {old: new + 1 for new, old in enumerate(order)}
     assignment = np.zeros((N, N), dtype=np.int64)
     assignment[mask] = np.vectorize(relabel.get)(labels)
-    return RelationPartition(N, m, [(1.0,) * m] + [reps[j] for j in order],
+    return RelationPartition(N, X.shape[2], [identity] + [reps[j] for j in order],
                              assignment)
+
+
+def angle_classes(S, tol=1e-8):
+    """Partition the ordered pairs by principal-angle vector (class 0 = the
+    diagonal; layout as in _relations)."""
+    return _relations(pair_angle_matrix(S), (1.0,) * S.m, tol)
 
 
 def inner_product_classes(S, tol=1e-8):
     """Coarse relations: pairs grouped by trace inner product only.
     Same layout as angle_classes (class 0 = diagonal)."""
-    if len(S) < 2:
-        raise OutOfRange("need at least 2 members")
-    N = len(S)
-    g = gram_matrix(S)
-    mask = ~np.eye(N, dtype=bool)
-    flat = g[mask]
-    labels, k = _cluster_vectors(flat[:, None], tol)
-    reps = [float(flat[labels == j].mean()) for j in range(k)]
-    order = sorted(range(k), key=lambda j: reps[j], reverse=True)
-    relabel = {old: new + 1 for new, old in enumerate(order)}
-    assignment = np.zeros((N, N), dtype=np.int64)
-    assignment[mask] = np.vectorize(relabel.get)(labels)
-    return RelationPartition(N, 1, [(float(S.m),)] + [(reps[j],) for j in order],
-                             assignment)
+    return _relations(gram_matrix(S)[:, :, None], (float(S.m),), tol)
 
 
 def design_strength(S, t_max=2, tol=1e-8, experimental=False):

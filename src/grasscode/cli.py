@@ -21,7 +21,7 @@ from .bounds import (absolute_code_bound, bound_table, design_absolute_bound,
                      size_from_simplex_alpha, two_distance_bound)
 from .constructions import extraspecial_code, mub_code, pauli_code
 from .dims import dim_H, dim_Hk
-from .errors import GrasscodeError
+from .errors import GrasscodeError, NumericalHealthError
 from .io import code_to_dict, read_code, write_code
 from .partitions import partitions_up_to
 
@@ -387,6 +387,9 @@ def main(argv=None):
     except GrasscodeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
+    except np.linalg.LinAlgError as exc:
+        print("error: linear algebra failed: %s" % exc, file=sys.stderr)
+        return NumericalHealthError.exit_code
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

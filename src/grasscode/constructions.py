@@ -113,11 +113,6 @@ class ExtraspecialOps:
         return self.X(a) @ self.Y(b)
 
 
-def pauli_ops_ff(p, n, size_limit=2048):
-    "the X(a), Y(b) operator family on C^(p^n)"
-    return ExtraspecialOps(p, n, size_limit=size_limit)
-
-
 class SymplecticVector:
     "a vector (a, b) of F_p^n x F_p^n with the alternating form a1.b2 - a2.b1"
 

@@ -1,10 +1,12 @@
 """Subspaces of C^n, principal angles, canonical pairs, Haar sampling, Grams.
 
 A subspace is carried by an n x m matrix with orthonormal columns; its
-projection matrix is basis @ basis^dagger.  Principal angles between two
-subspaces are computed from the singular values of the m x m overlap matrix
-basis_a^dagger basis_b (squared cosines), never from the n x n projector
-product -- that route only appears as a test oracle.
+projection matrix is basis @ basis^dagger.  A pair of subspaces is read off
+the m x m overlap W = basis_a^dagger basis_b, never the n x n projector
+product (a test oracle only): tr(P_a P_b) = ||W||_F^2, and the squared
+principal-angle cosines are the squared singular values of W -- from its SVD
+in principal_angles, and for a whole code from eigvalsh(W^dagger W), or for
+m = 1 from tr(P_a P_b) itself, in PairGeometry.
 """
 
 import numpy as np
@@ -44,7 +46,7 @@ class Subspace:
     def validate(self, tol=1e-8):
         g = self.basis.conj().T @ self.basis
         err = np.abs(g - np.eye(self.m)).max()
-        if err > tol:
+        if not err <= tol:   # also fails on NaN
             raise RankDeficient("basis not orthonormal (defect %.3e)" % err)
         return err
 
@@ -95,10 +97,6 @@ class AngleVector:
 
     def __getitem__(self, i):
         return self.values[i]
-
-    def thetas(self):
-        "principal angles in radians"
-        return tuple(float(np.arccos(np.sqrt(v))) for v in self.values)
 
     def __repr__(self):
         return "AngleVector(%s)" % (", ".join("%.6g" % v for v in self.values))
@@ -163,14 +161,71 @@ def canonical_pair(a, b):
     return ua @ ma, ua @ mb
 
 
-class Code:
-    """A finite list of equi-dimensional subspaces of a common C^n."""
+class PairGeometry:
+    """A code's tr(P_a P_b) (gram) and squared principal-angle cosines
+    (angles, (N, N, m), descending), each computed on first use and kept
+    read-only.  Squared cosines outside [-ANGLE_SLACK, 1+ANGLE_SLACK] or NaN
+    raise NumericalHealthError before clipping; `excursion` is how far the
+    worst lay outside [0, 1]."""
 
-    __slots__ = ("members", "labels")
+    __slots__ = ("members", "_gram", "_angles", "excursion")
+
+    def __init__(self, members):
+        self.members = members
+        self._gram = self._angles = self.excursion = None
+
+    def gram(self):
+        if self._gram is None:
+            self._gram = _overlap_pass(self.members, False)[0]
+        return self._gram
+
+    def angles(self):
+        if self._angles is None:
+            if self.members[0].m == 1:
+                y = self.gram()[:, :, None]   # cos^2 = |a^dagger b|^2
+            else:
+                self._gram, y = _overlap_pass(self.members, True)
+            lo, hi = y.min(), y.max()
+            self.excursion = float(np.max([0.0, -lo, hi - 1.0]))
+            if not self.excursion <= ANGLE_SLACK:   # also fails on NaN
+                raise NumericalHealthError(
+                    "squared cosine outside certified range: [%.3e, %.3e]"
+                    % (lo, hi))
+            self._angles = np.clip(y, 0.0, 1.0)
+            self._angles.flags.writeable = False
+        return self._angles
+
+
+def _overlap_pass(members, angles):
+    """One GEMM per block of rows forms the overlaps W = A^dagger B of all
+    ordered pairs.  Returns the gram ||W||_F^2, symmetrized so it equals its
+    transpose exactly, and, if `angles`, eigvalsh(W^dagger W) descending."""
+    N, m = len(members), members[0].m
+    M = np.hstack([s.basis for s in members])     # n x Nm, bases side by side
+    gram = np.empty((N, N))
+    y = np.empty((N, N, m)) if angles else None
+    step = max(1, int(4e6) // max(1, N * m * m))
+    for lo in range(0, N, step):
+        hi = min(N, lo + step)
+        w = (M[:, lo * m:hi * m].conj().T @ M).reshape(hi - lo, m, N, m)
+        w = w.transpose(0, 2, 1, 3)                # w[i, j] = A_i^dagger B_j
+        gram[lo:hi] = np.sum(np.abs(w) ** 2, axis=(2, 3))
+        if angles:
+            y[lo:hi] = np.linalg.eigvalsh(w.conj().swapaxes(2, 3) @ w)[..., ::-1]
+    gram = 0.5 * (gram + gram.T)
+    gram.flags.writeable = False
+    return gram, y
+
+
+class Code:
+    """A finite list of equi-dimensional subspaces of a common C^n.  The
+    members are a tuple, so the cached PairGeometry cannot go stale."""
+
+    __slots__ = ("members", "labels", "geometry")
 
     def __init__(self, members, labels=None, check_duplicates=True,
                  dup_tol=DUP_SLACK):
-        members = list(members)
+        members = tuple(members)
         if not members:
             raise DimensionMismatch("a code needs at least one member")
         n, m = members[0].n, members[0].m
@@ -184,14 +239,15 @@ class Code:
                 raise DimensionMismatch("label count != member count")
         self.members = members
         self.labels = labels
+        self.geometry = PairGeometry(members)
         if check_duplicates and len(members) > 1:
-            g = gram_matrix(self, _skip_dup_check=True)
+            g = self.geometry.gram()
             off = g - np.diag(np.diagonal(g))
             hit = off.max()
-            if hit > m - dup_tol:
+            if not hit <= m - dup_tol:   # also fails on NaN
                 i, j = np.unravel_index(np.argmax(off), off.shape)
-                raise DuplicateMember(
-                    "members %d and %d coincide (tr = %.12g)" % (i, j, hit))
+                raise DuplicateMember("members %d and %d coincide or are not "
+                                      "finite (tr = %.12g)" % (i, j, hit))
 
     @property
     def n(self):
@@ -218,24 +274,13 @@ class Code:
         return "Code(N=%d, G(%d,%d))" % (len(self), self.m, self.n)
 
 
-def gram_matrix(S, _skip_dup_check=False):
-    """Symmetric matrix of trace inner products tr(P_a P_b).
-
-    Computed blockwise from the stacked bases; explicitly symmetrized so the
-    result equals its transpose exactly.
-    """
+def gram_matrix(S):
+    """Symmetric matrix of trace inner products tr(P_a P_b): the gram of the
+    code's cached PairGeometry (read-only).  A plain list of subspaces is
+    made a Code first, duplicate check included."""
     if not isinstance(S, Code):
-        S = Code(S, check_duplicates=not _skip_dup_check)
-    B = S.basis_stack()
-    N = B.shape[0]
-    X = B.conj().transpose(0, 2, 1)
-    out = np.empty((N, N))
-    step = max(1, int(2e7) // max(1, N * S.m * S.m))
-    for lo in range(0, N, step):
-        hi = min(N, lo + step)
-        w = np.einsum("iak,jkb->ijab", X[lo:hi], B, optimize=True)
-        out[lo:hi] = np.sum(np.abs(w) ** 2, axis=(2, 3))
-    return 0.5 * (out + out.T)
+        S = Code(S)
+    return S.geometry.gram()
 
 
 def haar_subspace(n, m, seed=0):

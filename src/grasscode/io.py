@@ -13,7 +13,7 @@ keys are ignored on read.  Loaded bases must pass the orthonormality check.
 import json
 
 from .core_linalg import Code, Subspace
-from .errors import FormatError
+from .errors import FormatError, RankDeficient
 
 import numpy as np
 
@@ -59,14 +59,11 @@ def code_from_dict(doc, tol=1e-8):
         if arr.shape != (n, m, 2):
             raise FormatError(
                 "subspace %d has shape %r, expected (%d,%d,2)" % (idx, arr.shape, n, m))
-        basis = arr[..., 0] + 1j * arr[..., 1]
-        g = basis.conj().T @ basis
-        err = np.abs(g - np.eye(m)).max()
-        if err > tol:
-            raise FormatError(
-                "subspace %d fails orthonormality (defect %.3e > %.3e)"
-                % (idx, err, tol))
-        members.append(Subspace(basis))
+        members.append(Subspace(arr[..., 0] + 1j * arr[..., 1]))
+        try:
+            members[-1].validate(tol)
+        except RankDeficient as exc:
+            raise FormatError("subspace %d: %s" % (idx, exc)) from None
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(members):

@@ -293,31 +293,6 @@ def annihilator_sympoly(A, m):
     return out
 
 
-def sum_function_coeffs(f):
-    """If f is a polynomial in x = Σy_i alone, return the univariate
-    coefficients [c_0, c_1, ...] with f = Σ c_j x^j; otherwise None.
-
-    Structural check: peel powers of Σy_i from the top degree down and see
-    whether the remainder vanishes identically.
-    """
-    x = SymmetricPolynomial.power_sum(f.m)
-    powers = [SymmetricPolynomial.constant(1, f.m)]
-    for _ in range(f.degree):
-        powers.append(powers[-1] * x)
-    rest = f
-    out = [Fraction(0)] * (f.degree + 1)
-    for j in range(f.degree, -1, -1):
-        top = Partition((j,)) if j else _EMPTY
-        lead = powers[j].coeffs.get(top)
-        c = rest.coeffs.get(top, Fraction(0)) / lead
-        out[j] = c
-        if c != 0:
-            rest = rest - powers[j].scale(c)
-    if rest.coeffs:
-        return None
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo inner products over Haar-random subspaces
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import grasscode.core_linalg as core_linalg
 from grasscode.constructions import extraspecial_code, mub_code, pauli_code
 from grasscode.core_linalg import Code, Subspace, haar_basis_batch
 
@@ -36,3 +37,16 @@ def random_subspace_pair(n, m, rng):
     a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     return subspace_from_basis(a), subspace_from_basis(b)
+
+
+def counting_kernel(monkeypatch):
+    "replace the blocked pair kernel by a wrapper that logs its `angles` flag"
+    calls = []
+    kernel = core_linalg._overlap_pass
+
+    def counted(members, angles):
+        calls.append(angles)
+        return kernel(members, angles)
+
+    monkeypatch.setattr(core_linalg, "_overlap_pass", counted)
+    return calls

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import grasscode.core_linalg as core_linalg
 from grasscode.cli import main
 from grasscode.io import read_code
+
+from conftest import counting_kernel
 
 
 def run(capsys, *argv):
@@ -164,6 +167,46 @@ def test_exit_code_numerical_health(tmp_path, capsys):
     code, _, err = run(capsys, "angles", str(path), "--tol", "0.4")
     assert code == 2
     assert "ambiguity" in err
+
+
+@pytest.mark.parametrize("command", ["info", "angles", "check-scheme",
+                                     "verify-design"])
+def test_non_finite_code_file_is_format_error(tmp_path, capsys, command):
+    path = tmp_path / "es.json"
+    run(capsys, "construct", "extraspecial", "--p", "3", "--n", "2", "--k",
+        "1", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["subspaces"][5][0][0] = [float("nan"), 0.0]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert "not orthonormal" in err and "nan" not in out
+
+
+def test_stray_linalg_error_is_numerical_health(tmp_path, capsys,
+                                                monkeypatch):
+    path = tmp_path / "p2.json"
+    run(capsys, "construct", "pauli", "--k", "2", "-o", str(path))
+
+    def broken(members, angles):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(core_linalg, "_overlap_pass", broken)
+    code, _, err = run(capsys, "check-scheme", str(path))
+    assert code == 2
+    assert "did not converge" in err
+
+
+@pytest.mark.parametrize("family", [["pauli", "--k", "2"],
+                                    ["mub", "--p", "5"]])
+def test_check_scheme_runs_the_pair_kernel_once(tmp_path, capsys,
+                                                monkeypatch, family):
+    path = tmp_path / "code.json"
+    run(capsys, "construct", *family, "-o", str(path))
+    calls = counting_kernel(monkeypatch)
+    code, _, _ = run(capsys, "check-scheme", str(path), "--json")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_exit_code_size_limit(capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from grasscode.bounds import two_distance_bound
-from grasscode.constructions import (enumerate_isotropic, extraspecial_code,
-                                     extraspecial_size, isotropic_count,
-                                     mub_code, pauli_code, pauli_ops_ff)
+from grasscode.constructions import (ExtraspecialOps, enumerate_isotropic,
+                                     extraspecial_code, extraspecial_size,
+                                     isotropic_count, mub_code, pauli_code)
 from grasscode.core_linalg import gram_matrix
 from grasscode.errors import OutOfRange, SizeLimit
 
@@ -41,7 +41,7 @@ def test_pauli_complement_pairing():
 
 
 def test_operator_family_basics():
-    ops = pauli_ops_ff(3, 1)
+    ops = ExtraspecialOps(3, 1)
     w = np.exp(2j * np.pi / 3)
     # phase operator on one trit
     assert np.abs(ops.Y([1]) - np.diag([1, w, w * w])).max() < 1e-12
@@ -57,7 +57,7 @@ def test_operator_family_basics():
 def test_commutation_relation():
     rng = np.random.default_rng(501)
     for p, n in [(3, 2), (5, 1)]:
-        ops = pauli_ops_ff(p, n)
+        ops = ExtraspecialOps(p, n)
         w = np.exp(2j * np.pi / p)
         for _ in range(6):
             a, b, a2, b2 = (rng.integers(0, p, size=n) for _ in range(4))
@@ -70,7 +70,7 @@ def test_commutation_relation():
 def test_operators_have_order_p():
     rng = np.random.default_rng(502)
     for p, n in [(3, 2), (5, 1)]:
-        ops = pauli_ops_ff(p, n)
+        ops = ExtraspecialOps(p, n)
         a = rng.integers(0, p, size=n)
         b = rng.integers(0, p, size=n)
         U = ops.XY(a, b)
@@ -176,7 +176,7 @@ def test_parameter_validation():
     with pytest.raises(OutOfRange):
         pauli_code(0)
     with pytest.raises(OutOfRange):
-        pauli_ops_ff(4, 1)
+        ExtraspecialOps(4, 1)
     with pytest.raises(OutOfRange):
         mub_code(2)
     with pytest.raises(OutOfRange):

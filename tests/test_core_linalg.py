@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from grasscode.analysis import (inner_product_classes, inner_product_set,
+                                pair_angle_matrix)
 from grasscode.core_linalg import (Code, Subspace, canonical_pair,
                                    chordal_distance, gram_matrix,
                                    haar_basis_batch, haar_subspace,
                                    principal_angles, subspace_from_basis,
                                    trace_inner_product)
 from grasscode.errors import (DimensionMismatch, DuplicateMember,
-                              RankDeficient, RankTooLarge)
+                              NumericalHealthError, RankDeficient,
+                              RankTooLarge)
 
-from conftest import random_subspace_pair
+from conftest import counting_kernel, random_subspace_pair
 
 
 def test_trace_equals_angle_sum():
@@ -158,3 +161,63 @@ def test_haar_determinism():
     # batch members are orthonormal
     for b_ in B1:
         assert np.abs(b_.conj().T @ b_ - np.eye(2)).max() < 1e-12
+
+
+def test_non_finite_basis_fails_the_tolerance_checks():
+    rng = np.random.default_rng(112)
+    s = random_subspace_pair(5, 2, rng)[0]
+    basis = s.basis.copy()
+    basis[0, 0] = np.nan
+    bad = Subspace(basis)
+    with pytest.raises(RankDeficient):
+        bad.validate()
+    with pytest.raises(DuplicateMember):
+        Code([s, bad])
+
+
+def fresh(S):
+    "the same members in a new Code, so its pair geometry is not yet cached"
+    return Code(list(S), check_duplicates=False)
+
+
+@pytest.mark.parametrize("name", ["mub5", "pauli2", "es321"])
+def test_shared_angles_match_per_pair_svd_oracle(name, request):
+    # m = 1 (mub5) reads the gram; m > 1 runs eigvalsh(W^dagger W); the
+    # oracle is the SVD of each overlap, one pair at a time
+    S = fresh(request.getfixturevalue(name))
+    Y = pair_angle_matrix(S)
+    assert Y.shape == (len(S), len(S), S.m)
+    worst = max(np.abs(Y[i, j] - principal_angles(S[i], S[j]).values).max()
+                for i in range(len(S)) for j in range(len(S)))
+    assert worst < 1e-12
+    assert S.geometry.excursion < 1e-12
+
+
+def test_gram_only_requests_run_no_eigen_solve(pauli2, monkeypatch):
+    S = fresh(pauli2)
+    calls = counting_kernel(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-solve on a gram-only request")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    g = gram_matrix(S)
+    inner_product_set(S)
+    inner_product_classes(S)
+    assert calls == [False]
+    assert S.geometry.excursion is None   # no angles were formed
+    assert np.abs(np.diag(g) - S.m).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["mub5", "pauli2"])
+@pytest.mark.parametrize("scale", [1 + 1e-6, np.nan])
+def test_out_of_range_squared_cosine_raises(name, scale, request):
+    S = request.getfixturevalue(name)
+    planted = Subspace(S[0].basis * scale)
+    T = Code([planted] + list(S)[1:], check_duplicates=False)
+    with pytest.raises(NumericalHealthError):
+        pair_angle_matrix(T)
+    if np.isfinite(scale):   # the diagonal pair has cos^2 = scale^4
+        assert abs(T.geometry.excursion - (scale ** 4 - 1)) < 1e-12
+    else:
+        assert np.isnan(T.geometry.excursion)

@@ -82,6 +82,15 @@ def test_orthonormality_enforced_on_load():
         code_from_dict(doc, tol=0.5)
 
 
+def test_non_finite_entry_rejected_on_load():
+    S = random_code(4, 2, 2, seed=808)
+    for bad in (float("nan"), float("inf")):
+        doc = code_to_dict(S)
+        doc["subspaces"][1][2][0] = [bad, 0.0]
+        with pytest.raises(FormatError):
+            code_from_dict(doc)
+
+
 def test_seventeen_digit_precision(tmp_path):
     S = random_code(6, 3, 3, seed=807)
     path = tmp_path / "c.json"
