@@ -26,7 +26,7 @@ from .errors import (ClusterAmbiguity, GrasscodeError, NumericalHealthError,
                      SizeLimit)
 from .io import code_from_dict, code_to_dict, read_code, write_code
 from .partitions import Partition, partitions_of, partitions_up_to
-from .sympoly import SymmetricPolynomial, gen_binomial, schur_eval_bialternant
+from .sympoly import SymmetricPolynomial, schur_eval_bialternant
 from .zonal import (ZonalExpansion, ZonalPolynomial, aggregate_zonal,
                     expand_in_zonal, mc_zonal_inner, normalize_zonal,
                     zonal_basis, zonal_explicit, zonal_general)
@@ -44,7 +44,7 @@ __all__ = [
     "design_absolute_bound", "design_strength", "dgs_one_distance",
     "dgs_two_distance", "dim_H", "dim_Hk", "enumerate_isotropic",
     "expand_in_zonal", "extraspecial_code", "extraspecial_size",
-    "gen_binomial", "gram_matrix", "haar_subspace", "hom_dim_bound",
+    "gram_matrix", "haar_subspace", "hom_dim_bound",
     "inner_product_classes", "inner_product_set", "is_one_design",
     "is_two_design", "isotropic_count", "make_annihilator", "mc_zonal_inner",
     "mub_code", "normalize_zonal", "one_distance_bound", "pair_angle_matrix",

@@ -13,7 +13,7 @@ import numpy as np
 from .core_linalg import gram_matrix
 from .dims import dim_Hk
 from .errors import ClusterAmbiguity, OutOfRange, SizeLimit
-from .partitions import Partition, partitions_up_to
+from .partitions import Partition
 from .zonal import normalize_zonal, zonal_basis
 
 
@@ -136,31 +136,20 @@ def inner_product_classes(S, tol=1e-8):
     return _relations(gram_matrix(S)[:, :, None], (float(S.m),), tol)
 
 
-def design_strength(S, t_max=2, tol=1e-8, experimental=False):
+def design_strength(S, t_max=2, tol=1e-8):
     """The largest t <= t_max with, for every 1 <= |mu| <= t (len <= m),
-    |average over ordered pairs of Z_mu| < tol * Z_mu(1,...,1)."""
-    limit = 3 if experimental else 2
-    if t_max > limit:
-        raise OutOfRange("t_max %d exceeds available zonal degree %d"
-                         % (t_max, limit))
+    |average over ordered pairs of Z_mu| < tol * Z_mu(1,...,1).
+
+    One pass over the basis in canonical (degree-ascending) order: the
+    strength is one less than the degree of the first zonal that fails."""
     Y = pair_angle_matrix(S).reshape(-1, S.m)
-    basis = {Z.mu: Z for Z in zonal_basis(S.m, S.n, t_max,
-                                          experimental=experimental)}
-    strength = 0
-    for t in range(1, t_max + 1):
-        ok = True
-        for mu in partitions_up_to(t, max_len=S.m):
-            if mu.size == 0 or mu.size > t:
-                continue
-            Z = basis[mu]
-            avg = float(Z.eval_batch(Y).mean())
-            if abs(avg) >= tol * abs(float(Z.at_ones())):
-                ok = False
-                break
-        if not ok:
-            break
-        strength = t
-    return strength
+    for Z in zonal_basis(S.m, S.n, t_max):
+        if Z.mu.size == 0:
+            continue
+        avg = float(Z.eval_batch(Y).mean())
+        if abs(avg) >= tol * abs(float(Z.at_ones())):
+            return Z.mu.size - 1
+    return max(t_max, 0)
 
 
 def is_one_design(S, tol=1e-8):
@@ -320,7 +309,7 @@ class IdempotentReport:
         return "\n".join(lines)
 
 
-def scheme_idempotents(S, R, t=2, tol=1e-8, experimental=False):
+def scheme_idempotents(S, R, t=2, tol=1e-8):
     """Build E_mu = Z_mu(y(a,b))/|S| from normalized zonals for |mu| <= t and
     measure Frobenius residuals of E_mu E_lam - delta E_mu.
 
@@ -331,11 +320,10 @@ def scheme_idempotents(S, R, t=2, tol=1e-8, experimental=False):
     N = len(S)
     Y = pair_angle_matrix(S)
     Es = {}
-    for Z in zonal_basis(S.m, S.n, t, experimental=experimental):
+    for Z in zonal_basis(S.m, S.n, t):
         Zn = normalize_zonal(Z)
         Es[Z.mu] = Zn.eval_batch(Y.reshape(-1, S.m)).reshape(N, N) / N
-    strength = design_strength(S, t_max=min(t, 3 if experimental else 2),
-                               tol=tol, experimental=experimental)
+    strength = design_strength(S, t_max=t, tol=tol)
     pair_res = {}
     required = {}
     mus = sorted(Es, key=Partition.sort_key)
@@ -372,15 +360,14 @@ class TwoThreeReport:
     one-false combination is flagged as a consistency warning."""
 
     def __init__(self, t, n_distances, size, dim_target, is_t_distance,
-                 is_2t_design, size_matches, predicted_third, warnings):
+                 is_2t_design, size_matches, warnings):
         self.t = t
         self.n_distances = n_distances
         self.size = size
         self.dim_target = dim_target
         self.is_t_distance = is_t_distance
-        self.is_2t_design = is_2t_design      # True/False/None (= undecidable)
+        self.is_2t_design = is_2t_design
         self.size_matches = size_matches
-        self.predicted_third = predicted_third
         self.warnings = warnings
 
     def to_json_dict(self):
@@ -392,56 +379,40 @@ class TwoThreeReport:
             "t_distance_set": self.is_t_distance,
             "design_2t": self.is_2t_design,
             "size_matches_dim": self.size_matches,
-            "predicted_third": self.predicted_third,
             "warnings": self.warnings,
         }
 
     def to_text(self):
-        des = {True: "yes", False: "no", None: "undecidable at this depth"}
         lines = [
             "two-of-three audit at t=%d:" % self.t,
             "  %d-distance set: %s (found %d values)"
             % (self.t, "yes" if self.is_t_distance else "no", self.n_distances),
-            "  %d-design: %s" % (2 * self.t, des[self.is_2t_design]),
+            "  %d-design: %s" % (2 * self.t, "yes" if self.is_2t_design else "no"),
             "  |S| = dim H_%d: %s (%d vs %d)"
             % (self.t, "yes" if self.size_matches else "no",
                self.size, self.dim_target),
         ]
-        if self.predicted_third:
-            lines.append("  theorem predicts: %s" % self.predicted_third)
         for w in self.warnings:
             lines.append("  WARNING: %s" % w)
         return "\n".join(lines)
 
 
-def twothree_audit(S, t, tol=1e-8, experimental=False):
+def twothree_audit(S, t, tol=1e-8):
     "evaluate the two-of-three predicates and check theorem consistency"
     if t < 1:
         raise OutOfRange("t must be >= 1, got %d" % t)
     vals = inner_product_set(S, tol=tol)
     is_dist = len(vals) == t
-    limit = 3 if experimental else 2
-    if 2 * t <= limit:
-        is_design = design_strength(S, t_max=2 * t, tol=tol,
-                                    experimental=experimental) >= 2 * t
-    else:
-        is_design = None
+    is_design = design_strength(S, t_max=2 * t, tol=tol) >= 2 * t
     dim_target = int(dim_Hk(t, S.m, S.n))
     size_match = len(S) == dim_target
     known = {"t-distance": is_dist, "2t-design": is_design,
              "size=dimH_t": size_match}
-    trues = [k for k, v in known.items() if v is True]
-    falses = [k for k, v in known.items() if v is False]
-    unknowns = [k for k, v in known.items() if v is None]
-    predicted = None
     warnings = []
-    if len(trues) == 2:
-        (third,) = [k for k in known if k not in trues]
-        if known[third] is False:
-            warnings.append(
-                "two predicates hold but '%s' fails: inconsistent with the "
-                "two-of-three theorem (numerical health suspect)" % third)
-        elif known[third] is None:
-            predicted = third
+    if sum(known.values()) == 2:
+        (third,) = [k for k, v in known.items() if not v]
+        warnings.append(
+            "two predicates hold but '%s' fails: inconsistent with the "
+            "two-of-three theorem (numerical health suspect)" % third)
     return TwoThreeReport(t, len(vals), len(S), dim_target, is_dist,
-                          is_design, size_match, predicted, warnings)
+                          is_design, size_match, warnings)

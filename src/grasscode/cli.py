@@ -236,7 +236,7 @@ def _cmd_dims(args):
 def _cmd_verify_design(args):
     S = read_code(args.file, tol=args.tol)
     t = 2 if args.t is None else args.t
-    strength = design_strength(S, t_max=t, tol=args.tol, experimental=t > 2)
+    strength = design_strength(S, t_max=t, tol=args.tol)
     res1 = is_one_design(S, tol=args.tol)[1]
     res2 = is_two_design(S, tol=args.tol)[1] if t >= 2 else None
     if args.json:
@@ -263,7 +263,7 @@ def _cmd_check_scheme(args):
     S = read_code(args.file, tol=args.tol)
     R = angle_classes(S, tol=args.tol)
     rep = check_scheme(R, tol=args.tol)
-    t = 2 if args.t is None else min(args.t, 2)
+    t = 2 if args.t is None else args.t
     rep.idempotents = scheme_idempotents(S, R, t=t, tol=args.tol)
     if args.json:
         _emit(args, json.dumps(rep.to_json_dict(), sort_keys=True))
@@ -369,7 +369,9 @@ def build_parser():
     s = sub.add_parser("check-scheme", parents=[common],
                        help="association-scheme closure of a code file")
     s.add_argument("file")
-    s.add_argument("--t", type=int, help="idempotent depth (default 2)")
+    s.add_argument("--t", type=int,
+                   help="idempotents E_mu for |mu| <= t, strength tested to t "
+                   "(default 2)")
     s.set_defaults(func=_cmd_check_scheme)
 
     i = sub.add_parser("info", parents=[common],

@@ -55,10 +55,6 @@ class UnsupportedPartition(ValidationError):
     pass
 
 
-class DegreeTooHigh(ValidationError):
-    pass
-
-
 class DegenerateDenominator(ValidationError):
     pass
 

@@ -55,10 +55,15 @@ def code_from_dict(doc, tol=1e-8):
         raise FormatError("subspaces must be a nonempty list")
     members = []
     for idx, rows in enumerate(subs):
-        arr = np.asarray(rows, dtype=float)
+        try:
+            arr = np.asarray(rows, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError("subspace %d: %s" % (idx, exc)) from None
         if arr.shape != (n, m, 2):
             raise FormatError(
                 "subspace %d has shape %r, expected (%d,%d,2)" % (idx, arr.shape, n, m))
+        if not np.isfinite(arr).all():
+            raise FormatError("subspace %d has a non-finite entry" % idx)
         members.append(Subspace(arr[..., 0] + 1j * arr[..., 1]))
         try:
             members[-1].validate(tol)

@@ -4,7 +4,7 @@ A SymmetricPolynomial on m variables is stored as a finite Fraction
 combination of the X*_sigma: Schur polynomials scaled so X*_sigma(1,...,1)=1.
 That basis is the native language of the zonal machinery; conversion to and
 from the monomial basis (Kostka numbers via semistandard tableaux) powers
-multiplication, evaluation and the shift y -> y+1.
+multiplication and evaluation.
 
 Evaluation has two independent routes: monomial expansion (default, exact on
 rational points, vectorized on float arrays) and the bialternant determinant
@@ -266,22 +266,6 @@ class SymmetricPolynomial:
     def __hash__(self):
         return hash((self.m, frozenset(self.coeffs.items())))
 
-    def shift_ones(self):
-        "the polynomial y |-> f(y_1 + 1, ..., y_m + 1)"
-        full = _full_expand(self.to_monomial(), self.m)
-        out = {}
-        for expo, c in full.items():
-            ranges = [range(e + 1) for e in expo]
-            def spread(i, acc_e, acc_c):
-                if i == len(expo):
-                    key = tuple(acc_e)
-                    out[key] = out.get(key, Fraction(0)) + acc_c
-                    return
-                for k in ranges[i]:
-                    spread(i + 1, acc_e + [k], acc_c * comb(expo[i], k))
-            spread(0, [], c)
-        return SymmetricPolynomial.from_monomial(self.m, _collect_sorted(out))
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, y):
@@ -399,7 +383,7 @@ def schur_eval_bialternant(sigma, m, y):
 
 
 # ---------------------------------------------------------------------------
-# hypergeometric coefficients and generalized binomials
+# hypergeometric coefficients
 
 def ascending_product(a, s):
     "(a)_s = a (a+1) ... (a+s-1), exact"
@@ -418,18 +402,3 @@ def hypergeom_coeff(a, sigma):
     for i, s in enumerate(sigma.parts, start=1):
         out *= ascending_product(a - i + 1, s)
     return out
-
-
-_binom_cache = {}
-
-
-def gen_binomial(kappa, sigma, m):
-    """Generalized binomial [kappa over sigma]: the coefficient of X*_sigma
-    in the expansion of X*_kappa(y_1 + 1, ..., y_m + 1)."""
-    kappa = aspartition(kappa)
-    sigma = aspartition(sigma)
-    key = (kappa.parts, m)
-    if key not in _binom_cache:
-        shifted = SymmetricPolynomial.x_star(kappa, m).shift_ones()
-        _binom_cache[key] = shifted.coeffs
-    return _binom_cache[key].get(sigma, Fraction(0))

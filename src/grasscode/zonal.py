@@ -1,6 +1,6 @@
 """Zonal orthogonal polynomials on G(m,n) and the Z-basis expansion engine.
 
-The four explicit low-degree forms are the ground truth:
+The printed low-degree forms:
 
     Z_()    = 1
     Z_(1)   = n X*_1 - m
@@ -8,21 +8,23 @@ The four explicit low-degree forms are the ground truth:
     Z_(1,1) = m(m-1) - 2(n-1)(m-1) X*_1 + (n-1)(n-2) X*_(1,1)
 
 These are stored unnormalized; normalize_zonal rescales to Z(1,...,1) =
-dim H_mu on demand.  The general hypergeometric-coefficient formula is also
-implemented, but a result for |kappa| <= 2 is only accepted if it is an exact
-rational multiple of the explicit form above (the free parameters default to
-a_param = m, c_param = n, which passes that gate).
+dim H_mu on demand.  Every basis zonal, at every degree, comes from one
+exact construction, zonal_general: the Jacobi determinant ratio of James &
+Constantine, expanded in Schur polynomials and scaled to the constant term
+(-1)^|kappa| [m]_kappa, which reproduces the forms above exactly.
+zonal_explicit keeps the printed forms as the degree <= 2 reference.
 """
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from .dims import dim_H
-from .errors import (DegenerateAtOnes, DegreeTooHigh, LengthExceedsVariables,
-                     OutOfRange, UnsupportedPartition, ValidationFailure)
-from .partitions import Partition, aspartition, partitions_up_to, subpartitions
-from .sympoly import (SymmetricPolynomial, gen_binomial, hypergeom_coeff)
+from .errors import (DegenerateAtOnes, LengthExceedsVariables, OutOfRange,
+                     UnsupportedPartition)
+from .partitions import Partition, aspartition, partitions_up_to
+from .sympoly import SymmetricPolynomial, hypergeom_coeff, schur_norm
 
 _EMPTY = Partition(())
 
@@ -35,17 +37,14 @@ def _check_mn(m, n):
 class ZonalPolynomial:
     """A zonal polynomial Z_mu for G(m,n), held as an exact SymmetricPolynomial."""
 
-    __slots__ = ("mu", "m", "n", "poly", "normalized", "scale_to_explicit")
+    __slots__ = ("mu", "m", "n", "poly", "normalized")
 
-    def __init__(self, mu, m, n, poly, normalized=False, scale_to_explicit=None):
+    def __init__(self, mu, m, n, poly, normalized=False):
         self.mu = aspartition(mu)
         self.m = int(m)
         self.n = int(n)
         self.poly = poly
         self.normalized = bool(normalized)
-        # for general-formula results: exact factor lambda with
-        # lambda * poly == zonal_explicit(mu).poly, when validated
-        self.scale_to_explicit = scale_to_explicit
 
     @property
     def degree(self):
@@ -92,94 +91,60 @@ def zonal_explicit(mu, m, n):
     return ZonalPolynomial(mu, m, n, poly)
 
 
-def _rho(sigma):
-    "rho_sigma = sum_i s_i (s_i - 2i + 1), i counted from 1"
-    return sum(s * (s - 2 * i + 1) for i, s in enumerate(sigma.parts, start=1))
+def _jacobi_coeffs(d, alpha):
+    """Coefficients of P_d^{(alpha,0)}(2y - 1) in powers of y, lowest first:
+    (-1)^(d+k) C(d,k) C(alpha+d+k, k)."""
+    return [Fraction((-1) ** (d + k) * comb(d, k) * comb(alpha + d + k, k))
+            for k in range(d + 1)]
 
 
-def _add_one_box(sigma, max_len):
-    "partitions obtained from sigma by adding a single box, length <= max_len"
-    out = []
-    parts = sigma.parts
-    for i in range(len(parts)):
-        if i == 0 or parts[i - 1] > parts[i]:
-            out.append(Partition(parts[:i] + (parts[i] + 1,) + parts[i + 1:]))
-    if len(parts) < max_len:
-        out.append(Partition(parts + (1,)))
-    return out
+def zonal_general(kappa, m, n):
+    """Z_kappa on G(m,n) at any degree, exact, as the Jacobi determinant ratio
 
+        det[ P^{(n-2m,0)}_{kappa_j+m-j}(2y_i - 1) ]_{i,j} / Delta(y)
 
-def _jc_coeff(kappa, sigma, c, m, cache):
-    "the recursive coefficient [c]_{(kappa, sigma)}, base [c]_{(kappa,kappa)} = 1"
-    if sigma == kappa:
-        return Fraction(1)
-    key = sigma.parts
-    if key in cache:
-        return cache[key]
-    k, s = kappa.size, sigma.size
-    gap = k - s
-    denom = c + Fraction(_rho(kappa) - _rho(sigma), gap)
-    b_ks = gen_binomial(kappa, sigma, m)
-    if denom == 0 or b_ks == 0:
-        raise UnsupportedPartition(
-            "zero denominator in the [c] recursion at sigma=%s" % sigma)
-    total = Fraction(0)
-    for up in _add_one_box(sigma, m):
-        b1 = gen_binomial(kappa, up, m)
-        if b1 == 0:
-            continue
-        b2 = gen_binomial(up, sigma, m)
-        total += b1 * b2 * _jc_coeff(kappa, up, c, m, cache)
-    val = total / (gap * b_ks * denom)
-    cache[key] = val
-    return val
+    (James & Constantine 1974), expanded without evaluating at points.  Each
+    column is a polynomial in y; choosing one exponent per column (distinct,
+    or the alternant vanishes) gives det[y_i^{r_j}] up to the sign that sorts
+    r, and det[y_i^{r_j}] / Delta(y) is the Schur s_lambda with
+    lambda_j = r_j - (m - j), which is schur_norm(lambda, m) X*_lambda.
+    Columns are expanded from the lowest degree up, merging equal exponent
+    sets, so the work is bounded by prod (kappa_j + 1) terms.
 
-
-def zonal_general(kappa, m, n, a_param=None, c_param=None):
-    """Zonal polynomial from the general hypergeometric-coefficient formula,
-
-        sum over sigma <= kappa of
-            (-1)^|sigma| [kappa sigma] [c]_{(kappa,sigma)} / [a]_sigma  X*_sigma.
-
-    The parameters default to (a, c) = (m, n); for |kappa| <= 2 the result
-    must be exactly proportional to zonal_explicit or ValidationFailure is
-    raised.  The proportionality factor is recorded on the result.
+    Scaled so that the constant term is (-1)^|kappa| [m]_kappa: this is the
+    printed form for |kappa| <= 2 and makes Z_kappa(1,...,1) > 0.
     """
     kappa = aspartition(kappa)
     _check_mn(m, n)
     if len(kappa) > m:
         raise LengthExceedsVariables(
             "partition %s too long for m=%d" % (kappa, m))
-    a = Fraction(m if a_param is None else a_param)
-    c = Fraction(n if c_param is None else c_param)
-    cache = {}
+    # {exponents used so far, descending: signed coefficient}
+    terms = {(): Fraction(1)}
+    for d in reversed([p + m - 1 - j for j, p in enumerate(kappa.pad(m))]):
+        column = _jacobi_coeffs(d, n - 2 * m)
+        nxt = {}
+        for used, c in terms.items():
+            for e, a in enumerate(column):
+                if e in used:
+                    continue
+                # the new column goes in front: one transposition per
+                # larger exponent already placed behind it
+                above = sum(1 for u in used if u > e)
+                key = tuple(sorted(used + (e,), reverse=True))
+                nxt[key] = nxt.get(key, 0) + (-c if above % 2 else c) * a
+        terms = nxt
     coeffs = {}
-    for sigma in subpartitions(kappa):
-        b = gen_binomial(kappa, sigma, m)
-        if b == 0:
-            continue
-        a_s = hypergeom_coeff(a, sigma)
-        if a_s == 0:
-            raise UnsupportedPartition(
-                "[a]_sigma = 0 at sigma=%s (a=%s)" % (sigma, a))
-        cc = _jc_coeff(kappa, sigma, c, m, cache)
-        term = Fraction(-1) ** sigma.size * b * cc / a_s
-        if term != 0:
-            coeffs[sigma] = coeffs.get(sigma, Fraction(0)) + term
+    for r, c in terms.items():
+        lam = Partition([e - (m - 1 - j) for j, e in enumerate(r)])
+        coeffs[lam] = c * schur_norm(lam, m)
     poly = SymmetricPolynomial(m, coeffs)
-    scale = None
-    if kappa.size <= 2:
-        ref = zonal_explicit(kappa, m, n).poly
-        lead = poly.coeffs.get(kappa)
-        if not lead:
-            raise ValidationFailure(
-                "general form lost its leading term", poly, ref)
-        scale = ref.coeffs[kappa] / lead
-        if poly.scale(scale) != ref:
-            raise ValidationFailure(
-                "general form not proportional to the explicit form for %s"
-                % kappa, poly, ref)
-    return ZonalPolynomial(kappa, m, n, poly, scale_to_explicit=scale)
+    c0 = poly.coeffs.get(_EMPTY, 0)
+    if c0 == 0:
+        raise UnsupportedPartition("Z_%s has no constant term to scale" % kappa)
+    target = (-1) ** kappa.size * hypergeom_coeff(m, kappa)
+    return ZonalPolynomial(kappa, m, n, poly.scale(target / c0),
+                           normalized=not kappa.parts)
 
 
 def normalize_zonal(Z):
@@ -190,33 +155,20 @@ def normalize_zonal(Z):
     target = dim_H(Z.mu, Z.n)
     scale = Fraction(target) / ones
     poly = Z.poly if scale == 1 else Z.poly.scale(scale)
-    return ZonalPolynomial(Z.mu, Z.m, Z.n, poly, normalized=True,
-                           scale_to_explicit=Z.scale_to_explicit)
+    return ZonalPolynomial(Z.mu, Z.m, Z.n, poly, normalized=True)
 
 
-def zonal_basis(m, n, t, experimental=False):
-    """All Z_mu with |mu| <= t, len(mu) <= m, canonical order.
-
-    Degrees above 2 need the (validated-by-proportionality-only-at-low-degree)
-    general formula and are gated behind experimental=True.
-    """
+def zonal_basis(m, n, t):
+    "all Z_mu with |mu| <= t, len(mu) <= m, canonical order"
     _check_mn(m, n)
-    if t > 2 and not experimental:
-        raise DegreeTooHigh(
-            "zonal basis of degree %d needs experimental=True (default depth 2)" % t)
-    out = []
-    for mu in partitions_up_to(t, max_len=m):
-        if mu.size <= 2:
-            out.append(zonal_explicit(mu, m, n))
-        else:
-            out.append(zonal_general(mu, m, n))
-    return out
+    return [zonal_general(mu, m, n) for mu in partitions_up_to(t, max_len=m)]
 
 
-def aggregate_zonal(t, m, n, experimental=False):
-    "the degree-t reproducing kernel: sum of the normalized Z_mu, |mu| <= t"
+def aggregate_zonal(t, m, n, experimental=None):
+    """the degree-t reproducing kernel: sum of the normalized Z_mu, |mu| <= t
+    (`experimental` is accepted and ignored)"""
     total = SymmetricPolynomial.zero(m)
-    for Z in zonal_basis(m, n, t, experimental=experimental):
+    for Z in zonal_basis(m, n, t):
         total = total + normalize_zonal(Z).poly
     return total
 
@@ -239,10 +191,10 @@ class ZonalExpansion:
     def c0(self):
         return self.coeff(_EMPTY)
 
-    def reconstruct(self, experimental=False):
-        "sum c_mu Z_mu as a SymmetricPolynomial"
+    def reconstruct(self, experimental=None):
+        "sum c_mu Z_mu as a SymmetricPolynomial (`experimental` is ignored)"
         total = SymmetricPolynomial.zero(self.m)
-        for Z in zonal_basis(self.m, self.n, self.degree, experimental=experimental):
+        for Z in zonal_basis(self.m, self.n, self.degree):
             c = self.coeff(Z.mu)
             if c != 0:
                 total = total + Z.poly.scale(c)
@@ -254,21 +206,18 @@ class ZonalExpansion:
         return "ZonalExpansion[m=%d, n=%d](%s)" % (self.m, self.n, bits)
 
 
-def expand_in_zonal(f, m, n, experimental=False):
+def expand_in_zonal(f, m, n, experimental=None):
     """Exact change of basis to the unnormalized zonals: f = sum c_mu Z_mu.
 
     Triangular solve from the top degree down: Z_mu is the only basis
     element containing X*_mu, so each coefficient peels off in turn.
+    (`experimental` is accepted and ignored.)
     """
     _check_mn(m, n)
     if f.m != m:
         raise OutOfRange("polynomial has %d variables, expected %d" % (f.m, m))
     deg = f.degree
-    limit = 3 if experimental else 2
-    if deg > limit:
-        raise DegreeTooHigh(
-            "degree %d exceeds the available zonal basis (depth %d)" % (deg, limit))
-    basis = zonal_basis(m, n, deg, experimental=experimental)
+    basis = zonal_basis(m, n, deg)
     rest = f
     coeffs = {}
     for Z in reversed(basis):
@@ -320,8 +269,8 @@ def mc_zonal_inner(mu, nu, m, n, samples, seed=0, normalized=False):
     """
     mu = aspartition(mu)
     nu = aspartition(nu)
-    Zm = zonal_explicit(mu, m, n) if mu.size <= 2 else zonal_general(mu, m, n)
-    Zn = zonal_explicit(nu, m, n) if nu.size <= 2 else zonal_general(nu, m, n)
+    Zm = zonal_general(mu, m, n)
+    Zn = zonal_general(nu, m, n)
     if normalized:
         Zm = normalize_zonal(Zm)
         Zn = normalize_zonal(Zn)

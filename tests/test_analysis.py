@@ -9,7 +9,7 @@ from grasscode.analysis import (angle_classes, check_scheme, design_strength,
                                 is_one_design, is_two_design,
                                 pair_angle_matrix, scheme_idempotents,
                                 swap_operator, twothree_audit)
-from grasscode.errors import ClusterAmbiguity, OutOfRange, SizeLimit
+from grasscode.errors import ClusterAmbiguity, SizeLimit
 from grasscode.partitions import Partition
 from grasscode.zonal import zonal_basis
 
@@ -68,13 +68,17 @@ def test_cluster_ambiguity_raised(pauli2):
         inner_product_set(pauli2, tol=0.4)
 
 
-def test_design_strengths(pauli2, mub5):
+def test_design_strengths(pauli2, mub5, es321):
     assert design_strength(pauli2) == 2
     assert design_strength(mub5) == 2
     S = random_code(4, 2, 5, seed=602)
     assert design_strength(S) == 0
-    with pytest.raises(OutOfRange):
-        design_strength(mub5, t_max=3)
+    # degrees above 2 need no flag: pauli(2) is a 3-design but not a
+    # 4-design; mub(5) and es(3,2,1) stop at 2
+    assert design_strength(pauli2, t_max=3) == 3
+    assert design_strength(pauli2, t_max=4) == 3
+    assert design_strength(mub5, t_max=4) == 2
+    assert design_strength(es321, t_max=4) == 2
 
 
 def test_design_flags_agree_with_strength(pauli2, mub5, es320):
@@ -182,14 +186,13 @@ def test_scheme_report_serialization(pauli2):
 def test_twothree_audit_mub(mub5):
     rep = twothree_audit(mub5, 2)
     assert rep.is_t_distance
-    assert rep.is_2t_design is None  # degree-4 zonals not available
+    assert rep.is_2t_design is False  # strength 2, decided at degree 4
     assert not rep.size_matches
     assert rep.dim_target == 225
-    assert rep.predicted_third is None
     assert rep.warnings == []
     text = rep.to_text()
     assert "2-distance set: yes" in text
-    assert "undecidable" in text
+    assert "4-design: no" in text
 
 
 def test_twothree_audit_t1(mub5):

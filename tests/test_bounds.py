@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -156,6 +157,18 @@ def test_relative_engine_two_distance():
     res = relative_code_bound(f, 2, 4)
     assert res.value == 30
     assert res.applicable
+
+
+def test_relative_engine_three_distance_lines():
+    # at m = 1, c_0 is the Haar mean of f(y), y = |<u,v>|^2 with density
+    # (n-1)(1-y)^(n-2), whose moments are E[y^k] = 1/C(n-1+k, k)
+    for n in (3, 5, 7):
+        roots = [Fraction(0), Fraction(1, n + 1), Fraction(1, 2)]
+        f = annihilator_sympoly(roots, 1)
+        mean = sum(c / comb(n - 1 + lam.size, lam.size)
+                   for lam, c in f.to_monomial().items())
+        res = relative_code_bound(f, 1, n)
+        assert res.value == f.at_ones() / mean
 
 
 def test_relative_bound_checks_code(pauli2):

@@ -140,12 +140,47 @@ def test_check_scheme_json(tmp_path, capsys):
     assert doc["idempotents"]["strength"] == 2
 
 
+def test_check_scheme_degree_three(tmp_path, capsys):
+    path = tmp_path / "p2.json"
+    run(capsys, "construct", "pauli", "--k", "2", "-o", str(path))
+    code, out, _ = run(capsys, "check-scheme", str(path), "--t", "3", "--json")
+    assert code == 0
+    idem = json.loads(out)["idempotents"]
+    assert idem["strength"] == 3
+    mus = {p["mu"] for p in idem["pairs"]}
+    assert {"(3)", "(2,1)"} <= mus
+    assert len(idem["pairs"]) == 36      # six partitions of size <= 3
+    degree3 = [p for p in idem["pairs"] if p["mu"] in ("(3)", "(2,1)")]
+    assert all(p["required_design"] >= 3 for p in degree3)
+
+
+def test_verify_design_degree_three(tmp_path, capsys):
+    path = tmp_path / "p2.json"
+    run(capsys, "construct", "pauli", "--k", "2", "-o", str(path))
+    code, out, _ = run(capsys, "verify-design", str(path), "--t", "3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["strength"] == 3
+    assert doc["design"] == {"1": True, "2": True, "3": True}
+
+
 def test_info(tmp_path, capsys):
     path = tmp_path / "m5.json"
     run(capsys, "construct", "mub", "--p", "5", "-o", str(path))
     code, out, _ = run(capsys, "info", str(path))
     assert code == 0
     assert "30 subspaces in G(1,5)" in out
+
+
+def test_non_numeric_entry_is_format_error(tmp_path, capsys):
+    path = tmp_path / "m5.json"
+    run(capsys, "construct", "mub", "--p", "5", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["subspaces"][3][1][0] = ["x", 0.0]
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "info", str(path))
+    assert code == 1
+    assert err.startswith("error: subspace 3:")
 
 
 def test_exit_code_validation_error(capsys):
@@ -180,7 +215,7 @@ def test_non_finite_code_file_is_format_error(tmp_path, capsys, command):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, command, str(path))
     assert code == 1
-    assert "not orthonormal" in err and "nan" not in out
+    assert "non-finite entry" in err and "nan" not in out
 
 
 def test_stray_linalg_error_is_numerical_health(tmp_path, capsys,

@@ -69,6 +69,15 @@ def test_ragged_rows_rejected():
         code_from_dict(doc)
 
 
+def test_ragged_or_non_numeric_entries_rejected():
+    S = random_code(4, 2, 2, seed=809)
+    for bad in (["x", 0.0], [0.5], None):
+        doc = code_to_dict(S)
+        doc["subspaces"][1][2][0] = bad
+        with pytest.raises(FormatError):
+            code_from_dict(doc)
+
+
 def test_orthonormality_enforced_on_load():
     S = random_code(4, 2, 2, seed=806)
     doc = code_to_dict(S)
@@ -82,6 +91,7 @@ def test_orthonormality_enforced_on_load():
         code_from_dict(doc, tol=0.5)
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_entry_rejected_on_load():
     S = random_code(4, 2, 2, seed=808)
     for bad in (float("nan"), float("inf")):

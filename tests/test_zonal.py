@@ -1,11 +1,10 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
-import pytest
 
 from grasscode.core_linalg import haar_subspace, principal_angles
 from grasscode.dims import dim_H
-from grasscode.errors import DegreeTooHigh
 from grasscode.partitions import Partition, partitions_up_to
 from grasscode.sympoly import SymmetricPolynomial
 from grasscode.zonal import (aggregate_zonal, annihilator_sympoly,
@@ -14,6 +13,7 @@ from grasscode.zonal import (aggregate_zonal, annihilator_sympoly,
                              zonal_explicit, zonal_general)
 
 from conftest import random_subspace_pair
+from zonal_oracle import zonal_recursion
 
 E = Partition(())
 P1 = Partition(1)
@@ -44,13 +44,52 @@ def test_normalized_value_at_ones_is_dim():
             assert zn.at_ones() == dim_H(Z.mu, n)
 
 
-def test_general_formula_proportionality_factors():
-    for m, n in [(2, 4), (2, 5), (3, 6), (3, 8)]:
-        assert zonal_general(P1, m, n).scale_to_explicit == -m * n
-        assert (zonal_general(P2, m, n).scale_to_explicit
-                == m * (m + 1) * (n + 1) * (n + 2))
-        assert (zonal_general(P11, m, n).scale_to_explicit
-                == m * (m - 1) * (n - 1) * (n - 2))
+def test_general_equals_printed_forms():
+    for m, n in [(1, 3), (1, 5), (2, 4), (2, 5), (2, 7), (3, 7), (3, 9),
+                 (4, 9)]:
+        for mu in partitions_up_to(2, max_len=m):
+            assert zonal_general(mu, m, n).poly == zonal_explicit(mu, m, n).poly
+
+
+def test_general_proportional_to_recursion_oracle():
+    # the determinant route is scaled to a constant term of sign (-1)^|kappa|,
+    # the recursion to a positive one
+    for m, n in [(2, 5), (3, 7), (3, 9)]:
+        for kappa in partitions_up_to(4, max_len=m):
+            if kappa.size < 3:
+                continue
+            Z = zonal_general(kappa, m, n).poly
+            R = zonal_recursion(kappa, m, n)
+            factor = Z.coeffs[kappa] / R.coeffs[kappa]
+            assert R.scale(factor) == Z, (m, n, kappa)
+            assert (factor > 0) == (kappa.size % 2 == 0), (m, n, kappa, factor)
+
+
+def jacobi_closed_form(k, n, y):
+    "P_k^(n-2,0)(2y-1) from the textbook sum over ((x-1)/2)^s ((x+1)/2)^(k-s)"
+    return sum(comb(k + n - 2, k - s) * comb(k, s) * (y - 1) ** s * y ** (k - s)
+               for s in range(k + 1))
+
+
+def test_general_on_lines_is_the_jacobi_polynomial():
+    # at m = 1 the constant term (-1)^k [1]_(k) = (-1)^k k! fixes the scale
+    # against P_k(-1) = (-1)^k
+    for n in (3, 5, 8):
+        for k in range(7):
+            Z = zonal_general((k,), 1, n)
+            for j in range(k + 1):
+                y = Fraction(j, k + 1)
+                assert (Z.evaluate([y])
+                        == factorial(k) * jacobi_closed_form(k, n, y)), (n, k, y)
+
+
+def test_general_positive_at_ones_and_normalizes_to_dim():
+    for m, n in [(1, 3), (1, 5), (2, 4), (2, 5), (2, 7), (3, 7), (3, 9),
+                 (4, 9)]:
+        for kappa in partitions_up_to(4, max_len=m):
+            Z = zonal_general(kappa, m, n)
+            assert Z.at_ones() > 0, (m, n, kappa)
+            assert normalize_zonal(Z).at_ones() == dim_H(kappa, n)
 
 
 def test_expansion_is_unit_vector():
@@ -92,12 +131,10 @@ def test_reconstruct_round_trip():
 
 
 def test_degree_gate():
-    with pytest.raises(DegreeTooHigh):
-        zonal_basis(2, 5, 3)
-    # allowed when explicitly requested
-    basis = zonal_basis(2, 5, 3, experimental=True)
-    assert {Z.mu.parts for Z in basis} == {(), (1,), (2,), (1, 1), (3,),
-                                           (2, 1)}
+    # degree 3 needs no flag: every degree has the same exact construction
+    basis = zonal_basis(2, 5, 3)
+    assert [Z.mu.parts for Z in basis] == [(), (1,), (2,), (1, 1), (3,),
+                                           (2, 1)]
 
 
 def test_mc_determinism():
