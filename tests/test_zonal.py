@@ -44,6 +44,17 @@ def test_normalized_value_at_ones_is_dim():
             assert zn.at_ones() == dim_H(Z.mu, n)
 
 
+def test_general_formula_proportionality_factors():
+    # the hypergeometric recursion times these exact factors gives the
+    # printed degree <= 2 forms, which the determinant route reproduces
+    for m, n in [(2, 4), (2, 5), (3, 6), (3, 8)]:
+        for mu, factor in [(P1, -m * n),
+                           (P2, m * (m + 1) * (n + 1) * (n + 2)),
+                           (P11, m * (m - 1) * (n - 1) * (n - 2))]:
+            assert (zonal_recursion(mu, m, n).scale(factor)
+                    == zonal_general(mu, m, n).poly), (m, n, mu)
+
+
 def test_general_equals_printed_forms():
     for m, n in [(1, 3), (1, 5), (2, 4), (2, 5), (2, 7), (3, 7), (3, 9),
                  (4, 9)]:
