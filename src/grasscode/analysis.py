@@ -315,15 +315,15 @@ def scheme_idempotents(S, R, t=2, tol=1e-8):
 
     E_mu E_lam = delta_{mu,lam} E_mu is only guaranteed when S is an
     (|mu|+|lam|)-design, so each pair is reported with its requirement and
-    whether the measured strength certifies it.  For the coarse relations the
-    eigen-relation A'_c E'_i ~ E'_i is also measured."""
+    whether the measured strength, tested up to 2t, certifies it.  For the
+    coarse relations the eigen-relation A'_c E'_i ~ E'_i is also measured."""
     N = len(S)
     Y = pair_angle_matrix(S)
     Es = {}
     for Z in zonal_basis(S.m, S.n, t):
         Zn = normalize_zonal(Z)
         Es[Z.mu] = Zn.eval_batch(Y.reshape(-1, S.m)).reshape(N, N) / N
-    strength = design_strength(S, t_max=t, tol=tol)
+    strength = design_strength(S, t_max=2 * t, tol=tol)
     pair_res = {}
     required = {}
     mus = sorted(Es, key=Partition.sort_key)

@@ -6,14 +6,19 @@ corollaries.  Lower bounds for designs, the simplex/orthoplex separation
 thresholds, and the combined bound table.
 
 Every value is a Fraction; floating point never enters, so results are
-bit-identical across runs.  A bound that fails its regime conditions is
-still reported, with per-condition margins, and marked not applicable.
+bit-identical across runs.  The one float step is the optional check of a
+supplied code, which reads the code's shared pair geometry.  A bound that
+fails its regime conditions is still reported, with per-condition margins,
+and marked not applicable.
 """
 
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional
 
+import numpy as np
+
+from .core_linalg import Code, principal_angles
 from .dims import dim_Hk, hom_dim_bound
 from .errors import DegenerateDenominator, OutOfRange
 from .partitions import Partition
@@ -95,8 +100,11 @@ def relative_code_bound(f, m, n, code=None, tol=1e-9):
     must have c_mu >= 0 for all mu and c_0 > 0, and f <= 0 on distinct pairs.
 
     The sign conditions are checked exactly from the zonal expansion.  The
-    nonpositivity hypothesis is checked numerically when a Code is supplied,
-    and recorded as the caller's obligation otherwise.
+    nonpositivity hypothesis is checked numerically when a code is supplied
+    (a plain list of subspaces is made a Code): f is evaluated once on the
+    squared cosines of every distinct pair from the code's shared
+    PairGeometry, and the pair where it is largest is confirmed through
+    principal_angles.  Otherwise it is recorded as the caller's obligation.
     """
     exp = expand_in_zonal(f, m, n)
     conds = []
@@ -107,19 +115,23 @@ def relative_code_bound(f, m, n, code=None, tol=1e-9):
     c0 = exp.c0
     conds.append(_cond("c_0 > 0", c0, strict=True))
     if code is not None:
-        worst = max(float(f.evaluate(list(_pair_angles(code, i, j))))
-                    for i in range(len(code)) for j in range(i + 1, len(code)))
+        if not isinstance(code, Code):
+            code = Code(code)
+        i, j = np.triu_indices(len(code), 1)
+        vals = f.eval_batch(code.geometry.angles()[i, j])
+        holds = True
+        if vals.size:
+            # the decisive pair is recomputed through the independent
+            # per-pair SVD, so the cached batch is never the only witness
+            k = int(np.argmax(vals))
+            y = principal_angles(code[i[k]], code[j[k]])
+            holds = max(float(vals[k]), f.evaluate(list(y))) <= tol
         conds.append(Condition("f <= 0 on distinct pairs (checked)",
-                               worst <= tol, None, False, False))
+                               holds, None, False, False))
     else:
         conds.append(_asserted("f <= 0 on distinct pairs (caller-asserted)"))
     value = None if c0 == 0 else f.at_ones() / c0
     return _result("relative code bound", value, conds)
-
-
-def _pair_angles(code, i, j):
-    from .core_linalg import principal_angles
-    return principal_angles(code[i], code[j]).values
 
 
 def one_distance_bound(alpha, m, n):
@@ -242,8 +254,9 @@ def code_design_exact_size(f, t, m, n):
 
 class BoundTable:
     """The four headline cells for G(m,n): absolute one/two-distance bounds
-    and the relative one/two-distance formulas with their condition rows.
-    Symbolic in alpha, beta; numeric via the hook methods."""
+    and the relative one/two-distance formulas with their condition rows,
+    symbolic in alpha, beta (one_distance_bound and two_distance_bound give
+    the numbers)."""
 
     def __init__(self, m, n):
         if not (1 <= m and 2 * m <= n):
@@ -256,13 +269,6 @@ class BoundTable:
         self.abs_two = hom2
         self.abs_two_note = ("" if m > 1 else
                              "m=1: generic C(n^2,2) replaced by dim H_2(1,n)")
-
-    # numeric hooks
-    def relative_one(self, alpha):
-        return one_distance_bound(alpha, self.m, self.n)
-
-    def relative_two(self, alpha, beta):
-        return two_distance_bound(alpha, beta, self.m, self.n)
 
     def rows(self):
         m, n = self.m, self.n

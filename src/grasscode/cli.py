@@ -303,10 +303,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-8,
                         help="numerical tolerance (default 1e-8)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="random seed for sampled operations (default 0)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results are deterministic")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("-o", "--output", metavar="PATH",
@@ -370,8 +366,8 @@ def build_parser():
                        help="association-scheme closure of a code file")
     s.add_argument("file")
     s.add_argument("--t", type=int,
-                   help="idempotents E_mu for |mu| <= t, strength tested to t "
-                   "(default 2)")
+                   help="idempotents E_mu for |mu| <= t, strength tested to "
+                   "2t (default 2)")
     s.set_defaults(func=_cmd_check_scheme)
 
     i = sub.add_parser("info", parents=[common],

@@ -113,50 +113,6 @@ class ExtraspecialOps:
         return self.X(a) @ self.Y(b)
 
 
-class SymplecticVector:
-    "a vector (a, b) of F_p^n x F_p^n with the alternating form a1.b2 - a2.b1"
-
-    __slots__ = ("p", "n", "a", "b")
-
-    def __init__(self, p, n, a, b):
-        self.p = p
-        self.n = n
-        self.a = tuple(int(x) % p for x in a)
-        self.b = tuple(int(x) % p for x in b)
-        if len(self.a) != n or len(self.b) != n:
-            raise OutOfRange("component length != n")
-
-    def form(self, other):
-        s = sum(x * y for x, y in zip(self.a, other.b))
-        s -= sum(x * y for x, y in zip(other.a, self.b))
-        return s % self.p
-
-    def __repr__(self):
-        return "SymplecticVector(p=%d, a=%r, b=%r)" % (self.p, self.a, self.b)
-
-
-class IsotropicSubspace:
-    "a totally isotropic subspace of F_p^{2n}, basis in reduced echelon form"
-
-    __slots__ = ("p", "n", "basis")
-
-    def __init__(self, p, n, rows):
-        self.p = p
-        self.n = n
-        self.basis = tuple(SymplecticVector(p, n, r[:n], r[n:]) for r in rows)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def matrix(self):
-        "basis as a dim x 2n integer matrix"
-        return np.array([v.a + v.b for v in self.basis], dtype=np.int64)
-
-    def __repr__(self):
-        return "IsotropicSubspace(p=%d, n=%d, dim=%d)" % (self.p, self.n, self.dim)
-
-
 def _echelon_fill(p, ncols, pivots):
     "yield all reduced-echelon row sets with the given pivot columns"
     d = len(pivots)
@@ -187,8 +143,9 @@ def isotropic_count(p, n, d):
 
 def enumerate_isotropic(p, n, d, count_limit=10 ** 6):
     """All totally isotropic d-dimensional subspaces of F_p^{2n}, one
-    canonical reduced-echelon representative each, in deterministic order.
-    The closed-form count is a mandatory self-check."""
+    canonical reduced-echelon representative each, as a d x 2n int64 array
+    of rows (a, b) with a1.b2 - a2.b1 = 0 mod p for every two rows, in
+    deterministic order.  The closed-form count is a mandatory self-check."""
     if not _is_odd_prime(p):
         raise OutOfRange("p must be an odd prime, got %d" % p)
     expected = isotropic_count(p, n, d)
@@ -196,7 +153,7 @@ def enumerate_isotropic(p, n, d, count_limit=10 ** 6):
         raise SizeLimit("isotropic count %d exceeds the limit %d"
                         % (expected, count_limit))
     if d == 0:
-        return [IsotropicSubspace(p, n, np.zeros((0, 2 * n), dtype=np.int64))]
+        return [np.zeros((0, 2 * n), dtype=np.int64)]
     out = []
     for pivots in combinations(range(2 * n), d):
         for rows in _echelon_fill(p, 2 * n, pivots):
@@ -204,7 +161,7 @@ def enumerate_isotropic(p, n, d, count_limit=10 ** 6):
             b = rows[:, n:]
             gram = (a @ b.T - b @ a.T) % p
             if not gram.any():
-                out.append(IsotropicSubspace(p, n, rows))
+                out.append(rows)
     if len(out) != expected:
         raise ValidationFailure(
             "isotropic enumeration found %d, formula says %d"
@@ -230,7 +187,7 @@ def extraspecial_code(p, n, k, size_limit=2048):
     members = []
     labels = []
     for widx, iso in enumerate(isos):
-        mats = [ops.XY(v.a, v.b) for v in iso.basis]
+        mats = [ops.XY(row[:n], row[n:]) for row in iso]
         blocks = [np.eye(q, dtype=complex)]
         tags = [()]
         for U in mats:

@@ -4,9 +4,12 @@ A subspace is carried by an n x m matrix with orthonormal columns; its
 projection matrix is basis @ basis^dagger.  A pair of subspaces is read off
 the m x m overlap W = basis_a^dagger basis_b, never the n x n projector
 product (a test oracle only): tr(P_a P_b) = ||W||_F^2, and the squared
-principal-angle cosines are the squared singular values of W -- from its SVD
-in principal_angles, and for a whole code from eigvalsh(W^dagger W), or for
-m = 1 from tr(P_a P_b) itself, in PairGeometry.
+principal-angle cosines are the squared singular values of W.  Every float
+consumer -- a code's PairGeometry and the Monte Carlo sampler -- gets them
+from one batched routine, squared_cosines (|w|^2 for m = 1, eigvalsh(W^dagger
+W) otherwise), and passes them through one range check, checked_cosines.
+principal_angles keeps its own SVD as the independent per-pair oracle and
+shares only the check.
 """
 
 import numpy as np
@@ -123,12 +126,31 @@ def principal_angles(a, b):
         raise DimensionMismatch("ambient dimensions differ: %d vs %d" % (a.n, b.n))
     w = a.basis.conj().T @ b.basis
     sv = np.linalg.svd(w, compute_uv=False)
-    y = sv * sv
-    if y.size and (y.min() < -ANGLE_SLACK or y.max() > 1.0 + ANGLE_SLACK):
+    return AngleVector(checked_cosines(sv * sv))
+
+
+def squared_cosines(W):
+    """Squared principal-angle cosines from a stack of m x m overlaps
+    (..., m, m), descending along the last axis: |w|^2 for m = 1 (no
+    factorization), eigvalsh(W^dagger W) otherwise.  Not range-checked."""
+    if W.shape[-1] == 1:
+        return np.abs(W[..., 0]) ** 2
+    return np.linalg.eigvalsh(W.conj().swapaxes(-1, -2) @ W)[..., ::-1]
+
+
+def checked_cosines(y, record=None):
+    """Range check for squared cosines: a value outside [-ANGLE_SLACK,
+    1+ANGLE_SLACK], or NaN, raises NumericalHealthError.  The worst
+    excursion outside [0, 1] is stored as `record.excursion` (if given)
+    before the check; returns the values clipped to [0, 1]."""
+    lo, hi = y.min(), y.max()
+    excursion = float(np.max([0.0, -lo, hi - 1.0]))
+    if record is not None:
+        record.excursion = excursion
+    if not excursion <= ANGLE_SLACK:   # also fails on NaN
         raise NumericalHealthError(
-            "squared cosine outside certified range: [%.3e, %.3e]"
-            % (y.min(), y.max()))
-    return AngleVector(np.clip(y, 0.0, 1.0))
+            "squared cosine outside certified range: [%.3e, %.3e]" % (lo, hi))
+    return np.clip(y, 0.0, 1.0)
 
 
 def canonical_pair(a, b):
@@ -164,9 +186,8 @@ def canonical_pair(a, b):
 class PairGeometry:
     """A code's tr(P_a P_b) (gram) and squared principal-angle cosines
     (angles, (N, N, m), descending), each computed on first use and kept
-    read-only.  Squared cosines outside [-ANGLE_SLACK, 1+ANGLE_SLACK] or NaN
-    raise NumericalHealthError before clipping; `excursion` is how far the
-    worst lay outside [0, 1]."""
+    read-only.  The angles go through checked_cosines (range check, then
+    clip); `excursion` is how far the worst lay outside [0, 1]."""
 
     __slots__ = ("members", "_gram", "_angles", "excursion")
 
@@ -185,13 +206,7 @@ class PairGeometry:
                 y = self.gram()[:, :, None]   # cos^2 = |a^dagger b|^2
             else:
                 self._gram, y = _overlap_pass(self.members, True)
-            lo, hi = y.min(), y.max()
-            self.excursion = float(np.max([0.0, -lo, hi - 1.0]))
-            if not self.excursion <= ANGLE_SLACK:   # also fails on NaN
-                raise NumericalHealthError(
-                    "squared cosine outside certified range: [%.3e, %.3e]"
-                    % (lo, hi))
-            self._angles = np.clip(y, 0.0, 1.0)
+            self._angles = checked_cosines(y, self)
             self._angles.flags.writeable = False
         return self._angles
 
@@ -199,7 +214,7 @@ class PairGeometry:
 def _overlap_pass(members, angles):
     """One GEMM per block of rows forms the overlaps W = A^dagger B of all
     ordered pairs.  Returns the gram ||W||_F^2, symmetrized so it equals its
-    transpose exactly, and, if `angles`, eigvalsh(W^dagger W) descending."""
+    transpose exactly, and, if `angles`, their squared_cosines."""
     N, m = len(members), members[0].m
     M = np.hstack([s.basis for s in members])     # n x Nm, bases side by side
     gram = np.empty((N, N))
@@ -211,7 +226,7 @@ def _overlap_pass(members, angles):
         w = w.transpose(0, 2, 1, 3)                # w[i, j] = A_i^dagger B_j
         gram[lo:hi] = np.sum(np.abs(w) ** 2, axis=(2, 3))
         if angles:
-            y[lo:hi] = np.linalg.eigvalsh(w.conj().swapaxes(2, 3) @ w)[..., ::-1]
+            y[lo:hi] = squared_cosines(w)
     gram = 0.5 * (gram + gram.T)
     gram.flags.writeable = False
     return gram, y
@@ -291,10 +306,12 @@ def haar_subspace(n, m, seed=0):
 
 
 def haar_basis_batch(n, m, samples, seed=0):
-    "stacked orthonormal bases of Haar samples, shape (samples, n, m)"
+    """stacked orthonormal bases of Haar samples, shape (samples, n, m);
+    `seed` may also be a numpy Generator, which is drawn from in place"""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, n, m)) + 1j * rng.standard_normal((samples, n, m))
     q, r = np.linalg.qr(g, mode="reduced")
     d = np.diagonal(r, axis1=1, axis2=2).copy()
     d = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
-    return q * d[:, None, :]
+    q *= d[:, None, :]
+    return q

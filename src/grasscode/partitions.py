@@ -5,8 +5,6 @@ lexicographically descending on the parts, so degree-2 partitions come out
 as (2) before (1,1) and the full order starts (), (1), (2), (1,1), (3), ...
 """
 
-from itertools import product
-
 
 class Partition:
     """A weakly decreasing tuple of positive integers (possibly empty)."""
@@ -105,17 +103,4 @@ def partitions_up_to(t, max_len=None):
     out = []
     for k in range(t + 1):
         out.extend(partitions_of(k, max_len=max_len))
-    return out
-
-
-def subpartitions(kappa):
-    """All partitions sigma contained in kappa, any size, canonical order."""
-    kappa = aspartition(kappa)
-    seen = set()
-    for tup in product(*(range(p + 1) for p in kappa.parts)):
-        trimmed = tuple(t for t in tup if t > 0)
-        if all(trimmed[i] >= trimmed[i + 1] for i in range(len(trimmed) - 1)):
-            seen.add(trimmed)
-    out = [Partition(t) for t in seen]
-    out.sort(key=Partition.sort_key)
     return out

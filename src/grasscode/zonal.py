@@ -13,6 +13,10 @@ exact construction, zonal_general: the Jacobi determinant ratio of James &
 Constantine, expanded in Schur polynomials and scaled to the constant term
 (-1)^|kappa| [m]_kappa, which reproduces the forms above exactly.
 zonal_explicit keeps the printed forms as the degree <= 2 reference.
+
+The Monte Carlo inner products draw Haar bases through
+core_linalg.haar_basis_batch and read the squared cosines through
+core_linalg.squared_cosines and its range check, as every float consumer does.
 """
 
 from fractions import Fraction
@@ -20,6 +24,7 @@ from math import comb
 
 import numpy as np
 
+from .core_linalg import checked_cosines, haar_basis_batch, squared_cosines
 from .dims import dim_H
 from .errors import (DegenerateAtOnes, LengthExceedsVariables, OutOfRange,
                      UnsupportedPartition)
@@ -245,20 +250,40 @@ def annihilator_sympoly(A, m):
 # ---------------------------------------------------------------------------
 # Monte-Carlo inner products over Haar-random subspaces
 
-def _angle_batch(n, m, samples, seed, block=32768):
-    """Yield (count, y) blocks: squared cosines of the principal angles
-    between the first-m-coordinates subspace and Haar-random subspaces."""
+_MC_BLOCK = 32768
+
+
+def _haar_blocks(n, m, samples, seed):
+    "Haar bases (b, n, m), at most _MC_BLOCK per block, from one seeded stream"
     rng = np.random.default_rng(seed)
-    done = 0
-    while done < samples:
-        b = min(block, samples - done)
-        g = rng.standard_normal((b, n, m)) + 1j * rng.standard_normal((b, n, m))
-        q = np.linalg.qr(g, mode="reduced")[0]
+    for lo in range(0, samples, _MC_BLOCK):
+        yield haar_basis_batch(n, m, min(_MC_BLOCK, samples - lo), rng)
+
+
+def _angle_batch(n, m, samples, seed):
+    """Yield blocks y (b, m): squared cosines of the principal angles
+    between the first-m-coordinates subspace and Haar-random subspaces."""
+    for q in _haar_blocks(n, m, samples, seed):
         # basis of the fixed subspace is I[:, :m], so the overlap matrix
         # is just the first m rows of each sample
-        sv = np.linalg.svd(q[:, :m, :], compute_uv=False)
-        yield b, np.clip(sv * sv, 0.0, 1.0)
-        done += b
+        yield checked_cosines(squared_cosines(q[:, :m, :]))
+
+
+def _mean_stderr(blocks, samples):
+    """Mean and standard error of the values in `blocks` (arrays holding
+    `samples` values in all); the standard error is inf for one sample."""
+    if samples < 1:
+        raise OutOfRange("need at least 1 sample, got %d" % samples)
+    s1 = 0.0
+    s2 = 0.0
+    for vals in blocks:
+        s1 += float(vals.sum())
+        s2 += float((vals * vals).sum())
+    est = s1 / samples
+    if samples == 1:
+        return est, float("inf")
+    var = max(s2 - s1 * s1 / samples, 0.0) / (samples - 1)
+    return est, (var / samples) ** 0.5
 
 
 def mc_zonal_inner(mu, nu, m, n, samples, seed=0, normalized=False):
@@ -274,45 +299,22 @@ def mc_zonal_inner(mu, nu, m, n, samples, seed=0, normalized=False):
     if normalized:
         Zm = normalize_zonal(Zm)
         Zn = normalize_zonal(Zn)
-    s1 = 0.0
-    s2 = 0.0
-    for b, y in _angle_batch(n, m, samples, seed):
-        vals = Zm.eval_batch(y)
-        vals = vals * (vals if mu == nu and Zm.poly == Zn.poly
-                       else Zn.eval_batch(y))
-        s1 += float(vals.sum())
-        s2 += float((vals * vals).sum())
-    est = s1 / samples
-    if samples > 1:
-        var = max(s2 - s1 * s1 / samples, 0.0) / (samples - 1)
-        stderr = (var / samples) ** 0.5
-    else:
-        stderr = float("inf")
-    return est, stderr
+
+    def products():
+        for y in _angle_batch(n, m, samples, seed):
+            vals = Zm.eval_batch(y)
+            yield vals * (vals if mu == nu else Zn.eval_batch(y))
+
+    return _mean_stderr(products(), samples)
 
 
 def mc_function_inner(f, g, a, b, samples, seed=0):
-    """Monte-Carlo estimate of the kernel pairing: the Haar integral of
-    f(y(a,c)) * g(y(b,c)) over random c for fixed subspaces a, b."""
-    n, m = a.n, a.m
-    rng = np.random.default_rng(seed)
+    """Monte-Carlo estimate (and standard error) of the kernel pairing: the
+    Haar integral of f(y(a,c)) * g(y(b,c)) over random c for fixed
+    subspaces a, b."""
     Ba = a.basis.conj().T
     Bb = b.basis.conj().T
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    block = 32768
-    while done < samples:
-        blk = min(block, samples - done)
-        g_ = rng.standard_normal((blk, n, m)) + 1j * rng.standard_normal((blk, n, m))
-        q = np.linalg.qr(g_, mode="reduced")[0]
-        ya = np.linalg.svd(Ba @ q, compute_uv=False)
-        yb = np.linalg.svd(Bb @ q, compute_uv=False)
-        vals = f.eval_batch(np.clip(ya * ya, 0.0, 1.0))
-        vals = vals * g.eval_batch(np.clip(yb * yb, 0.0, 1.0))
-        s1 += float(vals.sum())
-        s2 += float((vals * vals).sum())
-        done += blk
-    est = s1 / samples
-    var = max(s2 - s1 * s1 / samples, 0.0) / (samples - 1)
-    return est, (var / samples) ** 0.5
+    return _mean_stderr(
+        (f.eval_batch(checked_cosines(squared_cosines(Ba @ q)))
+         * g.eval_batch(checked_cosines(squared_cosines(Bb @ q)))
+         for q in _haar_blocks(a.n, a.m, samples, seed)), samples)

@@ -152,7 +152,8 @@ def test_coarse_two_class_schemes(mub5, es321):
 def test_scheme_idempotents_pauli(pauli2):
     R = angle_classes(pauli2)
     idem = scheme_idempotents(pauli2, R)
-    assert idem.strength == 2
+    # strength is tested to 2t = 4: pauli(2) is a 3-design
+    assert idem.strength == 3
     P2, P11 = Partition(2), Partition(1, 1)
     # cross products all vanish even beyond the certified depth
     for (mu, lam), r in idem.pair_residuals.items():
@@ -161,7 +162,7 @@ def test_scheme_idempotents_pauli(pauli2):
     # diagonal blocks certified by the design strength are idempotent
     assert idem.max_certified_residual() < 1e-8
     assert idem.orthogonality_residual() < 1e-8
-    # degree-4 requirements are not certified at strength 2, and these two
+    # degree-4 requirements are not certified at strength 3, and these two
     # are genuinely non-idempotent: E^2 = (28/3) E and E^2 = 4 E
     assert idem.required_design[(P2, P2)] == 4
     assert abs(idem.pair_residuals[(P2, P2)] - 25.0 / 3) < 1e-6

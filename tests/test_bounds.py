@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import grasscode.bounds as bounds
 from grasscode.bounds import (BoundTable, absolute_code_bound, bound_table,
                               code_design_exact_size, design_absolute_bound,
                               dgs_one_distance, dgs_two_distance,
@@ -11,9 +12,12 @@ from grasscode.bounds import (BoundTable, absolute_code_bound, bound_table,
                               relative_code_bound, relative_design_bound,
                               simplex_orthoplex, size_from_simplex_alpha,
                               two_distance_bound)
+from grasscode.core_linalg import Code
 from grasscode.dims import dim_Hk
 from grasscode.errors import DegenerateDenominator, OutOfRange
 from grasscode.zonal import annihilator_sympoly
+
+from conftest import counting_kernel
 
 
 def rational(rng, lo, hi):
@@ -171,11 +175,50 @@ def test_relative_engine_three_distance_lines():
         assert res.value == f.at_ones() / mean
 
 
-def test_relative_bound_checks_code(pauli2):
+CHECKED = "f <= 0 on distinct pairs (checked)"
+
+
+def checked(res):
+    (cond,) = [c for c in res.conditions if c.text == CHECKED]
+    return cond.holds
+
+
+def test_relative_bound_checks_code(request):
+    for name, roots in [("pauli2", ["0", "1"]), ("mub5", ["0", "1/5"]),
+                        ("es321", ["0", "1"])]:
+        S = request.getfixturevalue(name)
+        f = annihilator_sympoly([Fraction(r) for r in roots], S.m)
+        res = relative_code_bound(f, S.m, S.n, code=S)
+        assert res.value == len(S) and res.applicable and checked(res)
+        assert relative_code_bound(f, S.m, S.n, code=list(S)) == res
+        assert relative_code_bound(f, S.m, S.n).value == res.value
+        # f = sum(y) is positive on every pair that is not orthogonal
+        bad = annihilator_sympoly([Fraction(0)], S.m)
+        res = relative_code_bound(bad, S.m, S.n, code=S)
+        assert not checked(res) and not res.applicable
+
+
+def test_relative_bound_one_member_code(pauli2):
     f = annihilator_sympoly([Fraction(0), Fraction(1)], 2)
-    res = relative_code_bound(f, 2, 4, code=pauli2)
-    assert res.applicable
-    assert any("checked" in c.text for c in res.conditions)
+    res = relative_code_bound(f, 2, 4, code=Code([pauli2[0]]))
+    assert checked(res) and res.applicable and res.value == 30
+
+
+def test_relative_bound_check_reads_shared_geometry(es321, monkeypatch):
+    S = Code(list(es321), check_duplicates=False)
+    f = annihilator_sympoly([Fraction(0), Fraction(1)], S.m)
+    kernel = counting_kernel(monkeypatch)
+    oracle = []
+    real = bounds.principal_angles
+
+    def counted(a, b):
+        oracle.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(bounds, "principal_angles", counted)
+    assert checked(relative_code_bound(f, S.m, S.n, code=S))
+    assert kernel == [True]      # one pass of the pair kernel
+    assert len(oracle) == 1      # only the decisive pair is recomputed
 
 
 def test_design_bounds():
@@ -234,7 +277,7 @@ def test_bound_table_cells():
     t2 = bound_table(2, 4)
     assert t2.abs_one == 16
     assert t2.abs_two == 120
-    assert t2.relative_two(Fraction(0), Fraction(1)).value == 30
+    assert two_distance_bound(Fraction(0), Fraction(1), 2, 4).value == 30
     # m=1 note surfaces the smaller exact space
     assert bound_table(1, 4).abs_two_note != ""
     with pytest.raises(OutOfRange):

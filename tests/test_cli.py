@@ -137,7 +137,13 @@ def test_check_scheme_json(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["is_scheme"] is True
     assert doc["classes"] == 4
-    assert doc["idempotents"]["strength"] == 2
+    # strength is tested to 2t = 4, so the degree-3 pairs are certified
+    idem = doc["idempotents"]
+    assert idem["strength"] == 3
+    cert = {(q["mu"], q["lam"]): q["certified"] for q in idem["pairs"]}
+    for pair in [("(1)", "(2)"), ("(1)", "(1,1)")]:
+        assert cert[pair] and cert[pair[::-1]]
+    assert not cert[("(2)", "(2)")] and not cert[("(1,1)", "(1,1)")]
 
 
 def test_check_scheme_degree_three(tmp_path, capsys):
@@ -266,12 +272,17 @@ def test_output_file_option(tmp_path, capsys):
 
 
 def test_threads_flag_is_accepted_and_deterministic(tmp_path, capsys):
+    # --threads and --seed were read by no subcommand and are gone
     path = tmp_path / "m5.json"
     run(capsys, "construct", "mub", "--p", "5", "-o", str(path))
+    for flag in ("--threads", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["angles", str(path), flag, "4", "--json"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: %s 4" % flag in capsys.readouterr().err
     outs = []
-    for th in ("1", "4"):
-        code, out, _ = run(capsys, "angles", str(path), "--threads", th,
-                           "--json")
+    for _ in range(2):
+        code, out, _ = run(capsys, "angles", str(path), "--json")
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]

@@ -90,13 +90,14 @@ def test_isotropic_counts():
 
 
 def test_isotropic_subspaces_are_isotropic_and_distinct():
-    subs = enumerate_isotropic(3, 2, 2)
+    p, n = 3, 2
+    subs = enumerate_isotropic(p, n, 2)
     seen = set()
     for W in subs:
-        for u in W.basis:
-            for v in W.basis:
-                assert u.form(v) == 0
-        seen.add(W.matrix().tobytes())
+        assert W.shape == (2, 2 * n) and W.dtype == np.int64
+        a, b = W[:, :n], W[:, n:]
+        assert not ((a @ b.T - b @ a.T) % p).any()
+        seen.add(W.tobytes())
     assert len(seen) == len(subs)
 
 

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grasscode.partitions import (Partition, aspartition, partitions_of,
-                                  partitions_up_to, subpartitions)
+                                  partitions_up_to)
+
+from zonal_oracle import subpartitions
 
 
 def test_validation():

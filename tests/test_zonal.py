@@ -2,9 +2,12 @@ from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
+import pytest
 
-from grasscode.core_linalg import haar_subspace, principal_angles
+import grasscode.zonal as zonal
+from grasscode.core_linalg import Subspace, haar_subspace, principal_angles
 from grasscode.dims import dim_H
+from grasscode.errors import NumericalHealthError, OutOfRange
 from grasscode.partitions import Partition, partitions_up_to
 from grasscode.sympoly import SymmetricPolynomial
 from grasscode.zonal import (aggregate_zonal, annihilator_sympoly,
@@ -154,6 +157,56 @@ def test_mc_determinism():
     assert e1 == e2
     e3 = mc_zonal_inner(P1, P2, 2, 4, 2000, seed=12)
     assert e1 != e3
+
+
+def test_mc_draws_follow_the_seeded_svd_route():
+    # the same Haar stream as drawing and factoring by hand, and the same
+    # squared cosines as the SVD of each overlap
+    n, m, samples = 6, 2, 500
+    rng = np.random.default_rng(31)
+    g = (rng.standard_normal((samples, n, m))
+         + 1j * rng.standard_normal((samples, n, m)))
+    sv = np.linalg.svd(np.linalg.qr(g)[0][:, :m, :], compute_uv=False)
+    y = np.concatenate(list(zonal._angle_batch(n, m, samples, 31)))
+    assert np.abs(y - sv * sv).max() < 1e-12
+
+
+def test_mc_sample_counts():
+    m, n = 2, 4
+    a, b = haar_subspace(n, m, seed=1), haar_subspace(n, m, seed=2)
+    K = aggregate_zonal(1, m, n)
+    for est, se in (mc_zonal_inner(P1, P2, m, n, 1, seed=3),
+                    mc_function_inner(K, K, a, b, 1, seed=3)):
+        assert np.isfinite(est) and se == float("inf")
+    for samples in (0, -1):
+        with pytest.raises(OutOfRange):
+            mc_zonal_inner(P1, P2, m, n, samples)
+        with pytest.raises(OutOfRange):
+            mc_function_inner(K, K, a, b, samples)
+
+
+@pytest.mark.parametrize("which", ["zonal", "function"])
+def test_mc_out_of_range_block_raises(which, monkeypatch):
+    # one Haar member planted on the fixed subspace, scaled by 1 + 1e-6:
+    # its squared cosines are 1 + 2e-6, past the slack, so they must raise
+    # instead of being clipped
+    m, n = 2, 4
+    a = Subspace(np.eye(n, m, dtype=complex))   # mc_zonal_inner's fixed a
+    real = zonal.haar_basis_batch
+
+    def planted(n, m, samples, seed):
+        q = real(n, m, samples, seed)
+        q[0] = a.basis * (1 + 1e-6)
+        return q
+
+    monkeypatch.setattr(zonal, "haar_basis_batch", planted)
+    K = aggregate_zonal(1, m, n)
+    with pytest.raises(NumericalHealthError):
+        if which == "zonal":
+            mc_zonal_inner(P1, P2, m, n, 100, seed=1)
+        else:
+            mc_function_inner(K, K, a, haar_subspace(n, m, seed=2), 100,
+                              seed=1)
 
 
 def test_mc_orthogonality_3_6():

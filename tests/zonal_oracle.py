@@ -12,11 +12,25 @@ to check that construction up to an exact scalar at every degree.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
-from grasscode.partitions import Partition, aspartition, subpartitions
+from grasscode.partitions import Partition, aspartition
 from grasscode.sympoly import (SymmetricPolynomial, _collect_sorted,
                                _full_expand, hypergeom_coeff)
+
+
+def subpartitions(kappa):
+    """All partitions sigma contained in kappa, any size, canonical order."""
+    kappa = aspartition(kappa)
+    seen = set()
+    for tup in product(*(range(p + 1) for p in kappa.parts)):
+        trimmed = tuple(t for t in tup if t > 0)
+        if all(trimmed[i] >= trimmed[i + 1] for i in range(len(trimmed) - 1)):
+            seen.add(trimmed)
+    out = [Partition(t) for t in seen]
+    out.sort(key=Partition.sort_key)
+    return out
 
 
 def shift_ones(p):
