@@ -14,9 +14,9 @@ from .bounds import (BoundResult, BoundTable, absolute_code_bound,
                      relative_code_bound, relative_design_bound,
                      simplex_orthoplex, size_from_simplex_alpha,
                      two_distance_bound)
-from .constructions import (ExtraspecialOps, enumerate_isotropic,
-                            extraspecial_code, extraspecial_size,
-                            isotropic_count, mub_code, pauli_code)
+from .constructions import (enumerate_isotropic, extraspecial_code,
+                            extraspecial_size, isotropic_count, mub_code,
+                            pauli_code)
 from .core_linalg import (AngleVector, Code, Subspace, canonical_pair,
                           chordal_distance, gram_matrix, haar_subspace,
                           principal_angles, subspace_from_basis,
@@ -35,9 +35,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleVector", "BoundResult", "BoundTable", "ClusterAmbiguity", "Code",
-    "ExtraspecialOps", "GrasscodeError", "NumericalHealthError", "Partition",
-    "RelationPartition", "SchemeReport", "SizeLimit", "Subspace",
-    "SymmetricPolynomial", "ZonalExpansion", "ZonalPolynomial",
+    "GrasscodeError", "NumericalHealthError", "Partition", "RelationPartition",
+    "SchemeReport", "SizeLimit", "Subspace", "SymmetricPolynomial",
+    "ZonalExpansion", "ZonalPolynomial",
     "absolute_code_bound", "aggregate_zonal", "angle_classes", "bound_table",
     "canonical_pair", "check_scheme", "chordal_distance",
     "code_design_exact_size", "code_from_dict", "code_to_dict",

@@ -59,17 +59,6 @@ def _cluster_vectors(vecs, tol):
     return labels, len(blocks)
 
 
-def inner_product_set(S, tol=1e-8):
-    """The distinct off-diagonal trace inner products, clustered at tol;
-    cluster representatives (means), sorted ascending."""
-    if len(S) < 2:
-        raise OutOfRange("need at least 2 members")
-    g = gram_matrix(S)
-    vals = g[~np.eye(len(S), dtype=bool)]
-    groups = _split_1d(vals, tol)
-    return tuple(sorted(float(vals[idx].mean()) for idx in groups))
-
-
 class RelationPartition:
     """Ordered pairs of code members grouped by principal-angle vector.
     Class 0 is the identity relation (the diagonal); relation matrices are
@@ -117,9 +106,10 @@ def _relations(X, identity, tol):
     labels, k = _cluster_vectors(flat, tol)
     reps = [tuple(flat[labels == j].mean(axis=0)) for j in range(k)]
     order = sorted(range(k), key=lambda j: reps[j], reverse=True)
-    relabel = {old: new + 1 for new, old in enumerate(order)}
+    relabel = np.empty(k, dtype=np.int64)
+    relabel[order] = np.arange(1, k + 1)
     assignment = np.zeros((N, N), dtype=np.int64)
-    assignment[mask] = np.vectorize(relabel.get)(labels)
+    assignment[mask] = relabel[labels]
     return RelationPartition(N, X.shape[2], [identity] + [reps[j] for j in order],
                              assignment)
 
@@ -134,6 +124,12 @@ def inner_product_classes(S, tol=1e-8):
     """Coarse relations: pairs grouped by trace inner product only.
     Same layout as angle_classes (class 0 = diagonal)."""
     return _relations(gram_matrix(S)[:, :, None], (float(S.m),), tol)
+
+
+def inner_product_set(S, tol=1e-8):
+    """The distinct off-diagonal trace inner products: the representatives
+    (cluster means) of the non-identity inner_product_classes, ascending."""
+    return tuple(sorted(r[0] for r in inner_product_classes(S, tol).reps[1:]))
 
 
 def design_strength(S, t_max=2, tol=1e-8):
@@ -163,22 +159,22 @@ def is_one_design(S, tol=1e-8):
 
 def swap_operator(n):
     "the operator T(u (x) v) = v (x) u on C^n (x) C^n"
-    T = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            T[i * n + j, j * n + i] = 1.0
-    return T
+    return np.eye(n * n).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(
+        n * n, n * n)
 
 
 def is_two_design(S, tol=1e-8, size_limit=4096):
     """flag + residual: max-entry distance of the average of P (x) P from
-    (m/(n(n^2-1))) [(nm-1) I + (n-m) T]."""
+    (m/(n(n^2-1))) [(nm-1) I + (n-m) T].  The average is one GEMM V^T V over
+    the flattened projectors V = P.reshape(N, n^2), regrouped (ac, bd) ->
+    (ab, cd)."""
     n, m = S.n, S.m
     if n * n > size_limit:
         raise SizeLimit("n^2 = %d exceeds the limit %d" % (n * n, size_limit))
     B = S.basis_stack()
-    P = np.einsum("ink,imk->inm", B, B.conj())
-    avg = np.einsum("iac,ibd->abcd", P, P).reshape(n * n, n * n) / len(S)
+    V = np.einsum("ink,imk->inm", B, B.conj()).reshape(len(S), n * n)
+    avg = (V.T @ V).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(
+        n * n, n * n) / len(S)
     target = (m / (n * (n * n - 1))) * ((n * m - 1) * np.eye(n * n)
                                         + (n - m) * swap_operator(n))
     res = float(np.abs(avg - target).max())
@@ -227,31 +223,33 @@ class SchemeReport:
 
 
 def check_scheme(R, tol=1e-8):
-    """Bose-Mesner closure: project every product A_i A_j onto the span of
-    the relation matrices (disjoint 0/1 supports make that a masked mean)
-    and report the worst relative Frobenius residual."""
+    """Bose-Mesner closure: project every product A_i A_j, 1 <= i <= j, onto
+    the span of the relation matrices and report the worst relative
+    Frobenius residual.  Disjoint 0/1 supports make the projection the mean
+    of the product over each class: one bincount over the assignment.
+    A_0 = I is exact: p^c_{0j} = p^c_{j0} = [c = j]."""
     if R.n_classes < 2:
         raise OutOfRange("need at least 2 relation classes")
-    mats = [R.relation_matrix(k) for k in range(R.n_classes)]
-    counts = [mat.sum() for mat in mats]
-    k = len(mats)
+    k = R.n_classes
+    labels = R.assignment.ravel()
+    counts = np.bincount(labels, minlength=k)
+    A = {c: R.relation_matrix(c) for c in range(1, k)}
     worst = 0.0
     rdelta = 0.0
-    inums = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i in range(k):
+    inums = np.zeros((k, k, k), dtype=np.int64)
+    inums[:, 0, :] = inums[:, :, 0] = np.eye(k, dtype=np.int64)
+    for i in range(1, k):
         for j in range(i, k):
-            prod = mats[i] @ mats[j]
-            norm = np.linalg.norm(prod)
-            approx = np.zeros_like(prod)
-            for kk in range(k):
-                coef = float((prod * mats[kk]).sum() / counts[kk])
-                approx += coef * mats[kk]
-                r = int(round(coef))
-                rdelta = max(rdelta, abs(coef - r))
-                inums[kk][i][j] = inums[kk][j][i] = r
-            res = float(np.linalg.norm(prod - approx) / max(norm, 1e-300))
+            prod = A[i] @ A[j]
+            coef = np.bincount(labels, weights=prod.ravel(),
+                               minlength=k) / counts
+            r = np.rint(coef)
+            rdelta = max(rdelta, float(np.abs(coef - r).max()))
+            inums[:, i, j] = inums[:, j, i] = r
+            res = float(np.linalg.norm(prod - coef[R.assignment])
+                        / max(np.linalg.norm(prod), 1e-300))
             worst = max(worst, res)
-    return SchemeReport(worst < tol, k, worst, inums, rdelta)
+    return SchemeReport(worst < tol, k, worst, inums.tolist(), rdelta)
 
 
 class IdempotentReport:

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core_linalg import Code, principal_angles
-from .dims import dim_Hk, hom_dim_bound
+from .dims import check_mn, dim_Hk, hom_dim_bound
 from .errors import DegenerateDenominator, OutOfRange
 from .partitions import Partition
 from .zonal import annihilator_sympoly, expand_in_zonal
@@ -81,8 +81,7 @@ def absolute_code_bound(k, m, n):
     """
     if k < 0:
         raise OutOfRange("k must be >= 0, got %d" % k)
-    if not (1 <= m and 2 * m <= n):
-        raise OutOfRange("need 1 <= m and 2m <= n, got m=%d n=%d" % (m, n))
+    check_mn(m, n)
     h_bound = dim_Hk(k, m, n)
     if k == 0:
         hom = 1
@@ -259,8 +258,7 @@ class BoundTable:
     the numbers)."""
 
     def __init__(self, m, n):
-        if not (1 <= m and 2 * m <= n):
-            raise OutOfRange("need 1 <= m and 2m <= n, got m=%d n=%d" % (m, n))
+        check_mn(m, n)
         self.m = m
         self.n = n
         hom1, _ = absolute_code_bound(1, m, n)

@@ -41,6 +41,28 @@ def _rational(text):
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
 
 
+def _tolerance(text):
+    "a finite float > 0"
+    try:
+        val = float(text)
+    except ValueError:
+        val = float("nan")
+    if not (np.isfinite(val) and val > 0):
+        raise argparse.ArgumentTypeError("not a finite number > 0: %r" % text)
+    return val
+
+
+def _nonnegative_int(text):
+    "an integer >= 0"
+    try:
+        val = int(text)
+    except ValueError:
+        val = -1
+    if val < 0:
+        raise argparse.ArgumentTypeError("not an integer >= 0: %r" % text)
+    return val
+
+
 def _emit(args, text):
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
@@ -301,8 +323,9 @@ def _cmd_info(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-8,
-                        help="numerical tolerance (default 1e-8)")
+    common.add_argument("--tol", type=_tolerance, default=1e-8,
+                        help="numerical tolerance, finite and > 0 "
+                        "(default 1e-8)")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("-o", "--output", metavar="PATH",
@@ -338,7 +361,7 @@ def build_parser():
     b.add_argument("--m", type=int)
     b.add_argument("--k", type=int,
                    help="absolute: distance count; simplex: code size N")
-    b.add_argument("--t", type=int, help="design strength")
+    b.add_argument("--t", type=_nonnegative_int, help="design strength")
     b.add_argument("--alpha", type=_rational)
     b.add_argument("--beta", type=_rational)
     b.set_defaults(func=_cmd_bound)
@@ -359,13 +382,14 @@ def build_parser():
     v = sub.add_parser("verify-design", parents=[common],
                        help="design strength of a code file")
     v.add_argument("file")
-    v.add_argument("--t", type=int, help="strength to test (default 2)")
+    v.add_argument("--t", type=_nonnegative_int,
+                   help="strength to test (default 2)")
     v.set_defaults(func=_cmd_verify_design)
 
     s = sub.add_parser("check-scheme", parents=[common],
                        help="association-scheme closure of a code file")
     s.add_argument("file")
-    s.add_argument("--t", type=int,
+    s.add_argument("--t", type=_nonnegative_int,
                    help="idempotents E_mu for |mu| <= t, strength tested to "
                    "2t (default 2)")
     s.set_defaults(func=_cmd_check_scheme)

@@ -7,7 +7,8 @@ unitaries X(a)Y(b), (a,b) in a canonical basis of W, and refines the full
 space into their joint eigenspaces using the exact character projectors
 P_j = (1/p) sum_t w^{-jt} U^t (each operator has order exactly p), which are
 Hermitian, so orthonormal eigenbases come from eigh without degeneracy
-headaches.
+headaches.  X(a)Y(b) is monomial, so it is applied as a row gather times
+phases and no p^n x p^n matrix is formed.
 """
 
 from itertools import combinations, product
@@ -68,49 +69,17 @@ def _is_odd_prime(p):
     return True
 
 
-class ExtraspecialOps:
-    """Shift and phase unitaries on C^(p^n): X(a) e_v = e_{v+a} and
-    Y(b) e_v = w^(b.v) e_v, with w = exp(2 pi i/p), indices big-endian."""
-
-    def __init__(self, p, n, size_limit=2048):
-        if not _is_odd_prime(p):
-            raise OutOfRange("p must be an odd prime, got %d" % p)
-        if n < 1:
-            raise OutOfRange("n must be >= 1, got %d" % n)
-        q = p ** n
-        if q > size_limit:
-            raise SizeLimit("p^n = %d exceeds the limit %d" % (q, size_limit))
-        self.p = p
-        self.n = n
-        self.q = q
-        self.omega = np.exp(2j * np.pi / p)
-        self._roots = np.exp(2j * np.pi * np.arange(p) / p)
-        # all vectors of F_p^n in index order (big-endian mixed radix)
-        vecs = np.zeros((q, n), dtype=np.int64)
-        for i in range(n):
-            vecs[:, i] = (np.arange(q) // p ** (n - 1 - i)) % p
-        self._vecs = vecs
-
-    def index(self, v):
-        "index of a vector in the standard basis order"
-        v = np.asarray(v, dtype=np.int64) % self.p
-        return int(sum(int(x) * self.p ** (self.n - 1 - i) for i, x in enumerate(v)))
-
-    def X(self, a):
-        a = np.asarray(a, dtype=np.int64) % self.p
-        shifted = (self._vecs + a) % self.p
-        target = (shifted * self.p ** (self.n - 1 - np.arange(self.n))).sum(axis=1)
-        out = np.zeros((self.q, self.q), dtype=complex)
-        out[target, np.arange(self.q)] = 1.0
-        return out
-
-    def Y(self, b):
-        b = np.asarray(b, dtype=np.int64) % self.p
-        phases = (self._vecs @ b) % self.p
-        return np.diag(self._roots[phases]).astype(complex)
-
-    def XY(self, a, b):
-        return self.X(a) @ self.Y(b)
+def _weyl_gather(p, n, a, b):
+    """X(a)Y(b) on C^(p^n) as a row gather: (X(a)Y(b) B)[v] = phase[v] *
+    B[src[v]] with src = index of (v - a) mod p and phase = w^(b.(v - a)),
+    w = exp(2 pi i/p), indices big-endian.  X(a) e_v = e_{v+a} and
+    Y(b) e_v = w^(b.v) e_v."""
+    radix = p ** np.arange(n - 1, -1, -1)
+    vecs = (np.arange(p ** n)[:, None] // radix) % p
+    shifted = (vecs - np.asarray(a, dtype=np.int64)) % p
+    phase = np.exp(2j * np.pi * np.arange(p) / p)[
+        (shifted @ np.asarray(b, dtype=np.int64)) % p]
+    return shifted @ radix, phase
 
 
 def _echelon_fill(p, ncols, pivots):
@@ -180,22 +149,25 @@ def extraspecial_code(p, n, k, size_limit=2048):
     a code of p^k-dimensional subspaces of C^(p^n)."""
     if not 0 <= k <= n - 1:
         raise OutOfRange("need 0 <= k <= n-1, got k=%d n=%d" % (k, n))
-    ops = ExtraspecialOps(p, n, size_limit=size_limit)
+    if not _is_odd_prime(p):
+        raise OutOfRange("p must be an odd prime, got %d" % p)
+    q = p ** n
+    if q > size_limit:
+        raise SizeLimit("p^n = %d exceeds the limit %d" % (q, size_limit))
     isos = enumerate_isotropic(p, n, n - k)
-    q = ops.q
-    root_conj = np.conj(ops._roots)
+    root_conj = np.conj(np.exp(2j * np.pi * np.arange(p) / p))
     members = []
     labels = []
     for widx, iso in enumerate(isos):
-        mats = [ops.XY(row[:n], row[n:]) for row in iso]
         blocks = [np.eye(q, dtype=complex)]
         tags = [()]
-        for U in mats:
+        for row in iso:
+            src, phase = _weyl_gather(p, n, row[:n], row[n:])
             nblocks = []
             ntags = []
             for B, tag in zip(blocks, tags):
                 d = B.shape[1]
-                small = B.conj().T @ U @ B
+                small = B.conj().T @ (phase[:, None] * B[src])
                 powers = [np.eye(d, dtype=complex)]
                 for _ in range(p - 1):
                     powers.append(powers[-1] @ small)

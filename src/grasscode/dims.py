@@ -41,12 +41,17 @@ def dim_H(mu, n):
     return weyl_dim(lam)
 
 
+def check_mn(m, n):
+    "raise OutOfRange unless G(m,n) is in range: 1 <= m and 2m <= n"
+    if not (1 <= m and 2 * m <= n):
+        raise OutOfRange("need 1 <= m and 2m <= n, got m=%d n=%d" % (m, n))
+
+
 def dim_Hk(k, m, n):
     """Dimension of H_k(m,n) = sum of dim H_mu over |mu| <= k, len(mu) <= m."""
     if k < 0:
         raise OutOfRange("k must be >= 0, got %d" % k)
-    if not 1 <= m or 2 * m > n:
-        raise OutOfRange("need 1 <= m and 2m <= n, got m=%d n=%d" % (m, n))
+    check_mn(m, n)
     return sum(dim_H(mu, n) for mu in partitions_up_to(k, max_len=m))
 
 

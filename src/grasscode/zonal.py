@@ -25,18 +25,13 @@ from math import comb
 import numpy as np
 
 from .core_linalg import checked_cosines, haar_basis_batch, squared_cosines
-from .dims import dim_H
+from .dims import check_mn, dim_H
 from .errors import (DegenerateAtOnes, LengthExceedsVariables, OutOfRange,
                      UnsupportedPartition)
 from .partitions import Partition, aspartition, partitions_up_to
 from .sympoly import SymmetricPolynomial, hypergeom_coeff, schur_norm
 
 _EMPTY = Partition(())
-
-
-def _check_mn(m, n):
-    if not (1 <= m and 2 * m <= n):
-        raise OutOfRange("need 1 <= m and 2m <= n, got m=%d n=%d" % (m, n))
 
 
 class ZonalPolynomial:
@@ -75,7 +70,7 @@ class ZonalPolynomial:
 def zonal_explicit(mu, m, n):
     "the printed degree-<=2 forms, unnormalized (except Z_0 which is 1)"
     mu = aspartition(mu)
-    _check_mn(m, n)
+    check_mn(m, n)
     if len(mu) > m:
         raise LengthExceedsVariables(
             "partition %s too long for m=%d" % (mu, m))
@@ -120,7 +115,7 @@ def zonal_general(kappa, m, n):
     printed form for |kappa| <= 2 and makes Z_kappa(1,...,1) > 0.
     """
     kappa = aspartition(kappa)
-    _check_mn(m, n)
+    check_mn(m, n)
     if len(kappa) > m:
         raise LengthExceedsVariables(
             "partition %s too long for m=%d" % (kappa, m))
@@ -165,7 +160,7 @@ def normalize_zonal(Z):
 
 def zonal_basis(m, n, t):
     "all Z_mu with |mu| <= t, len(mu) <= m, canonical order"
-    _check_mn(m, n)
+    check_mn(m, n)
     return [zonal_general(mu, m, n) for mu in partitions_up_to(t, max_len=m)]
 
 
@@ -218,7 +213,7 @@ def expand_in_zonal(f, m, n, experimental=None):
     element containing X*_mu, so each coefficient peels off in turn.
     (`experimental` is accepted and ignored.)
     """
-    _check_mn(m, n)
+    check_mn(m, n)
     if f.m != m:
         raise OutOfRange("polynomial has %d variables, expected %d" % (f.m, m))
     deg = f.degree

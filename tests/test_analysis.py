@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grasscode.analysis import (angle_classes, check_scheme, design_strength,
+from grasscode.analysis import (RelationPartition, _cluster_vectors,
+                                angle_classes, check_scheme, design_strength,
                                 inner_product_classes, inner_product_set,
                                 is_one_design, is_two_design,
                                 pair_angle_matrix, scheme_idempotents,
@@ -204,3 +206,132 @@ def test_twothree_audit_t1(mub5):
     assert rep.warnings == []
     doc = rep.to_json_dict()
     assert doc["t"] == 1 and doc["size"] == 30 and doc["dim_H_t"] == 25
+
+
+def brute_force_closure(A, k):
+    """Closure of the labelling A (N x N, diagonal 0) by explicit loops:
+    per (i, j) the path counts c(x, y) = #{z : A[x,z] = i, A[z,y] = j},
+    their mean over each class, and the relative Frobenius residual."""
+    N = len(A)
+    counts = np.zeros((k, k, N, N))
+    for x in range(N):
+        for y in range(N):
+            for z in range(N):
+                counts[A[x, z], A[z, y], x, y] += 1
+    inums = np.zeros((k, k, k), dtype=np.int64)
+    worst = rdelta = 0.0
+    for i in range(k):
+        for j in range(k):
+            c = counts[i, j]
+            coef = np.array([c[A == cls].mean() for cls in range(k)])
+            inums[:, i, j] = np.rint(coef)
+            rdelta = max(rdelta, float(np.abs(coef - np.rint(coef)).max()))
+            norm = np.linalg.norm(c)
+            if norm > 0:
+                worst = max(worst, np.linalg.norm(c - coef[A]) / norm)
+    return inums, worst, rdelta
+
+
+def labelling_partition(A, k):
+    return RelationPartition(len(A), 1, [(float(c),) for c in range(k)], A)
+
+
+def test_check_scheme_matches_brute_force_counts(pauli2):
+    rng = np.random.default_rng(621)
+    cases = []
+    for _ in range(25):
+        N = int(rng.integers(3, 9))
+        k = int(rng.integers(2, 5))
+        A = np.zeros((N, N), dtype=np.int64)
+        iu = np.triu_indices(N, 1)
+        A[iu] = rng.integers(1, k, size=len(iu[0]))
+        A[iu[::-1]] = A[iu]
+        classes, A = np.unique(A, return_inverse=True)  # no empty class
+        cases.append((A.reshape(N, N), len(classes)))
+    R = angle_classes(pauli2)  # a true scheme, 4 classes
+    cases.append((R.assignment, R.n_classes))
+    for A, k in cases:
+        rep = check_scheme(labelling_partition(A, k))
+        inums, worst, rdelta = brute_force_closure(A, k)
+        assert rep.n_classes == k
+        assert rep.intersection_numbers == inums.tolist()
+        assert abs(rep.closure_residual - worst) < 1e-12
+        assert abs(rep.rounding_delta - rdelta) < 1e-12
+        assert rep.is_scheme == (worst < 1e-8)
+    assert rep.is_scheme  # the last case, pauli(2)
+
+
+def explicit_swap(n):
+    T = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            T[i * n + j, j * n + i] = 1.0
+    return T
+
+
+def test_two_design_matches_explicit_tensor_average(pauli2, mub5):
+    "the one-GEMM average against the iac,ibd->abcd einsum and a looped T"
+    codes = [random_code(n, m, N, seed) for n, m, N, seed in
+             [(3, 1, 7, 611), (4, 2, 9, 612), (5, 1, 12, 613),
+              (5, 2, 6, 614), (6, 3, 5, 615)]]
+    for S in codes + [pauli2, mub5]:
+        n, m, N = S.n, S.m, len(S)
+        B = S.basis_stack()
+        P = np.einsum("ink,imk->inm", B, B.conj())
+        avg = np.einsum("iac,ibd->abcd", P, P).reshape(n * n, n * n) / N
+        target = (m / (n * (n * n - 1))) * ((n * m - 1) * np.eye(n * n)
+                                            + (n - m) * explicit_swap(n))
+        res = float(np.abs(avg - target).max())
+        flag, got = is_two_design(S)
+        assert abs(got - res) < 1e-14
+        assert flag == (res < 1e-8)
+        assert np.array_equal(swap_operator(n), explicit_swap(n))
+    assert not is_two_design(codes[0])[0] and is_two_design(mub5)[0]
+
+
+CLUSTER_TOL = 1e-2
+
+
+def max_norm_single_linkage(vecs, tol):
+    "connected components of the graph joining rows within tol in max norm"
+    N = len(vecs)
+    comp = list(range(N))
+    for i in range(N):
+        for j in range(i):
+            if np.abs(vecs[i] - vecs[j]).max() <= tol:
+                old, new = comp[i], comp[j]
+                comp = [new if c == old else c for c in comp]
+    return {frozenset(np.nonzero(np.array(comp) == c)[0].tolist())
+            for c in set(comp)}
+
+
+@st.composite
+def planted_classes(draw):
+    """Rows in up to 5 classes in [0, 1]^m.  Class centres sit on a grid of
+    spacing 10 tol; each class is a walk from its centre with steps in
+    [0, 0.3 tol] per coordinate, so it chains at tol even when its ends are
+    more than tol apart, and no two gaps fall in the ambiguity band."""
+    m = draw(st.integers(1, 3))
+    centres = draw(st.lists(st.tuples(*[st.integers(0, 4)] * m),
+                            min_size=1, max_size=5, unique=True))
+    rows, truth = [], []
+    for c, centre in enumerate(centres):
+        point = np.array(centre, dtype=float) * 10 * CLUSTER_TOL
+        for _ in range(draw(st.integers(1, 5))):
+            rows.append(point.copy())
+            truth.append(c)
+            point += draw(st.lists(st.floats(0, 0.3 * CLUSTER_TOL),
+                                   min_size=m, max_size=m))
+    order = draw(st.permutations(range(len(rows))))
+    return np.array(rows)[order], np.array(truth)[order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_classes())
+def test_cluster_vectors_is_max_norm_single_linkage(planted):
+    vecs, truth = planted
+    labels, k = _cluster_vectors(vecs, CLUSTER_TOL)
+    got = {frozenset(np.nonzero(labels == c)[0].tolist()) for c in range(k)}
+    assert got == max_norm_single_linkage(vecs, CLUSTER_TOL)
+    assert got == {frozenset(np.nonzero(truth == c)[0].tolist())
+                   for c in set(truth.tolist())}

@@ -202,6 +202,29 @@ def test_exit_code_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-scheme", "{f}", "--tol", "nan"],
+    ["check-scheme", "{f}", "--tol", "-1"],
+    ["check-scheme", "{f}", "--tol", "inf"],
+    ["check-scheme", "{f}", "--tol", "0"],
+    ["angles", "{f}", "--tol", "x"],
+    ["verify-design", "{f}", "--t", "-1"],
+    ["check-scheme", "{f}", "--t", "-2"],
+    ["bound", "design", "--n", "5", "--m", "1", "--t", "-1"],
+])
+def test_invalid_tol_and_t_rejected_at_parse_time(tmp_path, capsys, argv):
+    "a tolerance must be finite and > 0, a degree >= 0: usage error, exit 1"
+    path = tmp_path / "mub5.json"
+    run(capsys, "construct", "mub", "--p", "5", "-o", str(path))
+    flag = argv[-2]
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(f=path) for a in argv])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument %s" % flag in out.err
+
+
 def test_exit_code_numerical_health(tmp_path, capsys):
     path = tmp_path / "p2.json"
     run(capsys, "construct", "pauli", "--k", "2", "-o", str(path))

@@ -1,8 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from grasscode.bounds import two_distance_bound
-from grasscode.constructions import (ExtraspecialOps, enumerate_isotropic,
+from grasscode.constructions import (_weyl_gather, enumerate_isotropic,
                                      extraspecial_code, extraspecial_size,
                                      isotropic_count, mub_code, pauli_code)
 from grasscode.core_linalg import gram_matrix
@@ -40,44 +42,68 @@ def test_pauli_complement_pairing():
         assert resid < 1e-9
 
 
+def weyl_dense(p, n, a, b):
+    """X(a)Y(b) built densely: the permutation e_v -> e_{v+a} times the
+    diagonal w^(b.v), indices big-endian."""
+    q = p ** n
+    vecs = np.array(list(product(range(p), repeat=n)), dtype=np.int64)
+    target = [int("".join(map(str, (v + a) % p)), p) for v in vecs]
+    X = np.zeros((q, q), dtype=complex)
+    X[target, np.arange(q)] = 1.0
+    Y = np.diag(np.exp(2j * np.pi * ((vecs @ b) % p) / p))
+    return X @ Y
+
+
+def apply_weyl(p, n, a, b, B):
+    src, phase = _weyl_gather(p, n, a, b)
+    return phase[:, None] * B[src]
+
+
 def test_operator_family_basics():
-    ops = ExtraspecialOps(3, 1)
+    "the gather equals the dense permutation-times-diagonal it replaces"
+    rng = np.random.default_rng(500)
+    for p, n in [(3, 1), (3, 2), (5, 2)]:
+        q = p ** n
+        for _ in range(4):
+            a, b = rng.integers(0, p, size=(2, n))
+            B = rng.normal(size=(q, 3)) + 1j * rng.normal(size=(q, 3))
+            U = weyl_dense(p, n, a, b)
+            assert np.abs(apply_weyl(p, n, a, b, B) - U @ B).max() < 1e-12
+            assert np.abs(U @ U.conj().T - np.eye(q)).max() < 1e-12
     w = np.exp(2j * np.pi / 3)
-    # phase operator on one trit
-    assert np.abs(ops.Y([1]) - np.diag([1, w, w * w])).max() < 1e-12
-    # shift operator is a cyclic permutation
-    X = ops.X([1])
-    e0 = np.zeros(3)
-    e0[0] = 1
-    assert np.abs(X @ e0 - np.eye(3)[:, 1]).max() < 1e-12
-    for U in (X, ops.Y([2]), ops.XY([1], [2])):
-        assert np.abs(U @ U.conj().T - np.eye(3)).max() < 1e-12
+    eye = np.eye(3, dtype=complex)
+    # phase operator on one trit, shift operator a cyclic permutation
+    assert np.abs(apply_weyl(3, 1, [0], [1], eye)
+                  - np.diag([1, w, w * w])).max() < 1e-12
+    assert np.abs(apply_weyl(3, 1, [1], [0], eye)[:, 0] - eye[:, 1]).max() == 0
 
 
 def test_commutation_relation():
+    "X(a)Y(b) X(a')Y(b') = w^(b.a') X(a+a')Y(b+b'), through the gather"
     rng = np.random.default_rng(501)
     for p, n in [(3, 2), (5, 1)]:
-        ops = ExtraspecialOps(p, n)
+        q = p ** n
         w = np.exp(2j * np.pi / p)
+        eye = np.eye(q, dtype=complex)
         for _ in range(6):
-            a, b, a2, b2 = (rng.integers(0, p, size=n) for _ in range(4))
-            lhs = ops.XY(a, b) @ ops.XY(a2, b2)
+            a, b, a2, b2 = rng.integers(0, p, size=(4, n))
+            lhs = apply_weyl(p, n, a, b, apply_weyl(p, n, a2, b2, eye))
             phase = w ** (int(b @ a2) % p)
-            rhs = phase * ops.XY((a + a2) % p, (b + b2) % p)
+            rhs = phase * apply_weyl(p, n, (a + a2) % p, (b + b2) % p, eye)
             assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_operators_have_order_p():
+    "U^p = I, and U^j != I for 0 < j < p when (a, b) != 0"
     rng = np.random.default_rng(502)
     for p, n in [(3, 2), (5, 1)]:
-        ops = ExtraspecialOps(p, n)
-        a = rng.integers(0, p, size=n)
-        b = rng.integers(0, p, size=n)
-        U = ops.XY(a, b)
-        acc = np.eye(p ** n, dtype=complex)
-        for _ in range(p):
-            acc = acc @ U
-        assert np.abs(acc - np.eye(p ** n)).max() < 1e-9
+        eye = np.eye(p ** n, dtype=complex)
+        a, b = rng.integers(0, p, size=(2, n))
+        a[0] = 1
+        acc = eye
+        for j in range(1, p + 1):
+            acc = apply_weyl(p, n, a, b, acc)
+            assert (np.abs(acc - eye).max() < 1e-9) == (j == p)
 
 
 def test_isotropic_counts():
@@ -177,8 +203,10 @@ def test_parameter_validation():
     with pytest.raises(OutOfRange):
         pauli_code(0)
     with pytest.raises(OutOfRange):
-        ExtraspecialOps(4, 1)
+        extraspecial_code(4, 1, 0)
     with pytest.raises(OutOfRange):
         mub_code(2)
     with pytest.raises(OutOfRange):
         extraspecial_code(3, 2, 2)  # k must be <= n-1
+    with pytest.raises(SizeLimit):
+        extraspecial_code(3, 7, 0)  # 3^7 = 2187 > 2048, before enumerating
