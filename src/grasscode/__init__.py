@@ -26,10 +26,10 @@ from .errors import (ClusterAmbiguity, GrasscodeError, NumericalHealthError,
                      SizeLimit)
 from .io import code_from_dict, code_to_dict, read_code, write_code
 from .partitions import Partition, partitions_of, partitions_up_to
-from .sympoly import SymmetricPolynomial, schur_eval_bialternant
+from .sympoly import SymmetricPolynomial
 from .zonal import (ZonalExpansion, ZonalPolynomial, aggregate_zonal,
                     expand_in_zonal, mc_zonal_inner, normalize_zonal,
-                    zonal_basis, zonal_explicit, zonal_general)
+                    zonal_basis, zonal_general)
 
 __version__ = "0.1.0"
 
@@ -50,9 +50,8 @@ __all__ = [
     "mub_code", "normalize_zonal", "one_distance_bound", "pair_angle_matrix",
     "partitions_of", "partitions_up_to", "pauli_code", "principal_angles",
     "q_binomial", "read_code", "relative_code_bound", "relative_design_bound",
-    "scheme_idempotents", "schur_eval_bialternant", "simplex_orthoplex",
-    "size_from_simplex_alpha", "subspace_from_basis", "swap_operator",
-    "trace_inner_product", "twothree_audit", "two_distance_bound", "weyl_dim",
-    "write_code", "zonal_basis", "zonal_explicit", "zonal_general",
-    "__version__",
+    "scheme_idempotents", "simplex_orthoplex", "size_from_simplex_alpha",
+    "subspace_from_basis", "swap_operator", "trace_inner_product",
+    "twothree_audit", "two_distance_bound", "weyl_dim", "write_code",
+    "zonal_basis", "zonal_general", "__version__",
 ]

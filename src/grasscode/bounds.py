@@ -199,11 +199,15 @@ def simplex_orthoplex(N, m, n):
 
 
 def size_from_simplex_alpha(alpha, m, n):
-    "invert the simplex threshold: the N with m(mN - n)/(nN - n) = alpha"
+    """invert the simplex threshold: the N with m(mN - n)/(nN - n) = alpha;
+    the threshold stays below m^2/n, so alpha > m^2/n is refused"""
     alpha = Fraction(alpha)
     den = n * alpha - m * m
     if den == 0:
         raise DegenerateDenominator("no finite N at alpha = m^2/n")
+    if den > 0:
+        raise OutOfRange("alpha = %s exceeds m^2/n = %s: no code size meets it"
+                         % (alpha, Fraction(m * m, n)))
     return n * (alpha - m) / den
 
 

@@ -323,13 +323,15 @@ def _cmd_info(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=1e-8,
-                        help="numerical tolerance, finite and > 0 "
-                        "(default 1e-8)")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("-o", "--output", metavar="PATH",
                         help="write output to a file instead of stdout")
+    # only the subcommands that read a code file compare floats to a tolerance
+    measured = argparse.ArgumentParser(add_help=False, parents=[common])
+    measured.add_argument("--tol", type=_tolerance, default=1e-8,
+                          help="numerical tolerance, finite and > 0 "
+                          "(default 1e-8)")
 
     p = _Parser(prog="grasscode",
                 description="codes and designs in complex subspaces")
@@ -344,12 +346,12 @@ def build_parser():
     c.add_argument("--n", type=int, help="extraspecial: field power")
     c.set_defaults(func=_cmd_construct)
 
-    a = sub.add_parser("angles", parents=[common],
+    a = sub.add_parser("angles", parents=[measured],
                        help="angle classes of a code file")
     a.add_argument("file")
     a.set_defaults(func=_cmd_angles)
 
-    g = sub.add_parser("gram", parents=[common],
+    g = sub.add_parser("gram", parents=[measured],
                        help="trace inner product matrix of a code file")
     g.add_argument("file")
     g.set_defaults(func=_cmd_gram)
@@ -359,7 +361,7 @@ def build_parser():
                                     "absolute", "simplex", "design"])
     b.add_argument("--n", type=int)
     b.add_argument("--m", type=int)
-    b.add_argument("--k", type=int,
+    b.add_argument("--k", type=_nonnegative_int,
                    help="absolute: distance count; simplex: code size N")
     b.add_argument("--t", type=_nonnegative_int, help="design strength")
     b.add_argument("--alpha", type=_rational)
@@ -376,17 +378,18 @@ def build_parser():
                        help="irreducible and cumulative dimensions")
     d.add_argument("--n", type=int)
     d.add_argument("--m", type=int)
-    d.add_argument("--k", type=int, help="max degree (default 2)")
+    d.add_argument("--k", type=_nonnegative_int,
+                   help="max degree (default 2)")
     d.set_defaults(func=_cmd_dims)
 
-    v = sub.add_parser("verify-design", parents=[common],
+    v = sub.add_parser("verify-design", parents=[measured],
                        help="design strength of a code file")
     v.add_argument("file")
     v.add_argument("--t", type=_nonnegative_int,
                    help="strength to test (default 2)")
     v.set_defaults(func=_cmd_verify_design)
 
-    s = sub.add_parser("check-scheme", parents=[common],
+    s = sub.add_parser("check-scheme", parents=[measured],
                        help="association-scheme closure of a code file")
     s.add_argument("file")
     s.add_argument("--t", type=_nonnegative_int,
@@ -394,7 +397,7 @@ def build_parser():
                    "2t (default 2)")
     s.set_defaults(func=_cmd_check_scheme)
 
-    i = sub.add_parser("info", parents=[common],
+    i = sub.add_parser("info", parents=[measured],
                        help="summary of a code file")
     i.add_argument("file")
     i.set_defaults(func=_cmd_info)

@@ -6,15 +6,14 @@ That basis is the native language of the zonal machinery; conversion to and
 from the monomial basis (Kostka numbers via semistandard tableaux) powers
 multiplication and evaluation.
 
-Evaluation has two independent routes: monomial expansion (default, exact on
-rational points, vectorized on float arrays) and the bialternant determinant
-ratio, with divided-difference (confluent) rows when points repeat.  They are
-cross-checked in the test suite.
+Evaluation is by monomial expansion: exact on rational points, vectorized on
+float arrays.  The bialternant determinant ratio that cross-checks it lives
+with the test suite's oracles.  Exact coefficients are Fractions; the zonal
+construction works in integers and builds each polynomial once.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb
 
 import numpy as np
 
@@ -78,13 +77,19 @@ def kostka_row(sigma, m):
     return counts
 
 
+_schur_norm_cache = {}
+
+
 def schur_norm(sigma, m):
     "X_sigma(1,...,1): number of semistandard tableaux, by the product formula"
     sigma = aspartition(sigma)
-    if len(sigma) > m:
-        raise LengthExceedsVariables(
-            "Schur of shape %s vanishes on %d variables" % (sigma, m))
-    return weyl_dim(sigma.pad(m))
+    key = (sigma.parts, m)
+    if key not in _schur_norm_cache:
+        if len(sigma) > m:
+            raise LengthExceedsVariables(
+                "Schur of shape %s vanishes on %d variables" % (sigma, m))
+        _schur_norm_cache[key] = weyl_dim(sigma.pad(m))
+    return _schur_norm_cache[key]
 
 
 _orbit_cache = {}
@@ -127,9 +132,10 @@ class SymmetricPolynomial:
             if len(sig) > self.m:
                 raise LengthExceedsVariables(
                     "partition %s too long for %d variables" % (sig, self.m))
-            c = Fraction(c)
-            if c != 0:
-                clean[sig] = clean.get(sig, Fraction(0)) + c
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            if c:
+                clean[sig] = clean[sig] + c if sig in clean else c
         self.coeffs = {s: c for s, c in clean.items() if c != 0}
         self._mono = None
         self._terms = None
@@ -223,8 +229,7 @@ class SymmetricPolynomial:
             other = SymmetricPolynomial.constant(other, self.m)
         self._check(other)
         out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, Fraction(0)) + c
+        _accumulate(out, other.coeffs)
         return SymmetricPolynomial(self.m, out)
 
     __radd__ = __add__
@@ -299,6 +304,14 @@ class SymmetricPolynomial:
         return sum(self.coeffs.values(), Fraction(0))
 
 
+def _accumulate(acc, coeffs, scale=None):
+    "acc += scale * coeffs (scale None: 1), in place on coefficient dicts"
+    for s, c in coeffs.items():
+        if scale is not None:
+            c = scale * c
+        acc[s] = acc[s] + c if s in acc else c
+
+
 def _full_expand(mono, m):
     "monomial dict -> dict over all exponent vectors of length m"
     full = {}
@@ -318,77 +331,17 @@ def _collect_sorted(full):
 
 
 # ---------------------------------------------------------------------------
-# bialternant evaluation (independent route, used as a cross-check)
-
-def _fraction_det(rows):
-    "exact determinant by fraction-free-ish Gaussian elimination"
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c2 in range(col, n):
-                    a[r][c2] -= f * a[col][c2]
-    return det
-
-
-def _confluent_matrix(values, mults, expos):
-    "rows phi(v), phi'(v)/1!, ... for each repeated point; phi_j(v) = v^e_j"
-    rows = []
-    for v, r in zip(values, mults):
-        for k in range(r):
-            rows.append([comb(e, k) * v ** (e - k) if e >= k else v * 0
-                         for e in expos])
-    return rows
-
-
-def schur_eval_bialternant(sigma, m, y):
-    """Evaluate the plain Schur X_sigma at exact points y by the determinant
-    ratio, with divided-difference rows when points coincide."""
-    sigma = aspartition(sigma)
-    if len(sigma) > m:
-        raise LengthExceedsVariables(
-            "Schur of shape %s vanishes on %d variables" % (sigma, m))
-    y = [Fraction(v) for v in y]
-    if len(y) != m:
-        raise VariableCountMismatch("expected %d values, got %d" % (m, len(y)))
-    values = []
-    mults = []
-    for v in y:
-        if values and v == values[-1]:
-            mults[-1] += 1
-        elif v in values:
-            i = values.index(v)
-            mults[i] += 1
-        else:
-            values.append(v)
-            mults.append(1)
-    pad = sigma.pad(m)
-    num_expos = [pad[j] + m - 1 - j for j in range(m)]
-    den_expos = [m - 1 - j for j in range(m)]
-    den = _fraction_det(_confluent_matrix(values, mults, den_expos))
-    assert den != 0
-    num = _fraction_det(_confluent_matrix(values, mults, num_expos))
-    return num / den
-
-
-# ---------------------------------------------------------------------------
 # hypergeometric coefficients
 
+def _exact(a):
+    "ints stay ints; anything else becomes a Fraction"
+    return a if isinstance(a, int) else Fraction(a)
+
+
 def ascending_product(a, s):
-    "(a)_s = a (a+1) ... (a+s-1), exact"
-    a = Fraction(a)
-    out = Fraction(1)
+    "(a)_s = a (a+1) ... (a+s-1), exact: an int for an int a, else a Fraction"
+    a = _exact(a)
+    out = 1 if isinstance(a, int) else Fraction(1)
     for i in range(int(s)):
         out *= a + i
     return out
@@ -397,8 +350,8 @@ def ascending_product(a, s):
 def hypergeom_coeff(a, sigma):
     "[a]_sigma = prod_i (a - i + 1)_{sigma_i}  (i counted from 1)"
     sigma = aspartition(sigma)
-    a = Fraction(a)
-    out = Fraction(1)
+    a = _exact(a)
+    out = 1 if isinstance(a, int) else Fraction(1)
     for i, s in enumerate(sigma.parts, start=1):
         out *= ascending_product(a - i + 1, s)
     return out

@@ -11,8 +11,9 @@ These are stored unnormalized; normalize_zonal rescales to Z(1,...,1) =
 dim H_mu on demand.  Every basis zonal, at every degree, comes from one
 exact construction, zonal_general: the Jacobi determinant ratio of James &
 Constantine, expanded in Schur polynomials and scaled to the constant term
-(-1)^|kappa| [m]_kappa, which reproduces the forms above exactly.
-zonal_explicit keeps the printed forms as the degree <= 2 reference.
+(-1)^|kappa| [m]_kappa, which reproduces the forms above exactly.  The
+determinant, the Schur norms and [m]_kappa are all integers, so the expansion
+runs on ints and the scale is the one Fraction division per zonal.
 
 The Monte Carlo inner products draw Haar bases through
 core_linalg.haar_basis_batch and read the squared cosines through
@@ -29,7 +30,8 @@ from .dims import check_mn, dim_H
 from .errors import (DegenerateAtOnes, LengthExceedsVariables, OutOfRange,
                      UnsupportedPartition)
 from .partitions import Partition, aspartition, partitions_up_to
-from .sympoly import SymmetricPolynomial, hypergeom_coeff, schur_norm
+from .sympoly import (SymmetricPolynomial, _accumulate, hypergeom_coeff,
+                      schur_norm)
 
 _EMPTY = Partition(())
 
@@ -67,34 +69,10 @@ class ZonalPolynomial:
             self.mu, self.m, self.n, tag, self.poly)
 
 
-def zonal_explicit(mu, m, n):
-    "the printed degree-<=2 forms, unnormalized (except Z_0 which is 1)"
-    mu = aspartition(mu)
-    check_mn(m, n)
-    if len(mu) > m:
-        raise LengthExceedsVariables(
-            "partition %s too long for m=%d" % (mu, m))
-    if mu.size > 2:
-        raise UnsupportedPartition("no explicit form for |mu| > 2 (got %s)" % mu)
-    X1 = SymmetricPolynomial.x_star((1,), m)
-    if mu == _EMPTY:
-        poly = SymmetricPolynomial.constant(1, m)
-        return ZonalPolynomial(mu, m, n, poly, normalized=True)
-    if mu == Partition(1):
-        poly = n * X1 - m
-    elif mu == Partition(2):
-        X2 = SymmetricPolynomial.x_star((2,), m)
-        poly = m * (m + 1) - 2 * (n + 1) * (m + 1) * X1 + (n + 1) * (n + 2) * X2
-    else:  # (1,1)
-        X11 = SymmetricPolynomial.x_star((1, 1), m)
-        poly = m * (m - 1) - 2 * (n - 1) * (m - 1) * X1 + (n - 1) * (n - 2) * X11
-    return ZonalPolynomial(mu, m, n, poly)
-
-
 def _jacobi_coeffs(d, alpha):
     """Coefficients of P_d^{(alpha,0)}(2y - 1) in powers of y, lowest first:
     (-1)^(d+k) C(d,k) C(alpha+d+k, k)."""
-    return [Fraction((-1) ** (d + k) * comb(d, k) * comb(alpha + d + k, k))
+    return [(-1) ** (d + k) * comb(d, k) * comb(alpha + d + k, k)
             for k in range(d + 1)]
 
 
@@ -119,8 +97,8 @@ def zonal_general(kappa, m, n):
     if len(kappa) > m:
         raise LengthExceedsVariables(
             "partition %s too long for m=%d" % (kappa, m))
-    # {exponents used so far, descending: signed coefficient}
-    terms = {(): Fraction(1)}
+    # {exponents used so far, descending: signed integer coefficient}
+    terms = {(): 1}
     for d in reversed([p + m - 1 - j for j, p in enumerate(kappa.pad(m))]):
         column = _jacobi_coeffs(d, n - 2 * m)
         nxt = {}
@@ -136,24 +114,29 @@ def zonal_general(kappa, m, n):
         terms = nxt
     coeffs = {}
     for r, c in terms.items():
-        lam = Partition([e - (m - 1 - j) for j, e in enumerate(r)])
-        coeffs[lam] = c * schur_norm(lam, m)
-    poly = SymmetricPolynomial(m, coeffs)
-    c0 = poly.coeffs.get(_EMPTY, 0)
+        if c:
+            lam = Partition([e - (m - 1 - j) for j, e in enumerate(r)])
+            coeffs[lam] = c * schur_norm(lam, m)
+    c0 = coeffs.get(_EMPTY, 0)
     if c0 == 0:
         raise UnsupportedPartition("Z_%s has no constant term to scale" % kappa)
-    target = (-1) ** kappa.size * hypergeom_coeff(m, kappa)
-    return ZonalPolynomial(kappa, m, n, poly.scale(target / c0),
-                           normalized=not kappa.parts)
+    # everything so far is an integer; the one division is the final scale
+    scale = Fraction((-1) ** kappa.size * hypergeom_coeff(m, kappa), c0)
+    poly = SymmetricPolynomial(m, {lam: scale * c for lam, c in coeffs.items()})
+    return ZonalPolynomial(kappa, m, n, poly, normalized=not kappa.parts)
+
+
+def _normalizing_scale(Z):
+    "the factor that makes Z(1,...,1) = dim H_mu"
+    ones = Z.at_ones()
+    if ones == 0:
+        raise DegenerateAtOnes("Z_%s vanishes at (1,...,1)" % Z.mu)
+    return dim_H(Z.mu, Z.n) / ones
 
 
 def normalize_zonal(Z):
     "rescale so that Z(1,...,1) = dim H_mu exactly; idempotent"
-    ones = Z.at_ones()
-    if ones == 0:
-        raise DegenerateAtOnes("Z_%s vanishes at (1,...,1)" % Z.mu)
-    target = dim_H(Z.mu, Z.n)
-    scale = Fraction(target) / ones
+    scale = _normalizing_scale(Z)
     poly = Z.poly if scale == 1 else Z.poly.scale(scale)
     return ZonalPolynomial(Z.mu, Z.m, Z.n, poly, normalized=True)
 
@@ -167,10 +150,10 @@ def zonal_basis(m, n, t):
 def aggregate_zonal(t, m, n, experimental=None):
     """the degree-t reproducing kernel: sum of the normalized Z_mu, |mu| <= t
     (`experimental` is accepted and ignored)"""
-    total = SymmetricPolynomial.zero(m)
+    total = {}
     for Z in zonal_basis(m, n, t):
-        total = total + normalize_zonal(Z).poly
-    return total
+        _accumulate(total, Z.poly.coeffs, _normalizing_scale(Z))
+    return SymmetricPolynomial(m, total)
 
 
 class ZonalExpansion:
@@ -193,12 +176,12 @@ class ZonalExpansion:
 
     def reconstruct(self, experimental=None):
         "sum c_mu Z_mu as a SymmetricPolynomial (`experimental` is ignored)"
-        total = SymmetricPolynomial.zero(self.m)
+        total = {}
         for Z in zonal_basis(self.m, self.n, self.degree):
             c = self.coeff(Z.mu)
             if c != 0:
-                total = total + Z.poly.scale(c)
-        return total
+                _accumulate(total, Z.poly.coeffs, c)
+        return SymmetricPolynomial(self.m, total)
 
     def __repr__(self):
         bits = ", ".join("c%s=%s" % (mu, c) for mu, c in
@@ -218,15 +201,15 @@ def expand_in_zonal(f, m, n, experimental=None):
         raise OutOfRange("polynomial has %d variables, expected %d" % (f.m, m))
     deg = f.degree
     basis = zonal_basis(m, n, deg)
-    rest = f
+    rest = dict(f.coeffs)
     coeffs = {}
     for Z in reversed(basis):
         lead = Z.poly.coeffs[Z.mu]
-        c = rest.coeffs.get(Z.mu, Fraction(0)) / lead
+        c = rest.get(Z.mu, Fraction(0)) / lead
         coeffs[Z.mu] = c
         if c != 0:
-            rest = rest - Z.poly.scale(c)
-    assert not rest.coeffs, "zonal expansion left a remainder: %r" % rest
+            _accumulate(rest, Z.poly.coeffs, -c)
+    assert not any(rest.values()), "zonal expansion left a remainder: %r" % rest
     return ZonalExpansion(m, n, coeffs, deg)
 
 

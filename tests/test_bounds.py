@@ -122,6 +122,15 @@ def test_simplex_inversion_matches_one_distance():
         assert N == one_distance_bound(alpha, m, n).value
 
 
+def test_simplex_inversion_refuses_alpha_above_threshold():
+    # alpha > m^2/n is where one_distance_bound is not applicable
+    for alpha, m, n in [(2, 2, 4), (3, 2, 4), (Fraction(11, 10), 2, 4),
+                        (Fraction(1, 4), 1, 5), (Fraction(3, 2), 3, 7)]:
+        assert not one_distance_bound(alpha, m, n).applicable
+        with pytest.raises(OutOfRange):
+            size_from_simplex_alpha(alpha, m, n)
+
+
 def test_simplex_orthoplex_values():
     so = simplex_orthoplex(16, 2, 4)
     assert so.simplex_alpha == Fraction(14, 15)
@@ -231,7 +240,8 @@ def test_design_bounds():
 
 def test_relative_design_bound_aggregate_square():
     # (Z_1 + dim)^..: the squared degree-1 kernel certifies |S| >= n^2
-    from grasscode.zonal import normalize_zonal, zonal_explicit
+    from grasscode.zonal import normalize_zonal
+    from zonal_oracle import zonal_explicit
     m, n = 2, 4
     k1 = (normalize_zonal(zonal_explicit((), m, n)).poly
           + normalize_zonal(zonal_explicit((1,), m, n)).poly)

@@ -225,6 +225,58 @@ def test_invalid_tol_and_t_rejected_at_parse_time(tmp_path, capsys, argv):
     assert "argument %s" % flag in out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "mub", "--p", "3", "--tol", "1e-3"],
+    ["bound", "design", "--n", "5", "--m", "1", "--t", "2", "--tol", "1e-3"],
+    ["table", "--m", "2", "--n", "4", "--tol", "1e-3"],
+    ["dims", "--n", "4", "--tol", "1e-3"],
+])
+def test_tol_refused_where_no_float_is_compared(capsys, argv):
+    "construct, bound, table and dims never read --tol: usage error, exit 1"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --tol 1e-3" in out.err
+
+
+@pytest.mark.parametrize("command", ["angles", "gram", "verify-design",
+                                     "check-scheme", "info"])
+def test_tol_accepted_where_read(tmp_path, capsys, command):
+    path = tmp_path / "mub3.json"
+    run(capsys, "construct", "mub", "--p", "3", "-o", str(path))
+    code, out, _ = run(capsys, command, str(path), "--tol", "1e-6", "--json")
+    assert code == 0
+    json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--n", "4", "--k", "-1"],
+    ["dims", "--n", "4", "--m", "2", "--k", "-3", "--json"],
+    ["bound", "absolute", "--n", "4", "--m", "2", "--k", "-1"],
+])
+def test_negative_k_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --k" in out.err
+
+
+def test_bound_simplex_alpha_above_threshold_refused(capsys):
+    # the simplex threshold stays below m^2/n = 1 in G(2,4)
+    for alpha in ("2", "3", "11/10"):
+        code, out, err = run(capsys, "bound", "simplex", "--n", "4", "--m",
+                             "2", "--alpha", alpha)
+        assert code == 1 and out == ""
+        assert "exceeds m^2/n" in err
+    code, out, err = run(capsys, "bound", "simplex", "--n", "4", "--m", "2",
+                         "--alpha", "1")
+    assert code == 1 and out == "" and "no finite N" in err
+
+
 def test_exit_code_numerical_health(tmp_path, capsys):
     path = tmp_path / "p2.json"
     run(capsys, "construct", "pauli", "--k", "2", "-o", str(path))

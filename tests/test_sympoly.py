@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from grasscode.errors import LengthExceedsVariables
 from grasscode.partitions import Partition, partitions_up_to
 from grasscode.sympoly import (SymmetricPolynomial, ascending_product,
-                               hypergeom_coeff, kostka_row,
-                               schur_eval_bialternant, schur_norm)
+                               hypergeom_coeff, kostka_row, schur_norm)
 
+from schur_oracle import schur_eval_bialternant
 from zonal_oracle import gen_binomial, shift_ones
 
 
@@ -168,6 +168,24 @@ def test_ascending_product_and_hypergeom():
     # [a]_sigma with sigma = (2,1): (a)_2 * (a-1)_1
     a = Fraction(7, 2)
     assert hypergeom_coeff(a, (2, 1)) == a * (a + 1) * (a - 1)
+
+
+def test_hypergeom_stays_exact():
+    # an int argument stays an int, anything else becomes an exact Fraction
+    for a in (0, 3, 7, -2):
+        for sigma in ((), (1,), (2, 1), (3, 2, 2), (6,)):
+            val = hypergeom_coeff(a, sigma)
+            assert type(val) is int
+            assert val == hypergeom_coeff(Fraction(a), sigma)
+    assert type(ascending_product(5, 0)) is int
+    assert type(ascending_product(Fraction(5), 0)) is Fraction
+    assert type(hypergeom_coeff(Fraction(7, 2), ())) is Fraction
+    # a float converts exactly, as written in binary, before any arithmetic
+    x = 0.1
+    assert hypergeom_coeff(x, (2, 1)) == (Fraction(x) * (Fraction(x) + 1)
+                                          * (Fraction(x) - 1))
+    assert ascending_product(Fraction(-3, 2), 3) == Fraction(3, 8)
+    assert hypergeom_coeff(9, (2, 1, 1)) == 9 * 10 * 8 * 7
 
 
 def test_gen_binomial_low_degree():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb, factorial
 
@@ -13,10 +14,10 @@ from grasscode.sympoly import SymmetricPolynomial
 from grasscode.zonal import (aggregate_zonal, annihilator_sympoly,
                              expand_in_zonal, mc_function_inner,
                              mc_zonal_inner, normalize_zonal, zonal_basis,
-                             zonal_explicit, zonal_general)
+                             zonal_general)
 
 from conftest import random_subspace_pair
-from zonal_oracle import zonal_recursion
+from zonal_oracle import zonal_explicit, zonal_recursion
 
 E = Partition(())
 P1 = Partition(1)
@@ -230,11 +231,57 @@ def test_aggregate_reproducing_property():
         assert abs(est - target) < 5 * se, (mu, est, target, se)
 
 
+# the nine G(m, n) of the benchmark's degree-6 exact sweep
+SWEEP = [(1, 5), (2, 4), (2, 7), (3, 7), (3, 9), (4, 9), (4, 11), (5, 11),
+         (6, 13)]
+
+
 def test_aggregate_at_ones_counts_dimensions():
     for m, n in [(1, 3), (2, 4), (2, 5)]:
         K = aggregate_zonal(2, m, n)
         total = sum(dim_H(mu, n) for mu in partitions_up_to(2, max_len=m))
         assert K.at_ones() == total
+    for m, n in SWEEP:
+        for t in range(7):
+            K = aggregate_zonal(t, m, n)
+            total = sum(dim_H(mu, n) for mu in partitions_up_to(t, max_len=m))
+            assert K.at_ones() == total, (m, n, t)
+
+
+def _canonical(coeffs):
+    "coefficients by sorted partition parts, each as str(Fraction)"
+    return ";".join("%s:%s" % (",".join(map(str, sig.parts)), c)
+                    for sig, c in sorted(coeffs.items(),
+                                         key=lambda kv: kv[0].parts))
+
+
+def test_exact_sweep_fingerprint():
+    # SHA-256 of the degree-6 zonal bases, kernels and the degree-3
+    # expansion of the {0, 1/3, 1/2} annihilator over the sweep, recorded
+    # when every coefficient was still built and summed as a Fraction
+    h = hashlib.sha256()
+    roots = [Fraction(0), Fraction(1, 3), Fraction(1, 2)]
+    for m, n in SWEEP:
+        for Z in zonal_basis(m, n, 6):
+            h.update(("Z%d,%d|%s|%s\n" % (m, n, Z.mu.parts,
+                                           _canonical(Z.poly.coeffs))).encode())
+        K = aggregate_zonal(6, m, n)
+        h.update(("K%d,%d|%s\n" % (m, n, _canonical(K.coeffs))).encode())
+        e = expand_in_zonal(annihilator_sympoly(roots, m), m, n)
+        h.update(("E%d,%d|%s\n" % (m, n, _canonical(e.coeffs))).encode())
+    assert h.hexdigest() == ("dbe34cba9e823a75b33543ac3b5901c1"
+                             "491ee2b02c4c842c113ab8538c7f8e7a")
+
+
+def test_general_coefficients_are_fractions():
+    # the construction runs on ints: every coefficient it hands out must
+    # still be an exact Fraction, never an int or a float
+    for m, n in SWEEP:
+        for Z in zonal_basis(m, n, 4):
+            assert Z.poly.coeffs
+            assert all(type(c) is Fraction for c in Z.poly.coeffs.values()), Z
+        assert all(type(c) is Fraction
+                   for c in aggregate_zonal(4, m, n).coeffs.values())
 
 
 def test_annihilator_and_two_distance_c0():

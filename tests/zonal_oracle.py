@@ -9,15 +9,23 @@ built on generalized binomials [kappa sigma] (the X*_sigma coefficients of
 X*_kappa(y_1 + 1, ..., y_m + 1)).  It shares nothing with the library's
 Jacobi-determinant construction except the X* arithmetic, so the tests use it
 to check that construction up to an exact scalar at every degree.
+
+zonal_explicit holds the printed degree <= 2 forms, the reference that the
+construction must reproduce exactly.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import comb
 
+from grasscode.dims import check_mn
+from grasscode.errors import LengthExceedsVariables, UnsupportedPartition
 from grasscode.partitions import Partition, aspartition
 from grasscode.sympoly import (SymmetricPolynomial, _collect_sorted,
                                _full_expand, hypergeom_coeff)
+from grasscode.zonal import ZonalPolynomial
+
+_EMPTY = Partition(())
 
 
 def subpartitions(kappa):
@@ -114,3 +122,27 @@ def zonal_recursion(kappa, m, n):
         coeffs[sigma] = (Fraction(-1) ** sigma.size * b * cc
                          / hypergeom_coeff(m, sigma))
     return SymmetricPolynomial(m, coeffs)
+
+
+def zonal_explicit(mu, m, n):
+    "the printed degree-<=2 forms, unnormalized (except Z_0 which is 1)"
+    mu = aspartition(mu)
+    check_mn(m, n)
+    if len(mu) > m:
+        raise LengthExceedsVariables(
+            "partition %s too long for m=%d" % (mu, m))
+    if mu.size > 2:
+        raise UnsupportedPartition("no explicit form for |mu| > 2 (got %s)" % mu)
+    X1 = SymmetricPolynomial.x_star((1,), m)
+    if mu == _EMPTY:
+        poly = SymmetricPolynomial.constant(1, m)
+        return ZonalPolynomial(mu, m, n, poly, normalized=True)
+    if mu == Partition(1):
+        poly = n * X1 - m
+    elif mu == Partition(2):
+        X2 = SymmetricPolynomial.x_star((2,), m)
+        poly = m * (m + 1) - 2 * (n + 1) * (m + 1) * X1 + (n + 1) * (n + 2) * X2
+    else:  # (1,1)
+        X11 = SymmetricPolynomial.x_star((1, 1), m)
+        poly = m * (m - 1) - 2 * (n - 1) * (m - 1) * X1 + (n - 1) * (n - 2) * X11
+    return ZonalPolynomial(mu, m, n, poly)
