@@ -9,11 +9,10 @@ from .analysis import (RelationPartition, SchemeReport, angle_classes,
                        twothree_audit)
 from .bounds import (BoundResult, BoundTable, absolute_code_bound,
                      bound_table, code_design_exact_size,
-                     design_absolute_bound, dgs_one_distance,
-                     dgs_two_distance, make_annihilator, one_distance_bound,
-                     relative_code_bound, relative_design_bound,
-                     simplex_orthoplex, size_from_simplex_alpha,
-                     two_distance_bound)
+                     design_absolute_bound, make_annihilator,
+                     one_distance_bound, relative_code_bound,
+                     relative_design_bound, simplex_orthoplex,
+                     size_from_simplex_alpha, two_distance_bound)
 from .constructions import (enumerate_isotropic, extraspecial_code,
                             extraspecial_size, isotropic_count, mub_code,
                             pauli_code)
@@ -41,8 +40,8 @@ __all__ = [
     "absolute_code_bound", "aggregate_zonal", "angle_classes", "bound_table",
     "canonical_pair", "check_scheme", "chordal_distance",
     "code_design_exact_size", "code_from_dict", "code_to_dict",
-    "design_absolute_bound", "design_strength", "dgs_one_distance",
-    "dgs_two_distance", "dim_H", "dim_Hk", "enumerate_isotropic",
+    "design_absolute_bound", "design_strength", "dim_H", "dim_Hk",
+    "enumerate_isotropic",
     "expand_in_zonal", "extraspecial_code", "extraspecial_size",
     "gram_matrix", "haar_subspace", "hom_dim_bound",
     "inner_product_classes", "inner_product_set", "is_one_design",

@@ -5,7 +5,10 @@ Clustering is single-linkage (values within tol chain together) with a
 declared ambiguity band: if two resulting clusters sit closer than 3*tol the
 tolerance cannot certify the separation and ClusterAmbiguity is raised.
 Design tests are relative to Z_mu(1,...,1), so they are invariant under
-zonal normalization.
+zonal normalization.  They, and the idempotents, evaluate zonals on the power
+sums of each pair's squared cosines (PairGeometry.power_sums: traces of
+powers of W^dagger W - I/2), so they run no eigen-solve; only clustering
+reads the angles.
 """
 
 import numpy as np
@@ -138,11 +141,11 @@ def design_strength(S, t_max=2, tol=1e-8):
 
     One pass over the basis in canonical (degree-ascending) order: the
     strength is one less than the degree of the first zonal that fails."""
-    Y = pair_angle_matrix(S).reshape(-1, S.m)
+    P = S.geometry.power_sums(max(t_max, 1))
     for Z in zonal_basis(S.m, S.n, t_max):
         if Z.mu.size == 0:
             continue
-        avg = float(Z.eval_batch(Y).mean())
+        avg = float(Z.eval_power_sums(P).mean())
         if abs(avg) >= tol * abs(float(Z.at_ones())):
             return Z.mu.size - 1
     return max(t_max, 0)
@@ -316,11 +319,10 @@ def scheme_idempotents(S, R, t=2, tol=1e-8):
     whether the measured strength, tested up to 2t, certifies it.  For the
     coarse relations the eigen-relation A'_c E'_i ~ E'_i is also measured."""
     N = len(S)
-    Y = pair_angle_matrix(S)
+    P = S.geometry.power_sums(max(2 * t, 1))
     Es = {}
     for Z in zonal_basis(S.m, S.n, t):
-        Zn = normalize_zonal(Z)
-        Es[Z.mu] = Zn.eval_batch(Y.reshape(-1, S.m)).reshape(N, N) / N
+        Es[Z.mu] = normalize_zonal(Z).eval_power_sums(P) / N
     strength = design_strength(S, t_max=2 * t, tol=tol)
     pair_res = {}
     required = {}

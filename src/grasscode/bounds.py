@@ -101,8 +101,8 @@ def relative_code_bound(f, m, n, code=None, tol=1e-9):
     The sign conditions are checked exactly from the zonal expansion.  The
     nonpositivity hypothesis is checked numerically when a code is supplied
     (a plain list of subspaces is made a Code): f is evaluated once on the
-    squared cosines of every distinct pair from the code's shared
-    PairGeometry, and the pair where it is largest is confirmed through
+    power sums of every distinct pair from the code's shared PairGeometry
+    (no eigen-solve), and the pair where it is largest is confirmed through
     principal_angles.  Otherwise it is recorded as the caller's obligation.
     """
     exp = expand_in_zonal(f, m, n)
@@ -117,7 +117,8 @@ def relative_code_bound(f, m, n, code=None, tol=1e-9):
         if not isinstance(code, Code):
             code = Code(code)
         i, j = np.triu_indices(len(code), 1)
-        vals = f.eval_batch(code.geometry.angles()[i, j])
+        vals = f.eval_power_sums(
+            code.geometry.power_sums(max(f.degree, 1))[i, j])
         holds = True
         if vals.size:
             # the decisive pair is recomputed through the independent
@@ -324,20 +325,6 @@ class BoundTable:
 
 def bound_table(m, n):
     return BoundTable(m, n)
-
-
-def dgs_one_distance(alpha, n):
-    "printed m=1 one-distance form n(1-alpha)/(1-n*alpha)"
-    alpha = Fraction(alpha)
-    return Fraction(n) * (1 - alpha) / (1 - n * alpha)
-
-
-def dgs_two_distance(alpha, beta, n):
-    "printed m=1 two-distance form n(n+1)(1-a)(1-b)/(2-(n+1)(a+b)+n(n+1)ab)"
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    den = 2 - (n + 1) * (alpha + beta) + n * (n + 1) * alpha * beta
-    return Fraction(n) * (n + 1) * (1 - alpha) * (1 - beta) / den
 
 
 def make_annihilator(values, m):

@@ -283,9 +283,12 @@ def _cmd_verify_design(args):
 
 def _cmd_check_scheme(args):
     S = read_code(args.file, tol=args.tol)
+    t = 2 if args.t is None else args.t
+    # one pass over the pairs forms what both readers need: the angles for
+    # the clustering, the power sums for the idempotents and strength to 2t
+    S.geometry.prepare(angles=True, t=max(2 * t, 1))
     R = angle_classes(S, tol=args.tol)
     rep = check_scheme(R, tol=args.tol)
-    t = 2 if args.t is None else args.t
     rep.idempotents = scheme_idempotents(S, R, t=t, tol=args.tol)
     if args.json:
         _emit(args, json.dumps(rep.to_json_dict(), sort_keys=True))
@@ -322,11 +325,13 @@ def _cmd_info(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    # construct always prints a code document, so it takes -o but not --json
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", metavar="PATH",
+                        help="write output to a file instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("-o", "--output", metavar="PATH",
-                        help="write output to a file instead of stdout")
     # only the subcommands that read a code file compare floats to a tolerance
     measured = argparse.ArgumentParser(add_help=False, parents=[common])
     measured.add_argument("--tol", type=_tolerance, default=1e-8,
@@ -337,7 +342,7 @@ def build_parser():
                 description="codes and designs in complex subspaces")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    c = sub.add_parser("construct", parents=[common],
+    c = sub.add_parser("construct", parents=[output],
                        help="build a named code family")
     c.add_argument("family", choices=["pauli", "extraspecial", "mub"])
     c.add_argument("--k", type=int, help="pauli: qubit count; "

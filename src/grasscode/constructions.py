@@ -8,7 +8,8 @@ space into their joint eigenspaces using the exact character projectors
 P_j = (1/p) sum_t w^{-jt} U^t (each operator has order exactly p), which are
 Hermitian, so orthonormal eigenbases come from eigh without degeneracy
 headaches.  X(a)Y(b) is monomial, so it is applied as a row gather times
-phases and no p^n x p^n matrix is formed.
+phases and no p^n x p^n matrix is formed.  Each eigenspace is written in a
+basis fixed by its span, not by the phases eigh returns.
 """
 
 from itertools import combinations, product
@@ -143,6 +144,31 @@ def extraspecial_size(p, n, k):
     return p ** (n - k) * isotropic_count(p, n, n - k)
 
 
+def _canonical_bases(B, tol=1e-6):
+    """Bases fixed by each span alone, whatever phases eigh returned, for a
+    stack (N, q, m): the Q factor, with a positive real diagonal R, of
+    P[:, J] for P = B B^dagger and J the first m columns at which P's column
+    rank grows by more than tol (a line's first entry of modulus > tol is
+    real and positive).  P[:, j] = B conj(B[j]), so the rank grows where the
+    rows of B do, and P[:, J] = B C with C = B[J]^dagger has Q factor B U
+    for C = U R."""
+    rows = B.conj()
+    span = np.zeros(B.shape[:1] + (B.shape[2],) * 2, dtype=complex)
+    pick = np.zeros(B.shape[:2], dtype=bool)
+    for j in range(B.shape[1]):
+        v = rows[:, j] - np.einsum("nab,nb->na", span, rows[:, j])
+        norm2 = np.einsum("na,na->n", v.conj(), v).real
+        pick[:, j] = norm2 > tol * tol
+        v /= np.sqrt(np.where(pick[:, j], norm2, np.inf))[:, None]
+        span += v[:, :, None] * v.conj()[:, None, :]
+    if not (pick.sum(axis=1) == B.shape[2]).all():
+        raise NumericalDegeneracy("eigenspace rows do not have rank m")
+    u, r = np.linalg.qr(rows[pick].reshape(B.shape[0], B.shape[2], -1)
+                        .swapaxes(1, 2))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return B @ (u * (d / np.abs(d))[:, None, :])
+
+
 def extraspecial_code(p, n, k, size_limit=2048):
     """All joint eigenspaces of the commuting unitary families
     {X(a)Y(b) : (a,b) in W} over totally isotropic W of dimension n-k:
@@ -194,12 +220,13 @@ def extraspecial_code(p, n, k, size_limit=2048):
                 "W block %d: expected %d eigenspaces of dim %d, got %r"
                 % (widx, p ** (n - k), p ** k, [B.shape[1] for B in blocks]))
         for B, tag in zip(blocks, tags):
-            members.append(Subspace(B))
+            members.append(B)
             labels.append("W%d:chi%s" % (widx, "".join(str(t) for t in tag)))
     if len(members) != extraspecial_size(p, n, k):
         raise ValidationFailure("member count != closed form",
                                 len(members), extraspecial_size(p, n, k))
-    return Code(members, labels=labels)
+    return Code([Subspace(B) for B in _canonical_bases(np.stack(members))],
+                labels=labels)
 
 
 def mub_code(p, size_limit=101):

@@ -4,10 +4,12 @@ A subspace is carried by an n x m matrix with orthonormal columns; its
 projection matrix is basis @ basis^dagger.  A pair of subspaces is read off
 the m x m overlap W = basis_a^dagger basis_b, never the n x n projector
 product (a test oracle only): tr(P_a P_b) = ||W||_F^2, and the squared
-principal-angle cosines are the squared singular values of W.  Every float
-consumer -- a code's PairGeometry and the Monte Carlo sampler -- gets them
-from one batched routine, squared_cosines (|w|^2 for m = 1, eigvalsh(W^dagger
-W) otherwise), and passes them through one range check, checked_cosines.
+principal-angle cosines are the eigenvalues of G = W^dagger W.  A symmetric
+polynomial of the angles needs only power sums tr(G^k), so every float
+consumer that averages or signs one -- a code's PairGeometry, the Monte Carlo
+sampler -- reads them from one batched routine, power_sums, range-checked by
+a batched Cholesky factorization.  Only clustering reads the angles:
+squared_cosines (eigvalsh(G)) and its range check, checked_cosines.
 principal_angles keeps its own SVD as the independent per-pair oracle and
 shares only the check.
 """
@@ -16,6 +18,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DuplicateMember, NumericalHealthError,
                      RankDeficient, RankTooLarge)
+from .sympoly import CENTER
 
 ANGLE_SLACK = 1e-8      # certified range for squared cosines is [-slack, 1+slack]
 DUP_SLACK = 1e-8        # members with tr(PaPb) > m - DUP_SLACK count as duplicates
@@ -131,11 +134,13 @@ def principal_angles(a, b):
 
 def squared_cosines(W):
     """Squared principal-angle cosines from a stack of m x m overlaps
-    (..., m, m), descending along the last axis: |w|^2 for m = 1 (no
-    factorization), eigvalsh(W^dagger W) otherwise.  Not range-checked."""
-    if W.shape[-1] == 1:
-        return np.abs(W[..., 0]) ** 2
-    return np.linalg.eigvalsh(W.conj().swapaxes(-1, -2) @ W)[..., ::-1]
+    (..., m, m), m > 1, descending along the last axis: eigvalsh(W^dagger W).
+    Not range-checked; a failed eigen-solve raises NumericalHealthError."""
+    try:
+        return np.linalg.eigvalsh(W.conj().swapaxes(-1, -2) @ W)[..., ::-1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalHealthError(
+            "squared cosines not computable: %s" % exc) from None
 
 
 def checked_cosines(y, record=None):
@@ -151,6 +156,52 @@ def checked_cosines(y, record=None):
         raise NumericalHealthError(
             "squared cosine outside certified range: [%.3e, %.3e]" % (lo, hi))
     return np.clip(y, 0.0, 1.0)
+
+
+def power_sums(W, t, record=None):
+    """Centered power sums tr(H^k) = sum_i (y_i - CENTER)^k, k = 1..min(t, m),
+    t >= 1, of H = W^dagger W - CENTER I for a stack of m x m overlaps
+    (..., m, m); y - CENTER, checked, for m = 1.  tr(H^(a+b)) is the real
+    inner product of H^a and H^b, so k <= 4 takes one product H^2.  Range
+    check, as checked_cosines': W^dagger W is positive semidefinite, and its
+    eigenvalues are below 1 + ANGLE_SLACK iff (1 + ANGLE_SLACK - CENTER) I
+    - H has a Cholesky factor.  Samuelson's bound (mean + sqrt(m - 1)
+    standard deviations) clears most pairs first; the factorization passes
+    NaN, so the sums must be finite.  Failures raise NumericalHealthError,
+    worded by checked_cosines, which sets `record.excursion`."""
+    m, top = W.shape[-1], 1 - float(CENTER) + ANGLE_SLACK
+    if m == 1:
+        return checked_cosines(np.abs(W[..., 0]) ** 2, record) - float(CENTER)
+    with np.errstate(invalid="ignore", over="ignore"):
+        H = W.conj().swapaxes(-1, -2) @ W
+        H[..., range(m), range(m)] -= float(CENTER)
+        p = np.empty(H.shape[:-2] + (max(min(t, m), 2),))
+        p[..., 0] = np.einsum("...ii->...", H).real
+        powers = [None, H]
+        for k in range(2, p.shape[-1] + 1):
+            if (k + 1) // 2 == len(powers):
+                powers.append(powers[-1] @ H)
+            a, b = (x.view(float).reshape(x.shape[:-2] + (-1,))
+                    for x in (powers[(k + 1) // 2], powers[k // 2]))
+            p[..., k - 1] = np.einsum("...i,...i->...", a, b)
+        mean = p[..., 0] / m
+        spread = np.sqrt(np.maximum(p[..., 1] / m - mean * mean, 0) * (m - 1))
+        A = H[~(mean + spread <= top)]   # the pairs Samuelson leaves open
+        del powers, H
+        A *= -1
+        A[..., range(m), range(m)] += top
+        try:
+            np.linalg.cholesky(A)
+            ok = bool(np.isfinite(p).all())
+        except np.linalg.LinAlgError:
+            ok = False
+        if not ok:
+            if record is not None:
+                record.excursion = float("nan")
+            checked_cosines(squared_cosines(W), record)   # words the failure
+            raise NumericalHealthError("power sums outside the certified "
+                                       "range of the squared cosines")
+    return p[..., :min(t, m)]
 
 
 def canonical_pair(a, b):
@@ -184,52 +235,80 @@ def canonical_pair(a, b):
 
 
 class PairGeometry:
-    """A code's tr(P_a P_b) (gram) and squared principal-angle cosines
-    (angles, (N, N, m), descending), each computed on first use and kept
-    read-only.  The angles go through checked_cosines (range check, then
-    clip); `excursion` is how far the worst lay outside [0, 1]."""
+    """A code's tr(P_a P_b) (gram), squared principal-angle cosines (angles,
+    (N, N, m), descending) and power_sums (N, N, min(t, m)) of all ordered
+    pairs, each formed on first use, range-checked and kept read-only;
+    `excursion` is how far the worst angle lay outside [0, 1]."""
 
-    __slots__ = ("members", "_gram", "_angles", "excursion")
+    __slots__ = ("members", "_gram", "_angles", "_sums", "excursion")
 
     def __init__(self, members):
         self.members = members
-        self._gram = self._angles = self.excursion = None
+        self._gram = self._angles = self._sums = self.excursion = None
 
     def gram(self):
         if self._gram is None:
-            self._gram = _overlap_pass(self.members, False)[0]
+            self._gram = _overlap_pass(self.members)[0]
         return self._gram
 
     def angles(self):
-        if self._angles is None:
-            if self.members[0].m == 1:
-                y = self.gram()[:, :, None]   # cos^2 = |a^dagger b|^2
-            else:
-                self._gram, y = _overlap_pass(self.members, True)
-            self._angles = checked_cosines(y, self)
-            self._angles.flags.writeable = False
+        self.prepare(angles=True)
         return self._angles
 
+    def power_sums(self, t):
+        self.prepare(t=t)
+        return self._sums[..., :min(t, self.members[0].m)]
 
-def _overlap_pass(members, angles):
-    """One GEMM per block of rows forms the overlaps W = A^dagger B of all
-    ordered pairs.  Returns the gram ||W||_F^2, symmetrized so it equals its
-    transpose exactly, and, if `angles`, their squared_cosines."""
+    def prepare(self, angles=False, t=0):
+        "one pass for whatever of the angles and power_sums(t) is not cached"
+        m = self.members[0].m
+        angles = angles and self._angles is None
+        k = min(t, m)
+        k = k if self._sums is None or self._sums.shape[-1] < k else 0
+        if not (angles or k):
+            return
+        if m == 1:   # cos^2 = |a^dagger b|^2 is the gram: no second pass
+            y = checked_cosines(self.gram()[:, :, None], self)
+            p = y - float(CENTER)
+        else:
+            gram, y, p = _overlap_pass(self.members, angles, k, self)
+            self._gram = gram if self._gram is None else self._gram
+            y = None if y is None else checked_cosines(y, self)
+        for a in (y, p):
+            if a is not None:
+                a.flags.writeable = False
+        self._angles = self._angles if y is None else y
+        self._sums = self._sums if p is None else p
+
+
+def _overlap_pass(members, angles=False, t=0, record=None):
+    """One GEMM per block of rows forms the overlaps W = A^dagger B.  Returns
+    (gram ||W||_F^2, squared_cosines if `angles`, power_sums(W, t) if t),
+    None where not asked; no m x m array of all pairs outlives its block.
+    W_ba = W_ab^dagger has the same norm and cosines, so only pairs a <= b
+    are formed and the rest copied: each array is exactly symmetric."""
     N, m = len(members), members[0].m
     M = np.hstack([s.basis for s in members])     # n x Nm, bases side by side
     gram = np.empty((N, N))
     y = np.empty((N, N, m)) if angles else None
+    p = np.empty((N, N, min(t, m))) if t else None
     step = max(1, int(4e6) // max(1, N * m * m))
     for lo in range(0, N, step):
         hi = min(N, lo + step)
-        w = (M[:, lo * m:hi * m].conj().T @ M).reshape(hi - lo, m, N, m)
-        w = w.transpose(0, 2, 1, 3)                # w[i, j] = A_i^dagger B_j
-        gram[lo:hi] = np.sum(np.abs(w) ** 2, axis=(2, 3))
-        if angles:
-            y[lo:hi] = squared_cosines(w)
-    gram = 0.5 * (gram + gram.T)
+        with np.errstate(invalid="ignore", over="ignore"):  # checked below
+            w = (M[:, lo * m:hi * m].conj().T @ M[:, lo * m:]).reshape(
+                hi - lo, m, N - lo, m).transpose(0, 2, 1, 3)  # A_i^dag B_j
+            gram[lo:hi, lo:] = np.sum(np.abs(w) ** 2, axis=(2, 3))
+            if angles:
+                y[lo:hi, lo:] = squared_cosines(w)
+        if t:
+            p[lo:hi, lo:] = power_sums(w, t, record)
+    for out in (gram, y, p):
+        if out is not None:
+            for i in range(1, N):
+                out[i, :i] = out[:i, i]
     gram.flags.writeable = False
-    return gram, y
+    return gram, y, p
 
 
 class Code:

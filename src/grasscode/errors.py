@@ -59,6 +59,10 @@ class DegenerateDenominator(ValidationError):
     pass
 
 
+class InexactCoefficient(ValidationError):
+    """A float or complex coefficient offered to the exact layer."""
+
+
 class FormatError(ValidationError):
     """Malformed or inconsistent code file."""
 

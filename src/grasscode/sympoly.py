@@ -4,21 +4,27 @@ A SymmetricPolynomial on m variables is stored as a finite Fraction
 combination of the X*_sigma: Schur polynomials scaled so X*_sigma(1,...,1)=1.
 That basis is the native language of the zonal machinery; conversion to and
 from the monomial basis (Kostka numbers via semistandard tableaux) powers
-multiplication and evaluation.
+multiplication and exact evaluation.  A float or complex coefficient is
+refused, never rounded into a Fraction.
 
-Evaluation is by monomial expansion: exact on rational points, vectorized on
-float arrays.  The bialternant determinant ratio that cross-checks it lives
-with the test suite's oracles.  Exact coefficients are Fractions; the zonal
-construction works in integers and builds each polynomial once.
+Exact evaluation at rational points is by monomial expansion, the oracle for
+the float route.  Float evaluation reads only the centered power sums
+q_k = sum_i (y_i - 1/2)^k, k <= m, of each point, through exact coefficients
+in the basis q_lambda = prod q_(lambda_i) (one cached change of basis per
+degree and m), so a code's pairs need tr((W^dagger W - I/2)^k) and not their
+angles.  The bialternant determinant ratio that cross-checks the monomial
+route lives with the test suite's oracles.  The zonal construction works in
+integers and builds each polynomial once.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from math import comb, lcm
 
 import numpy as np
 
-from .errors import (LengthExceedsVariables, VariableCountMismatch)
-from .partitions import Partition, aspartition
+from .errors import (InexactCoefficient, LengthExceedsVariables,
+                     VariableCountMismatch)
+from .partitions import Partition, aspartition, partitions_of, partitions_up_to
 from .dims import weyl_dim
 
 _EMPTY = Partition(())
@@ -96,25 +102,32 @@ _orbit_cache = {}
 
 
 def _orbit(lam, m):
-    "distinct permutations of lam padded to length m"
+    "distinct permutations of lam padded to length m (by insertion, not m!)"
     key = (lam.parts, m)
     if key not in _orbit_cache:
-        _orbit_cache[key] = sorted(set(permutations(lam.pad(m))))
+        orbit = {()}
+        for v in lam.pad(m):
+            orbit = {o[:i] + (v,) + o[i:]
+                     for o in orbit for i in range(len(o) + 1)}
+        _orbit_cache[key] = sorted(orbit)
     return _orbit_cache[key]
 
 
 def monomial_eval_exact(mono, m, y):
-    "evaluate a monomial-basis dict at exact points"
+    "evaluate a monomial-basis dict at exact points, y_i = a_i / D (ints)"
+    y = [Fraction(v) for v in y]
+    D = lcm(*(v.denominator for v in y))
+    a = [v.numerator * (D // v.denominator) for v in y]
     total = Fraction(0)
     for lam, c in mono.items():
-        s = Fraction(0)
+        s = 0
         for expo in _orbit(lam, m):
-            term = Fraction(1)
-            for yi, e in zip(y, expo):
+            term = 1
+            for ai, e in zip(a, expo):
                 if e:
-                    term *= Fraction(yi) ** e
+                    term *= ai ** e
             s += term
-        total += Fraction(c) * s
+        total += Fraction(c) * Fraction(s, D ** lam.size)
     return total
 
 
@@ -122,7 +135,7 @@ class SymmetricPolynomial:
     """Symmetric polynomial on m variables, exact coefficients in the
     X*-basis (normalized Schur)."""
 
-    __slots__ = ("m", "coeffs", "_mono", "_terms")
+    __slots__ = ("m", "coeffs", "_mono", "_power")
 
     def __init__(self, m, coeffs):
         self.m = int(m)
@@ -133,22 +146,17 @@ class SymmetricPolynomial:
                 raise LengthExceedsVariables(
                     "partition %s too long for %d variables" % (sig, self.m))
             if not isinstance(c, Fraction):
-                c = Fraction(c)
+                c = _exact_coefficient(c)
             if c:
                 clean[sig] = clean[sig] + c if sig in clean else c
         self.coeffs = {s: c for s, c in clean.items() if c != 0}
-        self._mono = None
-        self._terms = None
+        self._mono = self._power = None
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, m):
-        return cls(m, {})
-
-    @classmethod
     def constant(cls, c, m):
-        return cls(m, {_EMPTY: Fraction(c)})
+        return cls(m, {_EMPTY: _exact_coefficient(c)})
 
     @classmethod
     def x_star(cls, sigma, m):
@@ -171,7 +179,7 @@ class SymmetricPolynomial:
             if len(lam) > m:
                 raise LengthExceedsVariables(
                     "monomial %s needs more than %d variables" % (lam, m))
-            c = Fraction(c)
+            c = _exact_coefficient(c)
             if c != 0:
                 work[lam] = work.get(lam, Fraction(0)) + c
         out = {}
@@ -246,7 +254,7 @@ class SymmetricPolynomial:
         return (-self) + other
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact_coefficient(c)
         return SymmetricPolynomial(self.m, {s: c * v for s, v in self.coeffs.items()})
 
     def __mul__(self, other):
@@ -291,12 +299,30 @@ class SymmetricPolynomial:
         if Y.shape[-1] != self.m:
             raise VariableCountMismatch(
                 "expected last axis %d, got %d" % (self.m, Y.shape[-1]))
-        if self._terms is None:
-            full = _full_expand(self.to_monomial(), self.m)
-            self._terms = [(np.array(e), float(c)) for e, c in sorted(full.items())]
-        out = np.zeros(Y.shape[:-1])
-        for expo, c in self._terms:
-            out += c * np.prod(Y ** expo, axis=-1)
+        Z = Y - float(CENTER)
+        k = range(1, max(1, min(self.degree, self.m)) + 1)
+        return self.eval_power_sums(np.stack([(Z**j).sum(-1) for j in k], -1))
+
+    def to_power_sums(self):
+        "exact coefficients {lambda: Fraction} in _power_basis' q_lambda"
+        if self._power is None:
+            self._power = {}
+            basis = _power_basis(self.degree, self.m)
+            for sig, c in self.coeffs.items():
+                _accumulate(self._power, basis[sig], c)
+        return dict(self._power)
+
+    def eval_power_sums(self, P):
+        """vectorized float evaluation from centered power sums: P[..., j-1]
+        = sum_i (y_i - CENTER)^j of each point, up to j = min(degree, m)"""
+        P = np.asarray(P, dtype=float)
+        need = min(self.degree, self.m)
+        if P.shape[-1] < need:
+            raise VariableCountMismatch(
+                "need power sums up to q_%d, got %d" % (need, P.shape[-1]))
+        out = np.zeros(P.shape[:-1])
+        for lam, c in self.to_power_sums().items():
+            out += float(c) * np.prod(P[..., [k - 1 for k in lam.parts]], -1)
         return out
 
     def at_ones(self):
@@ -310,6 +336,45 @@ def _accumulate(acc, coeffs, scale=None):
         if scale is not None:
             c = scale * c
         acc[s] = acc[s] + c if s in acc else c
+
+
+# float evaluation reads power sums of y - CENTER, which cancel far less on
+# [0, 1] (degree-6 zonals of G(2,4): 4e-15 of Z(1) against 1.3e-13 at 0)
+CENTER = Fraction(1, 2)
+_power_cache = {}
+
+
+def _power_basis(d, m):
+    """{sigma: {lambda: Fraction}}: each X*_sigma, |sigma| <= d, in the basis
+    q_lambda = prod q_(lambda_i), parts <= m, of q_k = sum (y_i - CENTER)^k:
+    the q_lambda expanded in X*, that matrix inverted exactly; cached."""
+    if (d, m) not in _power_cache:
+        lams = [lam for k in range(d + 1)
+                for lam in partitions_of(k, max_part=m)]
+        sigs = partitions_up_to(d, max_len=m)
+        q = {(): SymmetricPolynomial.constant(1, m)}
+        for k in range(1, min(d, m) + 1):
+            mono = {Partition(j): comb(k, j) * (-CENTER) ** (k - j)
+                    for j in range(1, k + 1)}
+            mono[_EMPTY] = m * (-CENTER) ** k     # the monomial m_() is 1
+            q[k,] = SymmetricPolynomial.from_monomial(m, mono)
+        for lam in lams[1:]:   # each prefix of lam comes before it
+            q[lam.parts] = q[lam.parts[:-1]] * q[lam.parts[-1],]
+        rows = [[q[lam.parts].coeffs.get(sig, Fraction(0)) for sig in sigs]
+                + [Fraction(int(lam == mu)) for mu in lams] for lam in lams]
+        for c in range(len(rows)):   # Gauss-Jordan: [A | I] -> [I | A^-1]
+            piv = next(r for r in range(c, len(rows)) if rows[r][c])
+            rows[c], rows[piv] = rows[piv], rows[c]
+            rows[c] = [x / rows[c][c] for x in rows[c]]
+            for r, row in enumerate(rows):
+                if r != c and row[c]:
+                    rows[r] = [x - row[c] * y if y else x
+                               for x, y in zip(row, rows[c])]
+        n = len(sigs)
+        _power_cache[d, m] = {
+            sig: {lam: row[n + j] for j, lam in enumerate(lams) if row[n + j]}
+            for sig, row in zip(sigs, rows)}
+    return _power_cache[d, m]
 
 
 def _full_expand(mono, m):
@@ -328,6 +393,14 @@ def _collect_sorted(full):
         if tuple(sorted(expo, reverse=True)) == expo:
             mono[Partition(expo)] = c
     return mono
+
+
+def _exact_coefficient(c):
+    "c as a Fraction; a float or complex (rounded already) is refused"
+    if isinstance(c, (float, complex, np.floating, np.complexfloating)):
+        raise InexactCoefficient(
+            "inexact coefficient %r: pass an int, Fraction or string" % (c,))
+    return Fraction(c)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ determinant, the Schur norms and [m]_kappa are all integers, so the expansion
 runs on ints and the scale is the one Fraction division per zonal.
 
 The Monte Carlo inner products draw Haar bases through
-core_linalg.haar_basis_batch and read the squared cosines through
-core_linalg.squared_cosines and its range check, as every float consumer does.
+core_linalg.haar_basis_batch and read each sample's power sums (traces of
+powers of W^dagger W - I/2) through core_linalg.power_sums and its range
+check, as every float consumer that evaluates a polynomial does: no angle is
+formed.
 """
 
 from fractions import Fraction
@@ -25,13 +27,13 @@ from math import comb
 
 import numpy as np
 
-from .core_linalg import checked_cosines, haar_basis_batch, squared_cosines
+from .core_linalg import haar_basis_batch, power_sums
 from .dims import check_mn, dim_H
 from .errors import (DegenerateAtOnes, LengthExceedsVariables, OutOfRange,
                      UnsupportedPartition)
 from .partitions import Partition, aspartition, partitions_up_to
-from .sympoly import (SymmetricPolynomial, _accumulate, hypergeom_coeff,
-                      schur_norm)
+from .sympoly import (SymmetricPolynomial, _accumulate, _exact_coefficient,
+                      hypergeom_coeff, schur_norm)
 
 _EMPTY = Partition(())
 
@@ -59,6 +61,9 @@ class ZonalPolynomial:
 
     def eval_batch(self, Y):
         return self.poly.eval_batch(Y)
+
+    def eval_power_sums(self, P):
+        return self.poly.eval_power_sums(P)
 
     def at_ones(self):
         return self.poly.at_ones()
@@ -215,7 +220,7 @@ def expand_in_zonal(f, m, n, experimental=None):
 
 def annihilator_sympoly(A, m):
     "product of (sum_i y_i - alpha) over alpha in A, exact"
-    alphas = sorted(Fraction(a) for a in A)
+    alphas = sorted(_exact_coefficient(a) for a in A)
     if not alphas:
         raise OutOfRange("need at least one root")
     x = SymmetricPolynomial.power_sum(m)
@@ -238,13 +243,14 @@ def _haar_blocks(n, m, samples, seed):
         yield haar_basis_batch(n, m, min(_MC_BLOCK, samples - lo), rng)
 
 
-def _angle_batch(n, m, samples, seed):
-    """Yield blocks y (b, m): squared cosines of the principal angles
-    between the first-m-coordinates subspace and Haar-random subspaces."""
+def _angle_batch(n, m, samples, seed, t):
+    """Yield blocks (b, min(t, m)): the power sums of the squared cosines of
+    the principal angles between the first-m-coordinates subspace and
+    Haar-random subspaces, up to degree t."""
     for q in _haar_blocks(n, m, samples, seed):
         # basis of the fixed subspace is I[:, :m], so the overlap matrix
         # is just the first m rows of each sample
-        yield checked_cosines(squared_cosines(q[:, :m, :]))
+        yield power_sums(q[:, :m, :], t)
 
 
 def _mean_stderr(blocks, samples):
@@ -279,9 +285,10 @@ def mc_zonal_inner(mu, nu, m, n, samples, seed=0, normalized=False):
         Zn = normalize_zonal(Zn)
 
     def products():
-        for y in _angle_batch(n, m, samples, seed):
-            vals = Zm.eval_batch(y)
-            yield vals * (vals if mu == nu else Zn.eval_batch(y))
+        t = max(mu.size, nu.size, 1)
+        for p in _angle_batch(n, m, samples, seed, t):
+            vals = Zm.eval_power_sums(p)
+            yield vals * (vals if mu == nu else Zn.eval_power_sums(p))
 
     return _mean_stderr(products(), samples)
 
@@ -292,7 +299,13 @@ def mc_function_inner(f, g, a, b, samples, seed=0):
     subspaces a, b."""
     Ba = a.basis.conj().T
     Bb = b.basis.conj().T
-    return _mean_stderr(
-        (f.eval_batch(checked_cosines(squared_cosines(Ba @ q)))
-         * g.eval_batch(checked_cosines(squared_cosines(Bb @ q)))
-         for q in _haar_blocks(a.n, a.m, samples, seed)), samples)
+    t = max(f.degree, g.degree, 1)
+
+    def products():
+        for q in _haar_blocks(a.n, a.m, samples, seed):
+            with np.errstate(invalid="ignore"):   # power_sums reports NaN
+                wa, wb = Ba @ q, Bb @ q
+            yield (f.eval_power_sums(power_sums(wa, t))
+                   * g.eval_power_sums(power_sums(wb, t)))
+
+    return _mean_stderr(products(), samples)

@@ -40,13 +40,14 @@ def random_subspace_pair(n, m, rng):
 
 
 def counting_kernel(monkeypatch):
-    "replace the blocked pair kernel by a wrapper that logs its `angles` flag"
+    """replace the blocked pair kernel by a wrapper that logs what each pass
+    was asked to form: (angles, power-sum degree)"""
     calls = []
     kernel = core_linalg._overlap_pass
 
-    def counted(members, angles):
-        calls.append(angles)
-        return kernel(members, angles)
+    def counted(members, angles=False, t=0, record=None):
+        calls.append((angles, t))
+        return kernel(members, angles, t, record)
 
     monkeypatch.setattr(core_linalg, "_overlap_pass", counted)
     return calls

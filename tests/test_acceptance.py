@@ -15,8 +15,7 @@ import numpy as np
 from grasscode.analysis import (angle_classes, check_scheme, design_strength,
                                 inner_product_set, is_one_design,
                                 is_two_design, swap_operator)
-from grasscode.bounds import (dgs_one_distance, dgs_two_distance,
-                              one_distance_bound, size_from_simplex_alpha,
+from grasscode.bounds import (one_distance_bound, size_from_simplex_alpha,
                               simplex_orthoplex, two_distance_bound)
 from grasscode.cli import main
 from grasscode.constructions import (enumerate_isotropic, extraspecial_code,
@@ -29,6 +28,8 @@ from grasscode.dims import dim_H, dim_Hk
 from grasscode.errors import ValidationFailure
 from grasscode.io import read_code
 from grasscode.zonal import mc_zonal_inner
+
+from dgs_oracle import dgs_one_distance, dgs_two_distance
 
 
 def report(num, desc, ok):

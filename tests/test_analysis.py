@@ -11,7 +11,8 @@ from grasscode.analysis import (RelationPartition, _cluster_vectors,
                                 is_one_design, is_two_design,
                                 pair_angle_matrix, scheme_idempotents,
                                 swap_operator, twothree_audit)
-from grasscode.errors import ClusterAmbiguity, SizeLimit
+from grasscode.core_linalg import Code, Subspace
+from grasscode.errors import ClusterAmbiguity, NumericalHealthError, SizeLimit
 from grasscode.partitions import Partition
 from grasscode.zonal import zonal_basis
 
@@ -335,3 +336,46 @@ def test_cluster_vectors_is_max_norm_single_linkage(planted):
     assert got == max_norm_single_linkage(vecs, CLUSTER_TOL)
     assert got == {frozenset(np.nonzero(truth == c)[0].tolist())
                    for c in set(truth.tolist())}
+
+
+@pytest.mark.parametrize("name", ["mub5", "pauli2", "es321"])
+def test_design_strength_runs_no_eigen_solve(name, request, monkeypatch):
+    S = Code(list(request.getfixturevalue(name)), check_duplicates=False)
+    want = design_strength(request.getfixturevalue(name), t_max=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-solve in design_strength")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert design_strength(S, t_max=3) == want
+    assert S.geometry.power_sums(3).shape == (len(S), len(S), min(3, S.m))
+
+
+@pytest.mark.parametrize("name", ["mub5", "pauli2", "es321"])
+@pytest.mark.parametrize("scale", [1 + 1e-6, np.nan, np.inf, 1 + 1e-9])
+def test_design_strength_planted_member_range_check(name, scale, request):
+    # the diagonal pair of the planted member has squared cosines scale^4:
+    # 1 + 4e-6, NaN and inf raise; 1 + 4e-9 is inside the slack
+    S = request.getfixturevalue(name)
+    with np.errstate(invalid="ignore"):
+        planted = Subspace(S[0].basis * scale)
+    T = Code([planted] + list(S)[1:], check_duplicates=False)
+    if scale == 1 + 1e-9:
+        assert design_strength(T, t_max=2) == 2
+        return
+    with pytest.raises(NumericalHealthError):
+        design_strength(T, t_max=2)
+    if np.isfinite(scale):   # recorded by the failing block
+        assert abs(T.geometry.excursion - (scale ** 4 - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["mub5", "pauli2", "es321"])
+def test_power_sums_match_the_angles(name, request):
+    # two routes to the same numbers: tr((G - I/2)^k) against the sums of
+    # (y - 1/2)^k over the clipped eigenvalues; exactly symmetric in the pair
+    S = Code(list(request.getfixturevalue(name)), check_duplicates=False)
+    P = S.geometry.power_sums(5)
+    Y = pair_angle_matrix(S) - 0.5
+    want = np.stack([(Y ** k).sum(-1) for k in range(1, min(5, S.m) + 1)], -1)
+    assert P.shape == want.shape and np.abs(P - want).max() < 1e-12
+    assert np.array_equal(P, P.swapaxes(0, 1))

@@ -7,7 +7,6 @@ import pytest
 import grasscode.bounds as bounds
 from grasscode.bounds import (BoundTable, absolute_code_bound, bound_table,
                               code_design_exact_size, design_absolute_bound,
-                              dgs_one_distance, dgs_two_distance,
                               make_annihilator, one_distance_bound,
                               relative_code_bound, relative_design_bound,
                               simplex_orthoplex, size_from_simplex_alpha,
@@ -18,6 +17,7 @@ from grasscode.errors import DegenerateDenominator, OutOfRange
 from grasscode.zonal import annihilator_sympoly
 
 from conftest import counting_kernel
+from dgs_oracle import dgs_one_distance, dgs_two_distance
 
 
 def rational(rng, lo, hi):
@@ -226,8 +226,19 @@ def test_relative_bound_check_reads_shared_geometry(es321, monkeypatch):
 
     monkeypatch.setattr(bounds, "principal_angles", counted)
     assert checked(relative_code_bound(f, S.m, S.n, code=S))
-    assert kernel == [True]      # one pass of the pair kernel
+    assert kernel == [(False, 2)]   # one pass, power sums only
     assert len(oracle) == 1      # only the decisive pair is recomputed
+
+
+def test_relative_bound_check_runs_no_eigen_solve(es321, monkeypatch):
+    S = Code(list(es321), check_duplicates=False)
+    f = annihilator_sympoly([Fraction(0), Fraction(1)], S.m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-solve in the f <= 0 check")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert checked(relative_code_bound(f, S.m, S.n, code=S))
 
 
 def test_design_bounds():

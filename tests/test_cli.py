@@ -241,6 +241,41 @@ def test_tol_refused_where_no_float_is_compared(capsys, argv):
     assert "unrecognized arguments: --tol 1e-3" in out.err
 
 
+@pytest.mark.parametrize("extra", [[], ["-o", "FILE"]])
+def test_construct_refuses_json(tmp_path, capsys, extra):
+    "construct always prints a code document: --json is a usage error"
+    extra = [str(tmp_path / "c.json") if a == "FILE" else a for a in extra]
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "mub", "--p", "3", "--json"] + extra)
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --json" in out.err
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("t", ["2", "3"])
+@pytest.mark.parametrize("family", [["pauli", "--k", "2"],
+                                    ["extraspecial", "--p", "3", "--n", "2",
+                                     "--k", "1"]])
+def test_verify_design_runs_no_eigen_solve(tmp_path, capsys, monkeypatch,
+                                           family, t):
+    path = tmp_path / "code.json"
+    run(capsys, "construct", *family, "-o", str(path))
+    calls = counting_kernel(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-solve in verify-design")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    code, out, _ = run(capsys, "verify-design", str(path), "--t", t, "--json")
+    assert code == 0
+    # pauli(2) is a 3-design in G(2,4), es(3,2,1) a 2-design in G(3,9)
+    strength, m = (3, 2) if family[0] == "pauli" else (2, 3)
+    assert json.loads(out)["strength"] == min(strength, int(t))
+    assert calls == [(False, min(int(t), m))]   # one pass, no angles
+
+
 @pytest.mark.parametrize("command", ["angles", "gram", "verify-design",
                                      "check-scheme", "info"])
 def test_tol_accepted_where_read(tmp_path, capsys, command):
@@ -304,7 +339,7 @@ def test_stray_linalg_error_is_numerical_health(tmp_path, capsys,
     path = tmp_path / "p2.json"
     run(capsys, "construct", "pauli", "--k", "2", "-o", str(path))
 
-    def broken(members, angles):
+    def broken(members, *args):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(core_linalg, "_overlap_pass", broken)

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import grasscode.constructions as constructions
 from grasscode.bounds import two_distance_bound
 from grasscode.constructions import (_weyl_gather, enumerate_isotropic,
                                      extraspecial_code, extraspecial_size,
@@ -183,6 +184,43 @@ def test_within_block_orthogonality(es321):
         for ii, i in enumerate(idx):
             for j in idx[ii + 1:]:
                 assert abs(g[i, j]) < 1e-9
+
+
+@pytest.mark.parametrize("args", [(3, 2, 0), (3, 2, 1)])
+def test_extraspecial_bases_are_canonical(args):
+    # each basis is the Q factor of P[:, J], P its projector and J the first
+    # m columns where P's rank grows: B^dagger P[:, J] is upper triangular
+    # with a positive real diagonal (J found here by matrix_rank)
+    for s in extraspecial_code(*args):
+        P = s.projection()
+        J = []
+        for j in range(len(P)):
+            if np.linalg.matrix_rank(P[:, J + [j]], tol=1e-6) > len(J):
+                J.append(j)
+        R = s.basis.conj().T @ P[:, J]
+        assert len(J) == s.m
+        assert np.abs(np.tril(R, -1)).max(initial=0) < 1e-12
+        assert np.abs(np.diagonal(R).imag).max() < 1e-12
+        assert np.diagonal(R).real.min() > 1e-6
+
+
+@pytest.mark.parametrize("args", [(3, 2, 0), (3, 2, 1)])
+def test_extraspecial_bases_survive_a_one_ulp_operator_change(monkeypatch,
+                                                             args):
+    # eigh may return any phase of an eigenspace, and a 1e-16 change in the
+    # operator product used to flip the written sign of some bases; now a
+    # one-ulp nudge of every Weyl phase moves each basis by rounding only
+    base = extraspecial_code(*args)
+    real = constructions._weyl_gather
+
+    def nudged(p, n, a, b):
+        src, phase = real(p, n, a, b)
+        return src, phase * (1 + 2 ** -52)
+
+    monkeypatch.setattr(constructions, "_weyl_gather", nudged)
+    moved = extraspecial_code(*args)
+    assert max(np.abs(x.basis - y.basis).max()
+               for x, y in zip(base, moved)) < 1e-14
 
 
 def test_mub_codes():

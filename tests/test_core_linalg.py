@@ -204,7 +204,7 @@ def test_gram_only_requests_run_no_eigen_solve(pauli2, monkeypatch):
     g = gram_matrix(S)
     inner_product_set(S)
     inner_product_classes(S)
-    assert calls == [False]
+    assert calls == [(False, 0)]
     assert S.geometry.excursion is None   # no angles were formed
     assert np.abs(np.diag(g) - S.m).max() < 1e-12
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscode.errors import LengthExceedsVariables
+from grasscode.errors import (InexactCoefficient, LengthExceedsVariables,
+                              ValidationError, VariableCountMismatch)
 from grasscode.partitions import Partition, partitions_up_to
 from grasscode.sympoly import (SymmetricPolynomial, ascending_product,
                                hypergeom_coeff, kostka_row, schur_norm)
+from grasscode.zonal import annihilator_sympoly
 
 from schur_oracle import schur_eval_bialternant
 from zonal_oracle import gen_binomial, shift_ones
@@ -216,3 +218,55 @@ def test_xstar_products_stay_exact(m, d1, d2):
     assert prod.degree <= d1 + d2
     # product of normalized Schurs is 1 at the all-ones point
     assert prod.at_ones() == 1
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, np.float64(0.5), np.float32(2.0),
+                               1j, complex(1, 0), np.complex128(1)])
+def test_float_coefficients_refused(c):
+    # a float would enter the exact layer as its binary Fraction
+    # (0.1 -> 3602879701896397/36028797018963968): every way in refuses it
+    assert issubclass(InexactCoefficient, ValidationError)
+    p = SymmetricPolynomial.x_star((1,), 2)
+    for make in (lambda: SymmetricPolynomial.constant(c, 1),
+                 lambda: SymmetricPolynomial(2, {(1,): c}),
+                 lambda: SymmetricPolynomial.from_monomial(2, {(1,): c}),
+                 lambda: p.scale(c), lambda: p * c, lambda: p + c,
+                 lambda: annihilator_sympoly([0, c], 2)):
+        with pytest.raises(InexactCoefficient):
+            make()
+
+
+def test_exact_coefficients_accepted():
+    for c, want in [(3, Fraction(3)), (np.int64(3), Fraction(3)),
+                    (Fraction(1, 3), Fraction(1, 3)), ("1/3", Fraction(1, 3)),
+                    ("0.1", Fraction(1, 10))]:
+        assert SymmetricPolynomial.constant(c, 1).coeffs == {Partition(()): want}
+        assert SymmetricPolynomial.x_star((1,), 1).scale(c).coeffs == {
+            Partition(1): want}
+
+
+def test_power_sum_coefficients_evaluate_exactly():
+    # the cached change of basis, read back exactly: sum c_lam prod q_lam_i,
+    # q_k = sum (y_i - 1/2)^k, at rational points equals the monomial
+    # evaluation, at every degree <= 5
+    rng = np.random.default_rng(206)
+    for m in (1, 2, 3, 4):
+        for sig in partitions_up_to(5, max_len=m):
+            p = SymmetricPolynomial.x_star(sig, m)
+            power = p.to_power_sums()
+            assert all(max(lam.parts, default=0) <= m for lam in power)
+            y = [frac(rng, 0, 9) for _ in range(m)]
+            ps = [sum((v - Fraction(1, 2)) ** k for v in y)
+                  for k in range(m + 1)]
+            got = sum(c * np.prod([ps[k] for k in lam.parts], dtype=object)
+                      for lam, c in power.items())
+            assert got == p.evaluate(y), (sig, m)
+
+
+def test_eval_power_sums_needs_enough_sums():
+    p = SymmetricPolynomial.x_star((2, 1), 3)
+    with pytest.raises(VariableCountMismatch):
+        p.eval_power_sums(np.ones((4, 2)))
+    # at y = (1, 1, 1) the centered sums are 3 / 2^k and X* is 1
+    q = np.tile(3 / 2.0 ** np.arange(1, 4), (4, 1))
+    assert p.eval_power_sums(q) == pytest.approx(1.0)

@@ -161,15 +161,19 @@ def test_mc_determinism():
 
 
 def test_mc_draws_follow_the_seeded_svd_route():
-    # the same Haar stream as drawing and factoring by hand, and the same
-    # squared cosines as the SVD of each overlap
+    # the same Haar stream as drawing and factoring by hand, and the
+    # centered power sums of the same squared cosines as the SVD of each
+    # overlap
     n, m, samples = 6, 2, 500
     rng = np.random.default_rng(31)
     g = (rng.standard_normal((samples, n, m))
          + 1j * rng.standard_normal((samples, n, m)))
     sv = np.linalg.svd(np.linalg.qr(g)[0][:, :m, :], compute_uv=False)
-    y = np.concatenate(list(zonal._angle_batch(n, m, samples, 31)))
-    assert np.abs(y - sv * sv).max() < 1e-12
+    p = np.concatenate(list(zonal._angle_batch(n, m, samples, 31, 4)))
+    assert p.shape == (samples, m)
+    y = sv * sv - 0.5
+    assert np.abs(p - np.stack([(y ** k).sum(-1) for k in (1, 2)], -1)
+                  ).max() < 1e-12
 
 
 def test_mc_sample_counts():
@@ -208,6 +212,78 @@ def test_mc_out_of_range_block_raises(which, monkeypatch):
         else:
             mc_function_inner(K, K, a, haar_subspace(n, m, seed=2), 100,
                               seed=1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1 + 1e-6, np.nan, np.inf, 1 + 1e-9])
+@pytest.mark.parametrize("which", ["zonal", "function"])
+def test_mc_planted_member_range_check(which, scale, m, monkeypatch):
+    # the power-sum range check keeps checked_cosines' accept/reject:
+    # squared cosines of 1 + 2e-6, NaN or inf raise; 1 + 2e-9 is inside the
+    # slack and passes
+    n = 2 * m + 1
+    a = Subspace(np.eye(n, m, dtype=complex))
+    real = zonal.haar_basis_batch
+
+    def planted(n, m, samples, seed):
+        q = real(n, m, samples, seed)
+        with np.errstate(invalid="ignore"):
+            q[0] = a.basis * scale
+        return q
+
+    monkeypatch.setattr(zonal, "haar_basis_batch", planted)
+    K = aggregate_zonal(2, m, n)
+
+    def run():
+        if which == "zonal":
+            return mc_zonal_inner(P1, P2, m, n, 100, seed=1)
+        return mc_function_inner(K, K, a, a, 100, seed=1)
+
+    if scale == 1 + 1e-9:
+        assert all(np.isfinite(run()))
+    else:
+        with pytest.raises(NumericalHealthError):
+            run()
+
+
+def test_mc_runs_no_eigen_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-solve in the Monte Carlo sampler")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    est, se = mc_zonal_inner(P1, P2, 3, 9, 2000, seed=5)
+    assert abs(est) < 5 * se
+    K = aggregate_zonal(2, 2, 5)
+    a, b = haar_subspace(5, 2, seed=1), haar_subspace(5, 2, seed=2)
+    assert all(np.isfinite(mc_function_inner(K, K, a, b, 500, seed=3)))
+
+
+# pinned rational points per (m, n), dense near y = 1 where the power-sum
+# basis cancels most; the float route reads only their power sums, the
+# exact route expands every monomial
+_GRID = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5),
+         Fraction(9, 10), Fraction(19, 20), Fraction(1)]
+POWER_SUM_POINTS = {
+    (1, 5): [[v] for v in _GRID],
+    (2, 4): [[u, v] for i, u in enumerate(_GRID) for v in _GRID[i:]],
+    (3, 9): [[u, v, w] for i, u in enumerate(_GRID[2:], 2)
+             for j, v in enumerate(_GRID[i:], i) for w in _GRID[j:]],
+    (9, 27): [[Fraction(k, 9) for k in range(9)], [Fraction(1, 3)] * 9,
+              [Fraction(1)] * 4 + [Fraction(1, 5)] * 5,
+              [Fraction(19, 20)] * 9],
+}
+
+
+@pytest.mark.parametrize("mn", sorted(POWER_SUM_POINTS))
+def test_power_sum_evaluation_matches_exact(mn):
+    m, n = mn
+    pts = POWER_SUM_POINTS[mn]
+    Y = np.array(pts, dtype=float)
+    for Z in zonal_basis(m, n, 6):
+        scale = abs(float(Z.at_ones()))
+        for y, val in zip(pts, Z.eval_batch(Y)):
+            assert abs(val - float(Z.evaluate(y))) <= 1e-13 * scale, (Z.mu, y)
 
 
 def test_mc_orthogonality_3_6():
