@@ -16,10 +16,9 @@ from .bounds import (BoundResult, BoundTable, absolute_code_bound,
 from .constructions import (enumerate_isotropic, extraspecial_code,
                             extraspecial_size, isotropic_count, mub_code,
                             pauli_code)
-from .core_linalg import (AngleVector, Code, Subspace, canonical_pair,
-                          chordal_distance, gram_matrix, haar_subspace,
-                          principal_angles, subspace_from_basis,
-                          trace_inner_product)
+from .core_linalg import (Code, Subspace, canonical_pair, chordal_distance,
+                          gram_matrix, haar_subspace, principal_angles,
+                          subspace_from_basis, trace_inner_product)
 from .dims import dim_H, dim_Hk, hom_dim_bound, q_binomial, weyl_dim
 from .errors import (ClusterAmbiguity, GrasscodeError, NumericalHealthError,
                      SizeLimit)
@@ -33,7 +32,7 @@ from .zonal import (ZonalExpansion, ZonalPolynomial, aggregate_zonal,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleVector", "BoundResult", "BoundTable", "ClusterAmbiguity", "Code",
+    "BoundResult", "BoundTable", "ClusterAmbiguity", "Code",
     "GrasscodeError", "NumericalHealthError", "Partition", "RelationPartition",
     "SchemeReport", "SizeLimit", "Subspace", "SymmetricPolynomial",
     "ZonalExpansion", "ZonalPolynomial",

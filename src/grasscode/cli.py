@@ -299,9 +299,7 @@ def _cmd_check_scheme(args):
 
 def _cmd_info(args):
     S = read_code(args.file, tol=args.tol)
-    B = S.basis_stack()
-    eye = np.eye(S.m)
-    ortho = max(float(np.abs(b.conj().T @ b - eye).max()) for b in B)
+    ortho = max(float(s.validate(args.tol)) for s in S)
     ips = inner_product_set(S, tol=args.tol) if len(S) > 1 else ()
     if args.json:
         _emit(args, json.dumps({

@@ -50,8 +50,9 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     def validate(self, tol=1e-8):
-        g = self.basis.conj().T @ self.basis
-        err = np.abs(g - np.eye(self.m)).max()
+        "the orthonormality defect max |B^dagger B - I|; above tol it raises"
+        with np.errstate(over="ignore", invalid="ignore"):   # huge entries
+            err = np.abs(self.basis.conj().T @ self.basis - np.eye(self.m)).max()
         if not err <= tol:   # also fails on NaN
             raise RankDeficient("basis not orthonormal (defect %.3e)" % err)
         return err
@@ -86,28 +87,6 @@ def subspace_from_basis(raw, rank_tol=1e-10):
     return Subspace(q * d)
 
 
-class AngleVector:
-    """Squared cosines y_i = cos^2(theta_i) of the principal angles of a
-    subspace pair, sorted descending, clamped to [0, 1]."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = tuple(float(v) for v in values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __repr__(self):
-        return "AngleVector(%s)" % (", ".join("%.6g" % v for v in self.values))
-
-
 def trace_inner_product(a, b):
     "tr(P_a P_b) = squared Frobenius norm of the overlap matrix"
     if a.n != b.n:
@@ -124,12 +103,12 @@ def chordal_distance(a, b):
 
 
 def principal_angles(a, b):
-    "squared cosines of the principal angles, descending"
+    "squared cosines of the principal angles, descending, range-checked"
     if a.n != b.n:
         raise DimensionMismatch("ambient dimensions differ: %d vs %d" % (a.n, b.n))
     w = a.basis.conj().T @ b.basis
     sv = np.linalg.svd(w, compute_uv=False)
-    return AngleVector(checked_cosines(sv * sv))
+    return checked_cosines(sv * sv)
 
 
 def squared_cosines(W):

@@ -46,22 +46,25 @@ def code_from_dict(doc, tol=1e-8):
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise FormatError("not a %s document" % FORMAT_NAME)
     try:
-        n = int(doc["n"])
-        m = int(doc["m"])
-        subs = doc["subspaces"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("missing or malformed header field: %s" % exc) from None
+        n, m, subs = doc["n"], doc["m"], doc["subspaces"]
+    except KeyError as exc:
+        raise FormatError("missing header field: %s" % exc) from None
+    for key, val in (("n", n), ("m", m)):
+        if type(val) is not int or val < 1:   # not 2.7, 1e999 or true
+            raise FormatError("%s must be an integer >= 1, got %r" % (key, val))
     if not isinstance(subs, list) or not subs:
         raise FormatError("subspaces must be a nonempty list")
     members = []
     for idx, rows in enumerate(subs):
         try:
-            arr = np.asarray(rows, dtype=float)
+            arr = np.asarray(rows)
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError("subspace %d: %s" % (idx, exc)) from None
-        if arr.shape != (n, m, 2):
-            raise FormatError(
-                "subspace %d has shape %r, expected (%d,%d,2)" % (idx, arr.shape, n, m))
+        # a string, null or an integer beyond int64 leaves no numeric dtype
+        if arr.shape != (n, m, 2) or arr.dtype.kind not in "iuf":
+            raise FormatError("subspace %d: not %d rows of %d [re, im] "
+                              "number pairs" % (idx, n, m))
+        arr = arr.astype(float)
         if not np.isfinite(arr).all():
             raise FormatError("subspace %d has a non-finite entry" % idx)
         members.append(Subspace(arr[..., 0] + 1j * arr[..., 1]))
@@ -82,6 +85,6 @@ def read_code(path, tol=1e-8):
     with open(path, "r", encoding="utf-8") as fp:
         try:
             doc = json.load(fp)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # also bad UTF-8
             raise FormatError("invalid JSON: %s" % exc) from None
     return code_from_dict(doc, tol=tol)

@@ -2,19 +2,24 @@
 
 A SymmetricPolynomial on m variables is stored as a finite Fraction
 combination of the X*_sigma: Schur polynomials scaled so X*_sigma(1,...,1)=1.
-That basis is the native language of the zonal machinery; conversion to and
-from the monomial basis (Kostka numbers via semistandard tableaux) powers
-multiplication and exact evaluation.  A float or complex coefficient is
-refused, never rounded into a Fraction.
+That basis is the native language of the zonal machinery.  A float or complex
+coefficient is refused, never rounded into a Fraction.
 
-Exact evaluation at rational points is by monomial expansion, the oracle for
-the float route.  Float evaluation reads only the centered power sums
-q_k = sum_i (y_i - 1/2)^k, k <= m, of each point, through exact coefficients
-in the basis q_lambda = prod q_(lambda_i) (one cached change of basis per
-degree and m), so a code's pairs need tr((W^dagger W - I/2)^k) and not their
-angles.  The bialternant determinant ratio that cross-checks the monomial
-route lives with the test suite's oracles.  The zonal construction works in
-integers and builds each polynomial once.
+One exact primitive multiplies by a power sum p_j = sum_i y_i^j: the
+Murnaghan-Nakayama rule moves one bead of sigma's bead set up by j (Macdonald,
+Symmetric Functions and Hall Polynomials, I.3 and I.7).  It builds the
+centered power sums q_k = sum_i (y_i - 1/2)^k, k <= m, their products
+q_lambda = prod q_(lambda_i) (one cached change of basis per degree and m),
+and every product of polynomials.  Float evaluation reads only the q_k of each
+point through those exact coefficients, so a code's pairs need
+tr((W^dagger W - I/2)^k) and not their angles.
+
+Exact evaluation at rational points is the Jacobi-Trudi determinant
+det[h_(sigma_i - i + j)] of complete homogeneous sums, in integers over a
+common denominator; it never reads the change of basis, so it stays the
+oracle for the float route.  The monomial basis and the bialternant
+determinant ratio live with the test suite's oracles.  The zonal construction
+works in integers and builds each polynomial once.
 """
 
 from fractions import Fraction
@@ -28,59 +33,6 @@ from .partitions import Partition, aspartition, partitions_of, partitions_up_to
 from .dims import weyl_dim
 
 _EMPTY = Partition(())
-
-
-def _ssyt_weights(sigma, m):
-    "weight vectors (counts of 1..m) of all semistandard tableaux of shape sigma"
-    shape = sigma.parts
-    if not shape:
-        return [(0,) * m]
-    rows = len(shape)
-    out = []
-    tab = [[0] * r for r in shape]
-
-    def fill(r, c):
-        if r == rows:
-            w = [0] * m
-            for row in tab:
-                for v in row:
-                    w[v - 1] += 1
-            out.append(tuple(w))
-            return
-        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = max(lo, tab[r][c - 1])          # rows weakly increase
-        if r > 0 and c < shape[r - 1]:
-            lo = max(lo, tab[r - 1][c] + 1)      # columns strictly increase
-        for v in range(lo, m + 1):
-            tab[r][c] = v
-            fill(nr, nc)
-
-    fill(0, 0)
-    return out
-
-
-_kostka_cache = {}
-
-
-def kostka_row(sigma, m):
-    """Kostka numbers {lambda: K_{sigma,lambda}} for weights lambda with at
-    most m parts; these are the monomial coefficients of the Schur X_sigma."""
-    sigma = aspartition(sigma)
-    key = (sigma.parts, m)
-    if key in _kostka_cache:
-        return _kostka_cache[key]
-    if len(sigma) > m:
-        raise LengthExceedsVariables(
-            "Schur of shape %s vanishes on %d variables" % (sigma, m))
-    counts = {}
-    for w in _ssyt_weights(sigma, m):
-        if tuple(sorted(w, reverse=True)) == w:   # one representative per orbit
-            lam = Partition(w)
-            counts[lam] = counts.get(lam, 0) + 1
-    _kostka_cache[key] = counts
-    return counts
 
 
 _schur_norm_cache = {}
@@ -98,44 +50,11 @@ def schur_norm(sigma, m):
     return _schur_norm_cache[key]
 
 
-_orbit_cache = {}
-
-
-def _orbit(lam, m):
-    "distinct permutations of lam padded to length m (by insertion, not m!)"
-    key = (lam.parts, m)
-    if key not in _orbit_cache:
-        orbit = {()}
-        for v in lam.pad(m):
-            orbit = {o[:i] + (v,) + o[i:]
-                     for o in orbit for i in range(len(o) + 1)}
-        _orbit_cache[key] = sorted(orbit)
-    return _orbit_cache[key]
-
-
-def monomial_eval_exact(mono, m, y):
-    "evaluate a monomial-basis dict at exact points, y_i = a_i / D (ints)"
-    y = [Fraction(v) for v in y]
-    D = lcm(*(v.denominator for v in y))
-    a = [v.numerator * (D // v.denominator) for v in y]
-    total = Fraction(0)
-    for lam, c in mono.items():
-        s = 0
-        for expo in _orbit(lam, m):
-            term = 1
-            for ai, e in zip(a, expo):
-                if e:
-                    term *= ai ** e
-            s += term
-        total += Fraction(c) * Fraction(s, D ** lam.size)
-    return total
-
-
 class SymmetricPolynomial:
     """Symmetric polynomial on m variables, exact coefficients in the
     X*-basis (normalized Schur)."""
 
-    __slots__ = ("m", "coeffs", "_mono", "_power")
+    __slots__ = ("m", "coeffs", "_power")
 
     def __init__(self, m, coeffs):
         self.m = int(m)
@@ -150,7 +69,7 @@ class SymmetricPolynomial:
             if c:
                 clean[sig] = clean[sig] + c if sig in clean else c
         self.coeffs = {s: c for s, c in clean.items() if c != 0}
-        self._mono = self._power = None
+        self._power = None
 
     # -- constructors ---------------------------------------------------
 
@@ -162,56 +81,11 @@ class SymmetricPolynomial:
     def x_star(cls, sigma, m):
         return cls(m, {aspartition(sigma): Fraction(1)})
 
-    @classmethod
-    def power_sum(cls, m):
-        "sum of the variables: m * X*_(1)"
-        return cls(m, {Partition(1): Fraction(m)})
-
-    @classmethod
-    def from_monomial(cls, m, mono):
-        """Convert a monomial-basis dict {lambda: coeff} to the X*-basis.
-
-        Triangular peel: within each degree, the lex-largest surviving
-        monomial is the leading term of its Schur."""
-        work = {}
-        for lam, c in mono.items():
-            lam = aspartition(lam)
-            if len(lam) > m:
-                raise LengthExceedsVariables(
-                    "monomial %s needs more than %d variables" % (lam, m))
-            c = _exact_coefficient(c)
-            if c != 0:
-                work[lam] = work.get(lam, Fraction(0)) + c
-        out = {}
-        while any(c != 0 for c in work.values()):
-            live = [lam for lam, c in work.items() if c != 0]
-            deg = max(lam.size for lam in live)
-            tier = [lam for lam in live if lam.size == deg]
-            sig = min(tier, key=lambda p: tuple(-x for x in p.parts))  # lex-largest
-            norm = schur_norm(sig, m)
-            b = work[sig] * norm            # X*_sig has 1/norm on m_sig
-            out[sig] = out.get(sig, Fraction(0)) + b
-            for lam, k in kostka_row(sig, m).items():
-                work[lam] = work.get(lam, Fraction(0)) - b * Fraction(k, norm)
-        return cls(m, out)
-
     # -- views ------------------------------------------------------------
 
     @property
     def degree(self):
         return max((s.size for s in self.coeffs), default=0)
-
-    def to_monomial(self):
-        "coefficients in the monomial basis {lambda: Fraction}"
-        if self._mono is None:
-            mono = {}
-            for sig, c in self.coeffs.items():
-                norm = schur_norm(sig, m := self.m)
-                for lam, k in kostka_row(sig, m).items():
-                    v = mono.get(lam, Fraction(0)) + c * Fraction(k, norm)
-                    mono[lam] = v
-            self._mono = {lam: c for lam, c in mono.items() if c != 0}
-        return dict(self._mono)
 
     def __repr__(self):
         if not self.coeffs:
@@ -261,14 +135,14 @@ class SymmetricPolynomial:
         if not isinstance(other, SymmetricPolynomial):
             return self.scale(other)
         self._check(other)
-        a = _full_expand(self.to_monomial(), self.m)
-        b = _full_expand(other.to_monomial(), self.m)
-        prod = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                prod[e] = prod.get(e, Fraction(0)) + ca * cb
-        return SymmetricPolynomial.from_monomial(self.m, _collect_sorted(prod))
+        # other = sum c_lambda q_lambda: each q_k is a few bead moves
+        out = {}
+        for lam, c in other.to_power_sums().items():
+            term = self.coeffs
+            for k in lam.parts:
+                term = _times_q(term, k, self.m)
+            _accumulate(out, term, c)
+        return SymmetricPolynomial(self.m, out)
 
     __rmul__ = __mul__
 
@@ -288,10 +162,27 @@ class SymmetricPolynomial:
             raise VariableCountMismatch(
                 "expected %d values, got %d" % (self.m, len(y)))
         if all(isinstance(v, (int, Fraction)) for v in y):
-            return monomial_eval_exact(self.to_monomial(), self.m, y)
+            return self._evaluate_exact([Fraction(v) for v in y])
         return float(self.eval_batch(np.asarray(y, dtype=float)[None, :])[0])
 
     __call__ = evaluate
+
+    def _evaluate_exact(self, y):
+        """Jacobi-Trudi, in integers: y_i = a_i / D, the Schur s_sigma(a) =
+        det[h_(sigma_i - i + j)(a)], and s_sigma(y) = s_sigma(a) / D^|sigma|"""
+        D = lcm(*(v.denominator for v in y))
+        h = [1] + [0] * self.degree        # complete homogeneous sums h_k(a)
+        for v in y:
+            a = v.numerator * (D // v.denominator)
+            for k in range(1, len(h)):
+                h[k] += a * h[k - 1]
+        total = Fraction(0)
+        for sig, c in self.coeffs.items():
+            det = _int_det([[h[s - i + j] if s - i + j >= 0 else 0
+                             for j in range(len(sig))]
+                            for i, s in enumerate(sig.parts)])
+            total += c * Fraction(det, schur_norm(sig, self.m) * D ** sig.size)
+        return total
 
     def eval_batch(self, Y):
         "vectorized float evaluation on an (..., m) array of points"
@@ -347,20 +238,16 @@ _power_cache = {}
 def _power_basis(d, m):
     """{sigma: {lambda: Fraction}}: each X*_sigma, |sigma| <= d, in the basis
     q_lambda = prod q_(lambda_i), parts <= m, of q_k = sum (y_i - CENTER)^k:
-    the q_lambda expanded in X*, that matrix inverted exactly; cached."""
+    the q_lambda expanded in X* by bead moves, that matrix inverted exactly;
+    cached."""
     if (d, m) not in _power_cache:
         lams = [lam for k in range(d + 1)
                 for lam in partitions_of(k, max_part=m)]
         sigs = partitions_up_to(d, max_len=m)
-        q = {(): SymmetricPolynomial.constant(1, m)}
-        for k in range(1, min(d, m) + 1):
-            mono = {Partition(j): comb(k, j) * (-CENTER) ** (k - j)
-                    for j in range(1, k + 1)}
-            mono[_EMPTY] = m * (-CENTER) ** k     # the monomial m_() is 1
-            q[k,] = SymmetricPolynomial.from_monomial(m, mono)
+        q = {(): {_EMPTY: Fraction(1)}}
         for lam in lams[1:]:   # each prefix of lam comes before it
-            q[lam.parts] = q[lam.parts[:-1]] * q[lam.parts[-1],]
-        rows = [[q[lam.parts].coeffs.get(sig, Fraction(0)) for sig in sigs]
+            q[lam.parts] = _times_q(q[lam.parts[:-1]], lam.parts[-1], m)
+        rows = [[q[lam.parts].get(sig, Fraction(0)) for sig in sigs]
                 + [Fraction(int(lam == mu)) for mu in lams] for lam in lams]
         for c in range(len(rows)):   # Gauss-Jordan: [A | I] -> [I | A^-1]
             piv = next(r for r in range(c, len(rows)) if rows[r][c])
@@ -377,22 +264,69 @@ def _power_basis(d, m):
     return _power_cache[d, m]
 
 
-def _full_expand(mono, m):
-    "monomial dict -> dict over all exponent vectors of length m"
-    full = {}
-    for lam, c in mono.items():
-        for expo in _orbit(lam, m):
-            full[expo] = Fraction(c)
-    return full
+def _place(used, e):
+    """put exponent e in front of the descending tuple `used` and sort:
+    (the sign of that sort, the sorted tuple), or None if e is used already
+    (the alternant would have two equal columns)"""
+    if e in used:
+        return None
+    above = sum(1 for u in used if u > e)
+    return -1 if above % 2 else 1, used[:above] + (e,) + used[above:]
 
 
-def _collect_sorted(full):
-    "exponent-vector dict -> monomial dict (keep one sorted representative)"
-    mono = {}
-    for expo, c in full.items():
-        if tuple(sorted(expo, reverse=True)) == expo:
-            mono[Partition(expo)] = c
-    return mono
+def _shape(exponents, m):
+    "the Schur shape of the alternant det[y_i^(r_j)], r descending"
+    return Partition([e - (m - 1 - j) for j, e in enumerate(exponents)])
+
+
+def _times_p(coeffs, j, m):
+    """X* coefficients times p_j = sum_i y_i^j, j >= 1 (Murnaghan-Nakayama):
+    move one bead of sigma's beads sigma_i + m - i up by j onto a free
+    place, with sign (-1)^(beads passed), and rescale s_lambda / s_sigma by
+    the Schur norms"""
+    out = {}
+    for sig, c in coeffs.items():
+        beads = tuple(s + m - 1 - i for i, s in enumerate(sig.pad(m)))
+        for i, b in enumerate(beads):
+            moved = _place(beads[:i] + beads[i + 1:], b + j)
+            if moved is None:
+                continue
+            # i beads sit above b: taking it out first is a sign (-1)^i
+            sign, r = moved
+            lam = _shape(r, m)
+            v = c * Fraction((-sign if i % 2 else sign) * schur_norm(lam, m),
+                             schur_norm(sig, m))
+            out[lam] = out[lam] + v if lam in out else v
+    return out
+
+
+def _times_q(coeffs, k, m):
+    """X* coefficients times q_k = sum_i (y_i - CENTER)^k
+    = sum_j C(k, j) (-CENTER)^(k-j) p_j, with p_0 = m"""
+    out = {}
+    _accumulate(out, coeffs, m * (-CENTER) ** k)
+    for j in range(1, k + 1):
+        _accumulate(out, _times_p(coeffs, j, m),
+                    comb(k, j) * (-CENTER) ** (k - j))
+    return out
+
+
+def _int_det(M):
+    "determinant of a square integer matrix, fraction-free (Bareiss)"
+    M = [list(row) for row in M]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if piv is None:
+                return 0
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1] if n else 1
 
 
 def _exact_coefficient(c):

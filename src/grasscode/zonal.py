@@ -33,7 +33,7 @@ from .errors import (DegenerateAtOnes, LengthExceedsVariables, OutOfRange,
                      UnsupportedPartition)
 from .partitions import Partition, aspartition, partitions_up_to
 from .sympoly import (SymmetricPolynomial, _accumulate, _exact_coefficient,
-                      hypergeom_coeff, schur_norm)
+                      _place, _shape, _times_p, hypergeom_coeff, schur_norm)
 
 _EMPTY = Partition(())
 
@@ -109,18 +109,16 @@ def zonal_general(kappa, m, n):
         nxt = {}
         for used, c in terms.items():
             for e, a in enumerate(column):
-                if e in used:
-                    continue
-                # the new column goes in front: one transposition per
-                # larger exponent already placed behind it
-                above = sum(1 for u in used if u > e)
-                key = tuple(sorted(used + (e,), reverse=True))
-                nxt[key] = nxt.get(key, 0) + (-c if above % 2 else c) * a
+                # the new column goes in front, then sorts into place
+                placed = _place(used, e)
+                if placed is not None:
+                    sign, key = placed
+                    nxt[key] = nxt.get(key, 0) + sign * c * a
         terms = nxt
     coeffs = {}
     for r, c in terms.items():
         if c:
-            lam = Partition([e - (m - 1 - j) for j, e in enumerate(r)])
+            lam = _shape(r, m)
             coeffs[lam] = c * schur_norm(lam, m)
     c0 = coeffs.get(_EMPTY, 0)
     if c0 == 0:
@@ -221,13 +219,15 @@ def expand_in_zonal(f, m, n, experimental=None):
 def annihilator_sympoly(A, m):
     "product of (sum_i y_i - alpha) over alpha in A, exact"
     alphas = sorted(_exact_coefficient(a) for a in A)
-    if not alphas:
-        raise OutOfRange("need at least one root")
-    x = SymmetricPolynomial.power_sum(m)
-    out = SymmetricPolynomial.constant(1, m)
-    for alpha in alphas:
-        out = out * (x - alpha)
-    return out
+    if not alphas or m < 1:
+        raise OutOfRange("need at least one root and m >= 1, got %r and m = %r"
+                         % (alphas, m))
+    out = {_EMPTY: Fraction(1)}
+    for alpha in alphas:     # out * (p_1 - alpha), p_1 = sum of the variables
+        nxt = _times_p(out, 1, m)
+        _accumulate(nxt, out, -alpha)
+        out = nxt
+    return SymmetricPolynomial(m, out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 X_sigma(y) = det[y_i^(sigma_j + m - j)] / det[y_i^(m - j)], with
 divided-difference (confluent) rows when points repeat, evaluated by exact
-Gaussian elimination.  It shares nothing with the library's Kostka/monomial
+Gaussian elimination.  It shares nothing with the library's Jacobi-Trudi
 route; the tests check it against a direct sum over semistandard tableaux.
 """
 

@@ -226,7 +226,7 @@ def test_c10_property_suites_and_canonical_pairs(capsys):
         b = subspace_from_basis(rng.standard_normal((n, m))
                                 + 1j * rng.standard_normal((n, m)))
         A, Bc = canonical_pair(a, b)
-        y = np.asarray(principal_angles(a, b).values)
+        y = principal_angles(a, b)
         expect_a = np.zeros((n, m), dtype=complex)
         expect_a[:m, :m] = np.eye(m)
         expect_b = np.zeros((n, m), dtype=complex)

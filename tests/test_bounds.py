@@ -18,6 +18,7 @@ from grasscode.zonal import annihilator_sympoly
 
 from conftest import counting_kernel
 from dgs_oracle import dgs_one_distance, dgs_two_distance
+from monomial_oracle import to_monomial
 
 
 def rational(rng, lo, hi):
@@ -179,7 +180,7 @@ def test_relative_engine_three_distance_lines():
         roots = [Fraction(0), Fraction(1, n + 1), Fraction(1, 2)]
         f = annihilator_sympoly(roots, 1)
         mean = sum(c / comb(n - 1 + lam.size, lam.size)
-                   for lam, c in f.to_monomial().items())
+                   for lam, c in to_monomial(f).items())
         res = relative_code_bound(f, 1, n)
         assert res.value == f.at_ones() / mean
 

@@ -1,10 +1,18 @@
+import copy
 import json
+import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from grasscode.cli import main
 from grasscode.constructions import mub_code
-from grasscode.errors import FormatError
+from grasscode.errors import FormatError, GrasscodeError
 from grasscode.io import code_from_dict, code_to_dict, read_code, write_code
 
 from conftest import random_code
@@ -108,3 +116,133 @@ def test_seventeen_digit_precision(tmp_path):
     T = read_code(path)
     for s, t in zip(S, T):
         assert np.abs(s.basis - t.basis).max() < 1e-16
+
+
+def info_exit(data):
+    "run `grasscode info` on a file holding these bytes: (exit code, out, err)"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["info", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+VALID = code_to_dict(random_code(3, 2, 2, seed=810))
+VALID["labels"] = ["a", "b"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", b"1e999"),    # was an OverflowError traceback
+    ("n", b"2.7"),      # was read as n = 2
+    ("n", b"true"),
+    ("m", b"2.0"),
+    ("m", b"0"),
+])
+def test_header_dimensions_must_be_integers(key, value):
+    text = json.dumps(dict(VALID, **{key: "@"})).encode().replace(b'"@"', value)
+    code, out, err = info_exit(text)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s must be an integer >= 1" % key)
+    with pytest.raises(FormatError):
+        code_from_dict(json.loads(text))
+
+
+@pytest.mark.parametrize("data", [
+    b'{"format": "grasscode-v1", "n": 3\xff\xfe}',     # not UTF-8
+    b"\x80" * 10,
+    b"[" * 100000 + b"]" * 100000,                      # nested too deep
+    b'{"format": "grasscode-v1", "n": ' + b"1" * 5000 + b"}",   # huge int
+], ids=["not-utf8", "stray-bytes", "too-deep", "huge-int"])
+def test_undecodable_file_is_format_error(data):
+    code, out, err = info_exit(data)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid JSON:")
+
+
+def test_entries_must_be_numbers():
+    # a string or null where a number belongs is not read as one, even where
+    # it would spell the right value
+    doc = {"format": "grasscode-v1", "n": 2, "m": 1,
+           "subspaces": [[[[1.0, 0.0]], [[0.0, 0.0]]],
+                         [[[0.0, 0.0]], [[1, 0]]]]}
+    assert len(code_from_dict(doc)) == 2
+    for bad in (["1.0", "0.0"], [1, "0"], [1.0, None], [[1.0], 0.0]):
+        broken = copy.deepcopy(doc)
+        broken["subspaces"][0][0][0] = bad
+        with pytest.raises(FormatError, match="subspace 0:"):
+            code_from_dict(broken)
+
+
+# the fuzz suite: every document below is malformed by construction, and
+# each must fail as a GrasscodeError with its documented exit code, from the
+# library and from the command line, never with a traceback or exit 0
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+    | st.floats() | st.text(max_size=6),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=8)
+
+
+def finite_pair(v):
+    return (isinstance(v, list) and len(v) == 2
+            and all(type(x) in (int, float) and math.isfinite(x) for x in v))
+
+
+@st.composite
+def malformed_documents(draw):
+    doc = copy.deepcopy(VALID)
+    kind = draw(st.sampled_from(["header", "drop", "entry", "scale", "rows",
+                                 "labels", "top"]))
+    if kind == "header":
+        key = draw(st.sampled_from(["format", "n", "m", "subspaces"]))
+        doc[key] = draw(json_values.filter(lambda v: v != VALID[key]))
+    elif kind == "drop":
+        del doc[draw(st.sampled_from(["format", "n", "m", "subspaces"]))]
+    elif kind == "entry":
+        member = doc["subspaces"][draw(st.integers(0, 1))]
+        row = member[draw(st.integers(0, 2))]
+        row[draw(st.integers(0, 1))] = draw(
+            json_values.filter(lambda v: not finite_pair(v)))
+    elif kind == "scale":
+        # one column times a factor far from 1: orthonormality is lost
+        factor = draw(st.floats(0, 1e300).filter(lambda f: abs(f - 1) > 1e-3))
+        col = draw(st.integers(0, 1))
+        for row in doc["subspaces"][draw(st.integers(0, 1))]:
+            row[col] = [factor * x for x in row[col]]
+    elif kind == "rows":
+        member = doc["subspaces"][draw(st.integers(0, 1))]
+        if draw(st.booleans()):
+            member.pop(draw(st.integers(0, 2)))
+        else:
+            member.append(copy.deepcopy(member[0]))
+    elif kind == "labels":
+        doc["labels"] = draw(json_values.filter(
+            lambda v: v is not None
+            and not (isinstance(v, list) and len(v) == 2)))
+    else:
+        doc = draw(json_values.filter(
+            lambda v: not isinstance(v, dict)
+            or v.get("format") != "grasscode-v1"))
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(malformed_documents())
+def test_fuzz_malformed_documents_fail_cleanly(doc):
+    with pytest.raises(GrasscodeError) as caught:
+        code_from_dict(doc)
+    code, out, err = info_exit(json.dumps(doc).encode())
+    assert code == caught.value.exit_code == 1
+    assert out == "" and err.startswith("error: ")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.binary(max_size=64) | st.text(max_size=64).map(str.encode))
+def test_fuzz_arbitrary_bytes_fail_cleanly(data):
+    code, out, err = info_exit(data)
+    assert code == 1
+    assert out == "" and err.startswith("error: ")

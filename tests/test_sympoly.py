@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grasscode.sympoly as sympoly
 from grasscode.errors import (InexactCoefficient, LengthExceedsVariables,
                               ValidationError, VariableCountMismatch)
 from grasscode.partitions import Partition, partitions_up_to
 from grasscode.sympoly import (SymmetricPolynomial, ascending_product,
-                               hypergeom_coeff, kostka_row, schur_norm)
-from grasscode.zonal import annihilator_sympoly
+                               hypergeom_coeff, schur_norm)
+from grasscode.zonal import annihilator_sympoly, zonal_basis
 
+from monomial_oracle import from_monomial, kostka_row, to_monomial
 from schur_oracle import schur_eval_bialternant
 from zonal_oracle import gen_binomial, shift_ones
 
@@ -58,8 +60,8 @@ def test_monomial_round_trip_50_random():
     for _ in range(50):
         m = int(rng.integers(1, 4))
         mono = random_poly(rng, m, 4)
-        p = SymmetricPolynomial.from_monomial(m, mono)
-        back = p.to_monomial()
+        p = from_monomial(m, mono)
+        back = to_monomial(p)
         mono = {k: v for k, v in mono.items() if v != 0}
         assert back == mono
 
@@ -69,7 +71,7 @@ def test_evaluate_matches_monomial_expansion():
     for _ in range(10):
         m = int(rng.integers(1, 4))
         mono = random_poly(rng, m, 3)
-        p = SymmetricPolynomial.from_monomial(m, mono)
+        p = from_monomial(m, mono)
         y = [frac(rng) for _ in range(m)]
         direct = Fraction(0)
         for lam, c in mono.items():
@@ -89,8 +91,8 @@ def test_mul_is_pointwise():
     rng = np.random.default_rng(203)
     for _ in range(10):
         m = int(rng.integers(1, 4))
-        p = SymmetricPolynomial.from_monomial(m, random_poly(rng, m, 2))
-        q = SymmetricPolynomial.from_monomial(m, random_poly(rng, m, 2))
+        p = from_monomial(m, random_poly(rng, m, 2))
+        q = from_monomial(m, random_poly(rng, m, 2))
         y = [frac(rng) for _ in range(m)]
         assert (p * q).evaluate(y) == p.evaluate(y) * q.evaluate(y)
 
@@ -99,7 +101,7 @@ def test_shift_ones_matches_translated_evaluation():
     rng = np.random.default_rng(204)
     for _ in range(10):
         m = int(rng.integers(1, 4))
-        p = SymmetricPolynomial.from_monomial(m, random_poly(rng, m, 3))
+        p = from_monomial(m, random_poly(rng, m, 3))
         y = [frac(rng) for _ in range(m)]
         shifted = shift_ones(p)
         assert shifted.evaluate(y) == p.evaluate([yi + 1 for yi in y])
@@ -107,7 +109,7 @@ def test_shift_ones_matches_translated_evaluation():
 
 def test_eval_batch_matches_scalar():
     rng = np.random.default_rng(205)
-    p = SymmetricPolynomial.from_monomial(2, random_poly(rng, 2, 3))
+    p = from_monomial(2, random_poly(rng, 2, 3))
     Y = rng.random((40, 2))
     batch = p.eval_batch(Y)
     for row, val in zip(Y, batch):
@@ -139,6 +141,27 @@ def schur_ssyt(shape, m, y):
 
     rec(0, Fraction(1))
     return total
+
+
+def test_exact_evaluation_never_reads_the_power_tables(monkeypatch):
+    # the exact route is the oracle for the float route, so it must not go
+    # through the change of basis that the float route reads
+    def refuse(d, m):
+        raise AssertionError("exact evaluation read _power_basis(%d, %d)"
+                             % (d, m))
+
+    monkeypatch.setattr(sympoly, "_power_basis", refuse)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for m, n in [(1, 5), (2, 4), (3, 7)]:
+        points = [[Fraction(1)] * m, [half] * m, [third] * (m - 1) + [half],
+                  [half] * (m - 1) + [0]]
+        for Z in zonal_basis(m, n, 4):
+            for y in points:
+                brute = sum(c * schur_ssyt(sig.parts, m, y) / schur_norm(sig, m)
+                            for sig, c in Z.poly.coeffs.items())
+                assert Z.evaluate(y) == brute, (m, n, Z.mu, y)
+    with pytest.raises(AssertionError):
+        SymmetricPolynomial.x_star((1,), 2).to_power_sums()
 
 
 def test_bialternant_matches_tableau_sum():
@@ -229,7 +252,7 @@ def test_float_coefficients_refused(c):
     p = SymmetricPolynomial.x_star((1,), 2)
     for make in (lambda: SymmetricPolynomial.constant(c, 1),
                  lambda: SymmetricPolynomial(2, {(1,): c}),
-                 lambda: SymmetricPolynomial.from_monomial(2, {(1,): c}),
+                 lambda: from_monomial(2, {(1,): c}),
                  lambda: p.scale(c), lambda: p * c, lambda: p + c,
                  lambda: annihilator_sympoly([0, c], 2)):
         with pytest.raises(InexactCoefficient):
@@ -247,7 +270,7 @@ def test_exact_coefficients_accepted():
 
 def test_power_sum_coefficients_evaluate_exactly():
     # the cached change of basis, read back exactly: sum c_lam prod q_lam_i,
-    # q_k = sum (y_i - 1/2)^k, at rational points equals the monomial
+    # q_k = sum (y_i - 1/2)^k, at rational points equals the Jacobi-Trudi
     # evaluation, at every degree <= 5
     rng = np.random.default_rng(206)
     for m in (1, 2, 3, 4):

@@ -10,13 +10,14 @@ from grasscode.core_linalg import Subspace, haar_subspace, principal_angles
 from grasscode.dims import dim_H
 from grasscode.errors import NumericalHealthError, OutOfRange
 from grasscode.partitions import Partition, partitions_up_to
-from grasscode.sympoly import SymmetricPolynomial
+from grasscode.sympoly import SymmetricPolynomial, _power_basis
 from grasscode.zonal import (aggregate_zonal, annihilator_sympoly,
                              expand_in_zonal, mc_function_inner,
                              mc_zonal_inner, normalize_zonal, zonal_basis,
                              zonal_general)
 
 from conftest import random_subspace_pair
+from monomial_oracle import from_monomial
 from zonal_oracle import zonal_explicit, zonal_recursion
 
 E = Partition(())
@@ -128,7 +129,7 @@ def test_z1_pair_identity():
         z1 = zonal_explicit(P1, m, n)
         for _ in range(10):
             a, b = random_subspace_pair(n, m, rng)
-            y = principal_angles(a, b).values
+            y = principal_angles(a, b)
             tr = sum(y)
             assert abs(z1.evaluate(list(y)) - ((n / m) * tr - m)) < 1e-8
 
@@ -140,7 +141,7 @@ def test_reconstruct_round_trip():
         for lam in partitions_up_to(2, max_len=m):
             mono[lam] = Fraction(int(rng.integers(-5, 6)),
                                  int(rng.integers(1, 7)))
-        f = SymmetricPolynomial.from_monomial(m, mono)
+        f = from_monomial(m, mono)
         exp = expand_in_zonal(f, m, n)
         assert exp.reconstruct() == f
 
@@ -261,7 +262,7 @@ def test_mc_runs_no_eigen_solve(monkeypatch):
 
 # pinned rational points per (m, n), dense near y = 1 where the power-sum
 # basis cancels most; the float route reads only their power sums, the
-# exact route expands every monomial
+# exact route evaluates Jacobi-Trudi determinants
 _GRID = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5),
          Fraction(9, 10), Fraction(19, 20), Fraction(1)]
 POWER_SUM_POINTS = {
@@ -299,7 +300,7 @@ def test_aggregate_reproducing_property():
     K = aggregate_zonal(2, m, n)
     a = haar_subspace(n, m, seed=21)
     b = haar_subspace(n, m, seed=22)
-    y_ab = list(principal_angles(a, b).values)
+    y_ab = list(principal_angles(a, b))
     for mu in (P1, P2):
         Z = zonal_explicit(mu, m, n)
         est, se = mc_function_inner(K, Z, a, b, 200_000, seed=23)
@@ -347,6 +348,34 @@ def test_exact_sweep_fingerprint():
         h.update(("E%d,%d|%s\n" % (m, n, _canonical(e.coeffs))).encode())
     assert h.hexdigest() == ("dbe34cba9e823a75b33543ac3b5901c1"
                              "491ee2b02c4c842c113ab8538c7f8e7a")
+
+
+def test_power_tables_and_products_fingerprint():
+    # SHA-256 of the q_lambda change of basis for d <= 6, m <= 4, of the
+    # annihilator of {0, 1/3, 1/2, -2/7} over the sweep and of every product
+    # X*_sigma X*_tau, |sigma|, |tau| <= 3, m <= 3, recorded when all three
+    # were still built through the monomial basis
+    h = hashlib.sha256()
+    for m in range(1, 5):
+        for d in range(7):
+            table = _power_basis(d, m)
+            for sig in sorted(table, key=lambda s: s.parts):
+                h.update(("P%d,%d|%s|%s\n" % (d, m, sig.parts,
+                                              _canonical(table[sig]))).encode())
+    roots = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(-2, 7)]
+    for m, n in SWEEP:
+        f = annihilator_sympoly(roots, m)
+        h.update(("A%d,%d|%s\n" % (m, n, _canonical(f.coeffs))).encode())
+    for m in (1, 2, 3):
+        shapes = partitions_up_to(3, max_len=m)
+        for s in shapes:
+            for t in shapes:
+                p = (SymmetricPolynomial.x_star(s, m)
+                     * SymmetricPolynomial.x_star(t, m))
+                h.update(("M%d|%s|%s|%s\n" % (m, s.parts, t.parts,
+                                              _canonical(p.coeffs))).encode())
+    assert h.hexdigest() == ("67d3fe86872827142b6f7b766083aa65"
+                             "94696475b34912507d44d4cc371afc84")
 
 
 def test_general_coefficients_are_fractions():

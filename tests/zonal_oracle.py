@@ -21,9 +21,11 @@ from math import comb
 from grasscode.dims import check_mn
 from grasscode.errors import LengthExceedsVariables, UnsupportedPartition
 from grasscode.partitions import Partition, aspartition
-from grasscode.sympoly import (SymmetricPolynomial, _collect_sorted,
-                               _full_expand, hypergeom_coeff)
+from grasscode.sympoly import SymmetricPolynomial, hypergeom_coeff
 from grasscode.zonal import ZonalPolynomial
+
+from monomial_oracle import (_collect_sorted, _full_expand, from_monomial,
+                             to_monomial)
 
 _EMPTY = Partition(())
 
@@ -44,7 +46,7 @@ def subpartitions(kappa):
 def shift_ones(p):
     "the polynomial y |-> p(y_1 + 1, ..., y_m + 1)"
     out = {}
-    for expo, c in _full_expand(p.to_monomial(), p.m).items():
+    for expo, c in _full_expand(to_monomial(p), p.m).items():
         def spread(i, acc_e, acc_c):
             if i == len(expo):
                 key = tuple(acc_e)
@@ -53,7 +55,7 @@ def shift_ones(p):
             for k in range(expo[i] + 1):
                 spread(i + 1, acc_e + [k], acc_c * comb(expo[i], k))
         spread(0, [], c)
-    return SymmetricPolynomial.from_monomial(p.m, _collect_sorted(out))
+    return from_monomial(p.m, _collect_sorted(out))
 
 
 _binom_cache = {}
