@@ -1,17 +1,17 @@
 """Subspaces of C^n, principal angles, canonical pairs, Haar sampling, Grams.
 
-A subspace is carried by an n x m matrix with orthonormal columns; its
-projection matrix is basis @ basis^dagger.  A pair of subspaces is read off
-the m x m overlap W = basis_a^dagger basis_b, never the n x n projector
-product (a test oracle only): tr(P_a P_b) = ||W||_F^2, and the squared
-principal-angle cosines are the eigenvalues of G = W^dagger W.  A symmetric
-polynomial of the angles needs only power sums tr(G^k), so every float
-consumer that averages or signs one -- a code's PairGeometry, the Monte Carlo
-sampler -- reads them from one batched routine, power_sums, range-checked by
-a batched Cholesky factorization.  Only clustering reads the angles:
-squared_cosines (eigvalsh(G)) and its range check, checked_cosines.
-principal_angles keeps its own SVD as the independent per-pair oracle and
-shares only the check.
+A subspace is carried by an n x m matrix with orthonormal columns.  A pair is
+read off the m x m overlap W = basis_a^dagger basis_b, never the n x n
+projector product (a test oracle only): tr(P_a P_b) = ||W||_F^2, and the
+squared principal-angle cosines are the eigenvalues of G = W^dagger W, which
+squared_overlaps builds by rows (rank-one broadcast products, no matmul).
+Every float consumer that averages or signs a symmetric polynomial of the
+angles -- a code's PairGeometry, the Monte Carlo sampler -- reads the power
+sums tr(G^k) from power_sums, range-checked by a batched Cholesky
+factorization; only clustering reads the angles, from the same G
+(squared_cosines, checked_cosines).  principal_angles keeps its own SVD as
+the per-pair oracle.  haar_basis_batch draws one Gaussian stream and runs
+batched Gram-Schmidt twice (CGS2), not LAPACK QR: the same phase-fixed Q.
 """
 
 import numpy as np
@@ -111,12 +111,21 @@ def principal_angles(a, b):
     return checked_cosines(sv * sv)
 
 
-def squared_cosines(W):
-    """Squared principal-angle cosines from a stack of m x m overlaps
-    (..., m, m), m > 1, descending along the last axis: eigvalsh(W^dagger W).
-    Not range-checked; a failed eigen-solve raises NumericalHealthError."""
+def squared_overlaps(W):
+    """W^dagger W of a stack (..., k, m) into one contiguous (..., m, m) array:
+    the rank-one broadcast products of W's rows, not a stacked matmul."""
+    G = np.zeros(W.shape[:-2] + W.shape[-1:] * 2, dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):   # checked downstream
+        for row in np.moveaxis(W, -2, 0):
+            G += row[..., :, None].conj() * row[..., None, :]
+    return G
+
+
+def squared_cosines(G):
+    """Squared principal-angle cosines, descending, of a stack of W^dagger W
+    (..., m, m), unchecked; a failed eigvalsh raises NumericalHealthError."""
     try:
-        return np.linalg.eigvalsh(W.conj().swapaxes(-1, -2) @ W)[..., ::-1]
+        return np.linalg.eigvalsh(G)[..., ::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericalHealthError(
             "squared cosines not computable: %s" % exc) from None
@@ -137,22 +146,18 @@ def checked_cosines(y, record=None):
     return np.clip(y, 0.0, 1.0)
 
 
-def power_sums(W, t, record=None):
+def power_sums(H, t, record=None):
     """Centered power sums tr(H^k) = sum_i (y_i - CENTER)^k, k = 1..min(t, m),
-    t >= 1, of H = W^dagger W - CENTER I for a stack of m x m overlaps
-    (..., m, m); y - CENTER, checked, for m = 1.  tr(H^(a+b)) is the real
-    inner product of H^a and H^b, so k <= 4 takes one product H^2.  Range
-    check, as checked_cosines': W^dagger W is positive semidefinite, and its
-    eigenvalues are below 1 + ANGLE_SLACK iff (1 + ANGLE_SLACK - CENTER) I
-    - H has a Cholesky factor.  Samuelson's bound (mean + sqrt(m - 1)
-    standard deviations) clears most pairs first; the factorization passes
-    NaN, so the sums must be finite.  Failures raise NumericalHealthError,
-    worded by checked_cosines, which sets `record.excursion`."""
-    m, top = W.shape[-1], 1 - float(CENTER) + ANGLE_SLACK
-    if m == 1:
-        return checked_cosines(np.abs(W[..., 0]) ** 2, record) - float(CENTER)
+    t >= 1, of a stack of W^dagger W (..., m, m) from squared_overlaps,
+    centered in place to H.  tr(H^(a+b)) is the real inner product of H^a
+    and H^b, so k <= 4 takes one product H^2.  Range check, as
+    checked_cosines': W^dagger W is positive semidefinite, and its
+    eigenvalues are below 1 + ANGLE_SLACK iff (1 + ANGLE_SLACK - CENTER) I -
+    H has a Cholesky factor.  Samuelson's bound (mean + sqrt(m - 1) standard
+    deviations) clears most pairs first; the factorization passes NaN, so the
+    sums must be finite.  Failures are worded by checked_cosines."""
+    m, top = H.shape[-1], 1 - float(CENTER) + ANGLE_SLACK
     with np.errstate(invalid="ignore", over="ignore"):
-        H = W.conj().swapaxes(-1, -2) @ W
         H[..., range(m), range(m)] -= float(CENTER)
         p = np.empty(H.shape[:-2] + (max(min(t, m), 2),))
         p[..., 0] = np.einsum("...ii->...", H).real
@@ -166,7 +171,7 @@ def power_sums(W, t, record=None):
         mean = p[..., 0] / m
         spread = np.sqrt(np.maximum(p[..., 1] / m - mean * mean, 0) * (m - 1))
         A = H[~(mean + spread <= top)]   # the pairs Samuelson leaves open
-        del powers, H
+        del powers
         A *= -1
         A[..., range(m), range(m)] += top
         try:
@@ -174,10 +179,10 @@ def power_sums(W, t, record=None):
             ok = bool(np.isfinite(p).all())
         except np.linalg.LinAlgError:
             ok = False
-        if not ok:
+        if not ok:   # checked_cosines words the failure
             if record is not None:
                 record.excursion = float("nan")
-            checked_cosines(squared_cosines(W), record)   # words the failure
+            checked_cosines(squared_cosines(H) + float(CENTER), record)
             raise NumericalHealthError("power sums outside the certified "
                                        "range of the squared cosines")
     return p[..., :min(t, m)]
@@ -262,8 +267,9 @@ class PairGeometry:
 
 def _overlap_pass(members, angles=False, t=0, record=None):
     """One GEMM per block of rows forms the overlaps W = A^dagger B.  Returns
-    (gram ||W||_F^2, squared_cosines if `angles`, power_sums(W, t) if t),
-    None where not asked; no m x m array of all pairs outlives its block.
+    (gram ||W||_F^2, squared_cosines if `angles`, power_sums if t), None
+    where not asked, from one W^dagger W per block; no m x m array of all
+    pairs outlives its block.
     W_ba = W_ab^dagger has the same norm and cosines, so only pairs a <= b
     are formed and the rest copied: each array is exactly symmetric."""
     N, m = len(members), members[0].m
@@ -278,10 +284,11 @@ def _overlap_pass(members, angles=False, t=0, record=None):
             w = (M[:, lo * m:hi * m].conj().T @ M[:, lo * m:]).reshape(
                 hi - lo, m, N - lo, m).transpose(0, 2, 1, 3)  # A_i^dag B_j
             gram[lo:hi, lo:] = np.sum(np.abs(w) ** 2, axis=(2, 3))
+            G = squared_overlaps(w) if angles or t else None
             if angles:
-                y[lo:hi, lo:] = squared_cosines(w)
+                y[lo:hi, lo:] = squared_cosines(G)
         if t:
-            p[lo:hi, lo:] = power_sums(w, t, record)
+            p[lo:hi, lo:] = power_sums(G, t, record)
     for out in (gram, y, p):
         if out is not None:
             for i in range(1, N):
@@ -364,12 +371,18 @@ def haar_subspace(n, m, seed=0):
 
 
 def haar_basis_batch(n, m, samples, seed=0):
-    """stacked orthonormal bases of Haar samples, shape (samples, n, m);
-    `seed` may also be a numpy Generator, which is drawn from in place"""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((samples, n, m)) + 1j * rng.standard_normal((samples, n, m))
-    q, r = np.linalg.qr(g, mode="reduced")
-    d = np.diagonal(r, axis1=1, axis2=2).copy()
-    d = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
-    q *= d[:, None, :]
-    return q
+    """Orthonormal bases of Haar samples, a (samples, n, m) view of a
+    batch-last array; `seed` may be a numpy Generator, drawn from in place.
+    Haar is the Q of a complex Gaussian G whose R has a positive diagonal
+    (Mezzadri 2007), as Gram-Schmidt run twice per column (CGS2) gives it
+    while cond(G) eps << 1 (Giraud, Langou, Rozloznik, Smoktunowicz 2005)."""
+    g = np.empty((2, samples, n, m))
+    np.random.default_rng(seed).standard_normal(out=g)
+    q = np.empty((m, n, samples), dtype=complex)
+    q.real, q.imag = g[0].T, g[1].T
+    for j in range(m):
+        for _ in range(2 if j else 0):   # classical Gram-Schmidt, twice
+            r = [(q[k].conj() * q[j]).sum(0) for k in range(j)]
+            q[j] -= sum(q[k] * r[k] for k in range(j))
+        q[j] /= np.sqrt((q[j].real ** 2 + q[j].imag ** 2).sum(0))
+    return q.transpose(2, 1, 0)

@@ -232,36 +232,38 @@ def _accumulate(acc, coeffs, scale=None):
 # float evaluation reads power sums of y - CENTER, which cancel far less on
 # [0, 1] (degree-6 zonals of G(2,4): 4e-15 of Z(1) against 1.3e-13 at 0)
 CENTER = Fraction(1, 2)
-_power_cache = {}
+_power_cache = {}   # m: (the highest degree built, its table)
 
 
 def _power_basis(d, m):
     """{sigma: {lambda: Fraction}}: each X*_sigma, |sigma| <= d, in the basis
     q_lambda = prod q_(lambda_i), parts <= m, of q_k = sum (y_i - CENTER)^k:
-    the q_lambda expanded in X* by bead moves, that matrix inverted exactly;
-    cached."""
-    if (d, m) not in _power_cache:
-        lams = [lam for k in range(d + 1)
-                for lam in partitions_of(k, max_part=m)]
-        sigs = partitions_up_to(d, max_len=m)
-        q = {(): {_EMPTY: Fraction(1)}}
-        for lam in lams[1:]:   # each prefix of lam comes before it
-            q[lam.parts] = _times_q(q[lam.parts[:-1]], lam.parts[-1], m)
-        rows = [[q[lam.parts].get(sig, Fraction(0)) for sig in sigs]
-                + [Fraction(int(lam == mu)) for mu in lams] for lam in lams]
-        for c in range(len(rows)):   # Gauss-Jordan: [A | I] -> [I | A^-1]
-            piv = next(r for r in range(c, len(rows)) if rows[r][c])
-            rows[c], rows[piv] = rows[piv], rows[c]
-            rows[c] = [x / rows[c][c] for x in rows[c]]
-            for r, row in enumerate(rows):
-                if r != c and row[c]:
-                    rows[r] = [x - row[c] * y if y else x
-                               for x, y in zip(row, rows[c])]
-        n = len(sigs)
-        _power_cache[d, m] = {
-            sig: {lam: row[n + j] for j, lam in enumerate(lams) if row[n + j]}
-            for sig, row in zip(sigs, rows)}
-    return _power_cache[d, m]
+    the q_lambda expanded in X* by bead moves, that matrix inverted exactly.
+    It is triangular by degree, so the table cached for m at the highest
+    degree asked serves each lower d by its rows |sigma| <= d."""
+    top, table = _power_cache.get(m, (-1, None))
+    if top >= d:
+        return {sig: row for sig, row in table.items() if sig.size <= d}
+    lams = [lam for k in range(d + 1) for lam in partitions_of(k, max_part=m)]
+    sigs = partitions_up_to(d, max_len=m)
+    q = {(): {_EMPTY: Fraction(1)}}
+    for lam in lams[1:]:   # each prefix of lam comes before it
+        q[lam.parts] = _times_q(q[lam.parts[:-1]], lam.parts[-1], m)
+    rows = [[q[lam.parts].get(sig, Fraction(0)) for sig in sigs]
+            + [Fraction(int(lam == mu)) for mu in lams] for lam in lams]
+    for c in range(len(rows)):   # Gauss-Jordan: [A | I] -> [I | A^-1]
+        piv = next(r for r in range(c, len(rows)) if rows[r][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r, row in enumerate(rows):
+            if r != c and row[c]:
+                rows[r] = [x - row[c] * y if y else x
+                           for x, y in zip(row, rows[c])]
+    n = len(sigs)
+    table = {sig: {lam: row[n + j] for j, lam in enumerate(lams) if row[n + j]}
+             for sig, row in zip(sigs, rows)}
+    _power_cache[m] = d, table
+    return table
 
 
 def _place(used, e):

@@ -16,10 +16,10 @@ determinant, the Schur norms and [m]_kappa are all integers, so the expansion
 runs on ints and the scale is the one Fraction division per zonal.
 
 The Monte Carlo inner products draw Haar bases through
-core_linalg.haar_basis_batch and read each sample's power sums (traces of
-powers of W^dagger W - I/2) through core_linalg.power_sums and its range
-check, as every float consumer that evaluates a polynomial does: no angle is
-formed.
+core_linalg.haar_basis_batch (one Gaussian stream, batched CGS2 Gram-Schmidt,
+no QR) and read each sample's power sums of W^dagger W - I/2, formed by rows,
+through core_linalg.power_sums and its range check, as every float consumer
+that evaluates a polynomial does: no angle is formed.
 """
 
 from fractions import Fraction
@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .core_linalg import haar_basis_batch, power_sums
+from .core_linalg import haar_basis_batch, power_sums, squared_overlaps
 from .dims import check_mn, dim_H
 from .errors import (DegenerateAtOnes, LengthExceedsVariables, OutOfRange,
                      UnsupportedPartition)
@@ -250,7 +250,7 @@ def _angle_batch(n, m, samples, seed, t):
     for q in _haar_blocks(n, m, samples, seed):
         # basis of the fixed subspace is I[:, :m], so the overlap matrix
         # is just the first m rows of each sample
-        yield power_sums(q[:, :m, :], t)
+        yield power_sums(squared_overlaps(q[:, :m, :]), t)
 
 
 def _mean_stderr(blocks, samples):
@@ -305,7 +305,7 @@ def mc_function_inner(f, g, a, b, samples, seed=0):
         for q in _haar_blocks(a.n, a.m, samples, seed):
             with np.errstate(invalid="ignore"):   # power_sums reports NaN
                 wa, wb = Ba @ q, Bb @ q
-            yield (f.eval_power_sums(power_sums(wa, t))
-                   * g.eval_power_sums(power_sums(wb, t)))
+            yield (f.eval_power_sums(power_sums(squared_overlaps(wa), t))
+                   * g.eval_power_sums(power_sums(squared_overlaps(wb), t)))
 
     return _mean_stderr(products(), samples)

@@ -352,12 +352,19 @@ def test_stray_linalg_error_is_numerical_health(tmp_path, capsys,
                                     ["mub", "--p", "5"]])
 def test_check_scheme_runs_the_pair_kernel_once(tmp_path, capsys,
                                                 monkeypatch, family):
+    # and, at m > 1, forms one W^dagger W per block for both the angles and
+    # the power sums (the codes here fit one block)
     path = tmp_path / "code.json"
     run(capsys, "construct", *family, "-o", str(path))
     calls = counting_kernel(monkeypatch)
+    forms = []
+    square = core_linalg.squared_overlaps
+    monkeypatch.setattr(core_linalg, "squared_overlaps",
+                        lambda W: forms.append(W.shape) or square(W))
     code, _, _ = run(capsys, "check-scheme", str(path), "--json")
     assert code == 0
     assert len(calls) == 1
+    assert len(forms) == (read_code(str(path)).m > 1)
 
 
 def test_exit_code_size_limit(capsys):

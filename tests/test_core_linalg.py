@@ -13,6 +13,7 @@ from grasscode.errors import (DimensionMismatch, DuplicateMember,
                               RankTooLarge)
 
 from conftest import counting_kernel, random_subspace_pair
+from haar_oracle import gaussian_batch, haar_basis_batch_qr
 
 
 def test_trace_equals_angle_sum():
@@ -161,6 +162,26 @@ def test_haar_determinism():
     # batch members are orthonormal
     for b_ in B1:
         assert np.abs(b_.conj().T @ b_ - np.eye(2)).max() < 1e-12
+
+
+HAAR_SHAPES = [(1, 1), (4, 1), (4, 2), (5, 5), (9, 3), (13, 6)]
+
+
+@pytest.mark.parametrize("n, m", HAAR_SHAPES)
+def test_haar_sampler_matches_the_qr_oracle(n, m):
+    # Gram-Schmidt on the batch-last stream gives the oracle's phase-fixed
+    # Q factor of the same Gaussians: Q^dagger Q = I, and Q^dagger G = R is
+    # upper triangular with a positive real diagonal
+    Q = haar_basis_batch(n, m, 400, seed=n * m)
+    assert Q.shape == (400, n, m)
+    assert np.abs(Q - haar_basis_batch_qr(n, m, 400, seed=n * m)).max() < 1e-12
+    QH = Q.conj().swapaxes(-1, -2)
+    assert np.abs(QH @ Q - np.eye(m)).max() < 1e-12
+    R = QH @ gaussian_batch(n, m, 400, seed=n * m)
+    scale = np.abs(R).max()
+    assert np.abs(np.tril(R, -1)).max() < 1e-12 * scale
+    d = np.diagonal(R, axis1=1, axis2=2)
+    assert d.real.min() > 0 and np.abs(d.imag).max() < 1e-12 * scale
 
 
 def test_non_finite_basis_fails_the_tolerance_checks():

@@ -5,8 +5,10 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+import grasscode.sympoly as sympoly
 import grasscode.zonal as zonal
-from grasscode.core_linalg import Subspace, haar_subspace, principal_angles
+from grasscode.core_linalg import (Subspace, haar_basis_batch, haar_subspace,
+                                   principal_angles)
 from grasscode.dims import dim_H
 from grasscode.errors import NumericalHealthError, OutOfRange
 from grasscode.partitions import Partition, partitions_up_to
@@ -17,6 +19,7 @@ from grasscode.zonal import (aggregate_zonal, annihilator_sympoly,
                              zonal_general)
 
 from conftest import random_subspace_pair
+from haar_oracle import haar_basis_batch_qr
 from monomial_oracle import from_monomial
 from zonal_oracle import zonal_explicit, zonal_recursion
 
@@ -260,6 +263,38 @@ def test_mc_runs_no_eigen_solve(monkeypatch):
     assert all(np.isfinite(mc_function_inner(K, K, a, b, 500, seed=3)))
 
 
+def test_haar_sampling_runs_no_qr(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK QR in the Haar sampler")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    Q = haar_basis_batch(9, 3, 100, seed=1)
+    assert np.abs(Q.conj().swapaxes(-1, -2) @ Q - np.eye(3)).max() < 1e-12
+    est, se = mc_zonal_inner(P1, P2, 3, 9, 2000, seed=5)
+    assert abs(est) < 5 * se
+    K = aggregate_zonal(2, 2, 5)
+    a, b = haar_subspace(5, 2, seed=1), haar_subspace(5, 2, seed=2)
+    assert all(np.isfinite(mc_function_inner(K, K, a, b, 500, seed=3)))
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 5), (3, 9)])
+def test_mc_estimates_match_the_qr_oracle_sampler(m, n, monkeypatch):
+    # the same seeds through the LAPACK QR sampler give the same estimates;
+    # 40000 samples span two _MC_BLOCK blocks of one seeded stream
+    K = aggregate_zonal(2, m, n)
+    a, b = haar_subspace(n, m, seed=1), haar_subspace(n, m, seed=2)
+
+    def run():
+        return (mc_zonal_inner(P1, P2, m, n, 40_000, seed=7)
+                + mc_zonal_inner(P2, P2, m, n, 3000, seed=8)
+                + mc_function_inner(K, K, a, b, 3000, seed=9))
+
+    new = run()
+    monkeypatch.setattr(zonal, "haar_basis_batch", haar_basis_batch_qr)
+    old = run()
+    assert np.abs(np.subtract(new, old)).max() < 1e-12
+
+
 # pinned rational points per (m, n), dense near y = 1 where the power-sum
 # basis cancels most; the float route reads only their power sums, the
 # exact route evaluates Jacobi-Trudi determinants
@@ -376,6 +411,20 @@ def test_power_tables_and_products_fingerprint():
                                               _canonical(p.coeffs))).encode())
     assert h.hexdigest() == ("67d3fe86872827142b6f7b766083aa65"
                              "94696475b34912507d44d4cc371afc84")
+
+
+def test_power_tables_serve_lower_degrees_from_the_highest(monkeypatch):
+    # the rows |sigma| <= d of the degree-6 table, in order, are the table
+    # built for d alone
+    for m in range(1, 5):
+        monkeypatch.setattr(sympoly, "_power_cache", {})
+        high = {d: _power_basis(d, m) for d in range(6, -1, -1)}
+        for d in range(6):
+            monkeypatch.setattr(sympoly, "_power_cache", {})
+            fresh = _power_basis(d, m)
+            assert list(high[d]) == list(fresh)
+            assert all(list(high[d][sig].items()) == list(row.items())
+                       for sig, row in fresh.items())
 
 
 def test_general_coefficients_are_fractions():
