@@ -134,8 +134,15 @@ def relative_code_bound(f, m, n, code=None, tol=1e-9):
     return _result("relative code bound", value, conds)
 
 
+def _check_domain(m, n):
+    "the G(m, n) these closed forms hold on: 1 <= m <= n and n >= 2"
+    if m < 1 or n < 2 or m > n:
+        raise OutOfRange("need 1 <= m <= n and n >= 2, got m=%d n=%d" % (m, n))
+
+
 def one_distance_bound(alpha, m, n):
     "upper bound n(m - alpha)/(m^2 - n*alpha) for a one-distance code"
+    _check_domain(m, n)
     alpha = Fraction(alpha)
     cond = _cond("alpha < m^2/n", Fraction(m * m, n) - alpha, strict=True)
     den = Fraction(m * m) - n * alpha
@@ -152,10 +159,9 @@ def two_distance_bound(alpha, beta, m, n):
     Conditions: alpha+beta <= 2(m^2 n - 4m + n)/(n^2 - 4) (non-strict) and
     alpha+beta - n*alpha*beta/m^2 < (m^2 n - 2m + n)/(n^2 - 1) (strict).
     """
+    _check_domain(m, n)
     alpha = Fraction(alpha)
     beta = Fraction(beta)
-    if m < 1 or n < 2 or m > n:
-        raise OutOfRange("need 1 <= m <= n and n >= 2, got m=%d n=%d" % (m, n))
     s = alpha + beta
     p = alpha * beta
     # the printed threshold 2(m^2 n - 4m + n)/(n^2 - 4) equals
@@ -191,6 +197,7 @@ def simplex_orthoplex(N, m, n):
     """Separation thresholds for N subspaces in G(m,n): some inner product is
     at least the simplex threshold m(mN - n)/(nN - n); and once N > n^2 the
     largest inner product is at least the orthoplex threshold m^2/n."""
+    _check_domain(m, n)
     if N < 2:
         raise OutOfRange("need N >= 2, got %d" % N)
     simplex = Fraction(m * (m * N - n), n * N - n)
@@ -202,6 +209,7 @@ def simplex_orthoplex(N, m, n):
 def size_from_simplex_alpha(alpha, m, n):
     """invert the simplex threshold: the N with m(mN - n)/(nN - n) = alpha;
     the threshold stays below m^2/n, so alpha > m^2/n is refused"""
+    _check_domain(m, n)
     alpha = Fraction(alpha)
     den = n * alpha - m * m
     if den == 0:

@@ -1,15 +1,15 @@
 """Explicit Grassmannian codes: Pauli half-spaces, extraspecial-group
 invariant subspaces over odd prime fields, and mutually unbiased bases.
 
-The extraspecial construction never builds group characters explicitly.
-For each totally isotropic subspace W of F_p^{2n} it takes the commuting
-unitaries X(a)Y(b), (a,b) in a canonical basis of W, and refines the full
-space into their joint eigenspaces using the exact character projectors
-P_j = (1/p) sum_t w^{-jt} U^t (each operator has order exactly p), which are
-Hermitian, so orthonormal eigenbases come from eigh without degeneracy
-headaches.  X(a)Y(b) is monomial, so it is applied as a row gather times
-phases and no p^n x p^n matrix is formed.  Each eigenspace is written in a
-basis fixed by its span, not by the phases eigh returns.
+Every Pauli and extraspecial member is a joint eigenspace of commuting
+monomial operators: a Pauli word, or the Weyl operators X(a)Y(b), (a,b) in
+a canonical basis of a totally isotropic W in F_p^{2n}.  Each operator is an
+integer table (the index it sends e_u to, and a phase exponent), so the
+group they generate is enumerated in integers, and each eigenspace is
+written directly in the basis fixed by its span: the normalized columns
+P e_u of its projector P at the first index u of each orbit, whose entries
+are exactly a root of unity over sqrt(orbit size) or 0.  No eigen-solve and
+no tolerance is involved.
 """
 
 from itertools import combinations, product
@@ -18,16 +18,60 @@ import numpy as np
 
 from .core_linalg import Code, Subspace
 from .dims import q_binomial
-from .errors import (NumericalDegeneracy, OutOfRange, SizeLimit,
-                     ValidationFailure)
+from .errors import OutOfRange, SizeLimit, ValidationFailure
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_LETTERS = "IXYZ"
+
+def _joint_eigenspaces(dst, e, r, order, dim):
+    """Bases of the joint eigenspaces of commuting monomial operators, for a
+    batch of families of d operators: integer tables dst, e (blocks, d, q),
+    where a block's U_i e_u = w^e[i, u] e_dst[i, u], w = exp(2 pi i/r),
+    U_i^order = I and U_i = w^(j_i r/order) on tag j.  Returns (blocks,
+    order^d, q, dim), tags j in range(order)^d in lexicographic order.
+
+    Over the group of U^t = prod U_i^t_i, tag j's projector is P_j =
+    order^-d sum_t w^-chi_j(t) U^t, chi_j(t) = (r/order) j.t, so P_j e_u
+    vanishes unless chi_j agrees with the phase of each U^t fixing u, and is
+    otherwise a positive multiple of w^(phi_t(u) - chi_j(t)) at each
+    sig_t(u), the s indices of u's orbit.  The basis is P_j e_u / |P_j e_u|
+    at the first u of each orbit, in increasing u: the Q factor, with a
+    positive diagonal R, of P_j at the columns where its rank grows."""
+    nb, d, q = dst.shape
+    blk = np.arange(nb)[:, None, None]
+    sig = np.broadcast_to(np.arange(q), (nb, 1, q))   # U^t e_u = w^phi e_sig
+    phi = np.zeros((nb, 1, q), dtype=np.int64)
+    for i in range(d):
+        sigs, phis = [sig], [phi]
+        for _ in range(order - 1):
+            phis.append(phis[-1] + e[blk, i, sigs[-1]])
+            sigs.append(dst[blk, i, sigs[-1]])
+        sig = np.stack(sigs, axis=2).reshape(nb, -1, q)
+        phi = np.stack(phis, axis=2).reshape(nb, -1, q) % r
+    tags = np.array(list(product(range(order), repeat=d)))
+    exps = (phi[:, None] - (r // order) * (tags @ tags.T)[:, :, None]) % r
+    fixed = sig == np.arange(q)
+    live = ~(fixed[:, None] & (exps != 0)).any(axis=2)
+    b, j, u = np.nonzero(live & (sig.min(axis=1) == np.arange(q))[:, None])
+    counts = np.bincount(b * len(tags) + j, minlength=nb * len(tags))
+    if (counts != dim).any():
+        raise ValidationFailure("eigenspace dimensions != %d" % dim,
+                                counts.tolist(), dim)
+    size = sig.shape[1] // fixed.sum(axis=1)
+    roots = np.exp(2j * np.pi * np.arange(r) / r)
+    out = np.zeros((nb, len(tags), q, dim), dtype=complex)
+    out[b, j, sig[b, :, u].T, np.arange(len(u)) % dim] = (
+        roots[exps[b, j, :, u].T] / np.sqrt(size[b, u]))
+    return out
+
+
+def _weyl_table(p, n, a, b):
+    """X(a)Y(b) on C^(p^n) as integer tables: X(a)Y(b) e_u = w^e[u] e_dst[u]
+    with dst = index of (u + a) mod p and e = b.u mod p, w = exp(2 pi i/p),
+    indices big-endian; a and b may carry leading axes, as dst and e then
+    do.  X(a) e_v = e_{v+a} and Y(b) e_v = w^(b.v) e_v."""
+    a, b = np.asarray(a)[..., None, :], np.asarray(b)[..., None, :]
+    radix = p ** np.arange(n - 1, -1, -1)
+    vecs = (np.arange(p ** n)[:, None] // radix) % p
+    return ((vecs + a) % p) @ radix, (vecs * b).sum(axis=-1) % p
 
 
 def pauli_code(k, size_limit=64):
@@ -38,24 +82,18 @@ def pauli_code(k, size_limit=64):
     n = 2 ** k
     if n > size_limit:
         raise SizeLimit("n = 2^%d = %d exceeds the limit %d" % (k, n, size_limit))
+    words = np.array(list(product(range(4), repeat=k))[1:])
+    # letters IXYZ = 0123, and Y = iXZ: a letter is i^(xz) X^x Z^z, the
+    # p = 2 Weyl operator X(x)Y(z) with its phase doubled to mod 4
+    x, z = words % 3 > 0, words // 2
+    dst, e = _weyl_table(2, k, x[:, None], z[:, None])
+    e = (2 * e + (x * z).sum(axis=1)[:, None, None]) % 4
     members = []
     labels = []
-    half = n // 2
-    for digits in product(range(4), repeat=k):
-        if not any(digits):
-            continue
-        word = "".join(_LETTERS[d] for d in digits)
-        mat = _PAULI[word[0]]
-        for ch in word[1:]:
-            mat = np.kron(mat, _PAULI[ch])
-        w, v = np.linalg.eigh(mat)
-        if np.abs(w[:half] + 1).max() > 1e-9 or np.abs(w[half:] - 1).max() > 1e-9:
-            raise NumericalDegeneracy(
-                "Pauli word %s eigenvalues not +-1: %r" % (word, w))
-        members.append(Subspace(v[:, half:]))   # range of (I + word)/2
-        labels.append(word + ":+")
-        members.append(Subspace(v[:, :half]))   # range of (I - word)/2
-        labels.append(word + ":-")
+    for digits, pair in zip(words, _joint_eigenspaces(dst, e, 4, 2, n // 2)):
+        word = "".join("IXYZ"[d] for d in digits)
+        members += [Subspace(B) for B in pair]
+        labels += [word + ":+", word + ":-"]
     return Code(members, labels=labels)
 
 
@@ -68,19 +106,6 @@ def _is_odd_prime(p):
             return False
         f += 2
     return True
-
-
-def _weyl_gather(p, n, a, b):
-    """X(a)Y(b) on C^(p^n) as a row gather: (X(a)Y(b) B)[v] = phase[v] *
-    B[src[v]] with src = index of (v - a) mod p and phase = w^(b.(v - a)),
-    w = exp(2 pi i/p), indices big-endian.  X(a) e_v = e_{v+a} and
-    Y(b) e_v = w^(b.v) e_v."""
-    radix = p ** np.arange(n - 1, -1, -1)
-    vecs = (np.arange(p ** n)[:, None] // radix) % p
-    shifted = (vecs - np.asarray(a, dtype=np.int64)) % p
-    phase = np.exp(2j * np.pi * np.arange(p) / p)[
-        (shifted @ np.asarray(b, dtype=np.int64)) % p]
-    return shifted @ radix, phase
 
 
 def _echelon_fill(p, ncols, pivots):
@@ -144,31 +169,6 @@ def extraspecial_size(p, n, k):
     return p ** (n - k) * isotropic_count(p, n, n - k)
 
 
-def _canonical_bases(B, tol=1e-6):
-    """Bases fixed by each span alone, whatever phases eigh returned, for a
-    stack (N, q, m): the Q factor, with a positive real diagonal R, of
-    P[:, J] for P = B B^dagger and J the first m columns at which P's column
-    rank grows by more than tol (a line's first entry of modulus > tol is
-    real and positive).  P[:, j] = B conj(B[j]), so the rank grows where the
-    rows of B do, and P[:, J] = B C with C = B[J]^dagger has Q factor B U
-    for C = U R."""
-    rows = B.conj()
-    span = np.zeros(B.shape[:1] + (B.shape[2],) * 2, dtype=complex)
-    pick = np.zeros(B.shape[:2], dtype=bool)
-    for j in range(B.shape[1]):
-        v = rows[:, j] - np.einsum("nab,nb->na", span, rows[:, j])
-        norm2 = np.einsum("na,na->n", v.conj(), v).real
-        pick[:, j] = norm2 > tol * tol
-        v /= np.sqrt(np.where(pick[:, j], norm2, np.inf))[:, None]
-        span += v[:, :, None] * v.conj()[:, None, :]
-    if not (pick.sum(axis=1) == B.shape[2]).all():
-        raise NumericalDegeneracy("eigenspace rows do not have rank m")
-    u, r = np.linalg.qr(rows[pick].reshape(B.shape[0], B.shape[2], -1)
-                        .swapaxes(1, 2))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return B @ (u * (d / np.abs(d))[:, None, :])
-
-
 def extraspecial_code(p, n, k, size_limit=2048):
     """All joint eigenspaces of the commuting unitary families
     {X(a)Y(b) : (a,b) in W} over totally isotropic W of dimension n-k:
@@ -180,53 +180,18 @@ def extraspecial_code(p, n, k, size_limit=2048):
     q = p ** n
     if q > size_limit:
         raise SizeLimit("p^n = %d exceeds the limit %d" % (q, size_limit))
-    isos = enumerate_isotropic(p, n, n - k)
-    root_conj = np.conj(np.exp(2j * np.pi * np.arange(p) / p))
+    isos = np.array(enumerate_isotropic(p, n, n - k))
+    dst, e = _weyl_table(p, n, isos[..., :n], isos[..., n:])
     members = []
     labels = []
-    for widx, iso in enumerate(isos):
-        blocks = [np.eye(q, dtype=complex)]
-        tags = [()]
-        for row in iso:
-            src, phase = _weyl_gather(p, n, row[:n], row[n:])
-            nblocks = []
-            ntags = []
-            for B, tag in zip(blocks, tags):
-                d = B.shape[1]
-                small = B.conj().T @ (phase[:, None] * B[src])
-                powers = [np.eye(d, dtype=complex)]
-                for _ in range(p - 1):
-                    powers.append(powers[-1] @ small)
-                for j in range(p):
-                    proj = sum(root_conj[(j * t) % p] * powers[t]
-                               for t in range(p)) / p
-                    tr = proj.trace()
-                    r = int(round(tr.real))
-                    if abs(tr - r) > 1e-6:
-                        raise NumericalDegeneracy(
-                            "non-integer eigenspace trace %r" % tr)
-                    if r == 0:
-                        continue
-                    w, v = np.linalg.eigh(proj)
-                    if w[-r] < 1 - 1e-6 or (r < d and w[-r - 1] > 1e-6):
-                        raise NumericalDegeneracy(
-                            "projector spectrum not 0/1 at tolerance: %r" % w)
-                    nblocks.append(B @ v[:, d - r:])
-                    ntags.append(tag + (j,))
-            blocks = nblocks
-            tags = ntags
-        if len(blocks) != p ** (n - k) or any(B.shape[1] != p ** k for B in blocks):
-            raise NumericalDegeneracy(
-                "W block %d: expected %d eigenspaces of dim %d, got %r"
-                % (widx, p ** (n - k), p ** k, [B.shape[1] for B in blocks]))
-        for B, tag in zip(blocks, tags):
-            members.append(B)
-            labels.append("W%d:chi%s" % (widx, "".join(str(t) for t in tag)))
+    for widx, bases in enumerate(_joint_eigenspaces(dst, e, p, p, p ** k)):
+        for B, tag in zip(bases, product(range(p), repeat=n - k)):
+            members.append(Subspace(B))
+            labels.append("W%d:chi%s" % (widx, "".join(map(str, tag))))
     if len(members) != extraspecial_size(p, n, k):
         raise ValidationFailure("member count != closed form",
                                 len(members), extraspecial_size(p, n, k))
-    return Code([Subspace(B) for B in _canonical_bases(np.stack(members))],
-                labels=labels)
+    return Code(members, labels=labels)
 
 
 def mub_code(p, size_limit=101):

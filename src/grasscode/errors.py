@@ -81,10 +81,6 @@ class NumericalHealthError(GrasscodeError):
     exit_code = 2
 
 
-class NumericalDegeneracy(NumericalHealthError):
-    """Eigenstructure could not be resolved at working precision."""
-
-
 class ClusterAmbiguity(NumericalHealthError):
     """Clusters closer than the ambiguity band; tolerance cannot separate them."""
 

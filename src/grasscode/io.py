@@ -60,8 +60,10 @@ def code_from_dict(doc, tol=1e-8):
             arr = np.asarray(rows)
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError("subspace %d: %s" % (idx, exc)) from None
-        # a string, null or an integer beyond int64 leaves no numeric dtype
-        if arr.shape != (n, m, 2) or arr.dtype.kind not in "iuf":
+        # a string, null or an integer beyond int64 leaves no numeric dtype,
+        # and a boolean among numbers is upcast, so it is looked for
+        if (arr.shape != (n, m, 2) or arr.dtype.kind not in "iuf"
+                or any(type(x) is bool for row in rows for z in row for x in z)):
             raise FormatError("subspace %d: not %d rows of %d [re, im] "
                               "number pairs" % (idx, n, m))
         arr = arr.astype(float)

@@ -312,6 +312,22 @@ def test_bound_simplex_alpha_above_threshold_refused(capsys):
     assert code == 1 and out == "" and "no finite N" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["one-distance", "--m", "2", "--n", "0", "--alpha", "1"],
+    ["simplex", "--m", "1", "--n", "0", "--k", "3"],
+    ["one-distance", "--m", "-1", "--n", "3", "--alpha", "0"],
+    ["one-distance", "--m", "3", "--n", "2", "--alpha", "0"],
+    ["simplex", "--m", "3", "--n", "2", "--k", "5"],
+    ["simplex", "--m", "3", "--n", "2", "--alpha", "1/2"],
+])
+def test_bound_outside_its_domain_refused(argv, capsys):
+    # the closed forms hold on 1 <= m <= n, n >= 2: outside it no value is
+    # printed, and n = 0 is no ZeroDivisionError
+    code, out, err = run(capsys, "bound", *argv)
+    assert code == 1 and out == ""
+    assert "need 1 <= m <= n and n >= 2" in err
+
+
 def test_exit_code_numerical_health(tmp_path, capsys):
     path = tmp_path / "p2.json"
     run(capsys, "construct", "pauli", "--k", "2", "-o", str(path))

@@ -3,13 +3,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-import grasscode.constructions as constructions
 from grasscode.bounds import two_distance_bound
-from grasscode.constructions import (_weyl_gather, enumerate_isotropic,
+from grasscode.cli import main
+from grasscode.constructions import (_weyl_table, enumerate_isotropic,
                                      extraspecial_code, extraspecial_size,
                                      isotropic_count, mub_code, pauli_code)
 from grasscode.core_linalg import gram_matrix
 from grasscode.errors import OutOfRange, SizeLimit
+from grasscode.io import read_code
 
 
 def offdiag_values(S):
@@ -56,8 +57,62 @@ def weyl_dense(p, n, a, b):
 
 
 def apply_weyl(p, n, a, b, B):
-    src, phase = _weyl_gather(p, n, a, b)
-    return phase[:, None] * B[src]
+    "X(a)Y(b) B from the integer tables: row u of B, times w^e[u], to dst[u]"
+    dst, e = _weyl_table(p, n, a, b)
+    out = np.zeros(B.shape, dtype=complex)
+    out[dst] = np.exp(2j * np.pi * e / p)[:, None] * B
+    return out
+
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli_dense(word):
+    "the Pauli word as a dense Kronecker product, first letter most significant"
+    mat = PAULI[word[0]]
+    for ch in word[1:]:
+        mat = np.kron(mat, PAULI[ch])
+    return mat
+
+
+def dense_operators(code, p, n, k):
+    """each member's operators and eigenvalues from its label, built densely:
+    Pauli words for p = 2 (eigenvalue +-1), else X(a)Y(b) for the rows (a, b)
+    of the member's isotropic W (eigenvalue w^j, j its tag digit)"""
+    isos = None if p == 2 else enumerate_isotropic(p, n, n - k)
+    for s, label in zip(code, code.labels):
+        head, tag = label.split(":")
+        if p == 2:
+            yield s, [(pauli_dense(head), 1 if tag == "+" else -1)]
+        else:
+            iso = isos[int(head[1:])]
+            yield s, [(weyl_dense(p, n, row[:n], row[n:]),
+                       np.exp(2j * np.pi * int(j) / p))
+                      for row, j in zip(iso, tag[3:])]
+
+
+@pytest.mark.parametrize("p, n, k", [(3, 2, 0), (3, 2, 1),
+                                     (2, 1, 0), (2, 2, 0), (2, 3, 0)])
+def test_members_are_joint_eigenspaces_of_dense_operators(p, n, k):
+    # U B = lambda B for each operator of the member's label, and B B^dagger
+    # is the dense joint projector prod_U (1/o) sum_t lambda^-t U^t
+    code = pauli_code(n) if p == 2 else extraspecial_code(p, n, k)
+    q = p ** n
+    for s, ops in dense_operators(code, p, n, k):
+        P = np.eye(q, dtype=complex)
+        for U, lam in ops:
+            assert np.abs(U @ s.basis - lam * s.basis).max() < 1e-12
+            power, proj = np.eye(q, dtype=complex), np.zeros((q, q), complex)
+            for t in range(p):
+                proj += lam ** -t * power / p
+                power = U @ power
+            P = P @ proj
+        assert np.abs(s.projection() - P).max() < 1e-12
 
 
 def test_operator_family_basics():
@@ -186,12 +241,16 @@ def test_within_block_orthogonality(es321):
                 assert abs(g[i, j]) < 1e-9
 
 
-@pytest.mark.parametrize("args", [(3, 2, 0), (3, 2, 1)])
+@pytest.mark.parametrize("args", [(extraspecial_code, 3, 2, 0),
+                                  (extraspecial_code, 3, 2, 1),
+                                  (pauli_code, 1), (pauli_code, 2),
+                                  (pauli_code, 3)])
 def test_extraspecial_bases_are_canonical(args):
     # each basis is the Q factor of P[:, J], P its projector and J the first
     # m columns where P's rank grows: B^dagger P[:, J] is upper triangular
     # with a positive real diagonal (J found here by matrix_rank)
-    for s in extraspecial_code(*args):
+    build, *params = args
+    for s in build(*params):
         P = s.projection()
         J = []
         for j in range(len(P)):
@@ -204,23 +263,34 @@ def test_extraspecial_bases_are_canonical(args):
         assert np.diagonal(R).real.min() > 1e-6
 
 
-@pytest.mark.parametrize("args", [(3, 2, 0), (3, 2, 1)])
-def test_extraspecial_bases_survive_a_one_ulp_operator_change(monkeypatch,
-                                                             args):
-    # eigh may return any phase of an eigenspace, and a 1e-16 change in the
-    # operator product used to flip the written sign of some bases; now a
-    # one-ulp nudge of every Weyl phase moves each basis by rounding only
-    base = extraspecial_code(*args)
-    real = constructions._weyl_gather
+@pytest.mark.parametrize("args", [("extraspecial", "--p", "3", "--n", "2",
+                                   "--k", "1"),
+                                  ("pauli", "--k", "2")])
+def test_bases_are_exact_roots_of_unity(args, tmp_path, capsys):
+    # every nonzero entry is exp(2 pi i e/r) / sqrt(s) bit for bit, for its
+    # integer exponent e (r = p, or 4 for Pauli words) and its column's
+    # support size s, so construct writes the same bytes on every run
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        assert main(["construct", *args, "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    r = 3 if args[0] == "extraspecial" else 4
+    B = read_code(paths[0]).basis_stack()
+    size = np.broadcast_to((B != 0).sum(axis=1, keepdims=True), B.shape)
+    z, s = B[B != 0], size[B != 0]
+    e = np.rint(np.angle(z) * r / (2 * np.pi)).astype(int) % r
+    assert np.array_equal(z, np.exp(2j * np.pi * e / r) / np.sqrt(s))
 
-    def nudged(p, n, a, b):
-        src, phase = real(p, n, a, b)
-        return src, phase * (1 + 2 ** -52)
 
-    monkeypatch.setattr(constructions, "_weyl_gather", nudged)
-    moved = extraspecial_code(*args)
-    assert max(np.abs(x.basis - y.basis).max()
-               for x, y in zip(base, moved)) < 1e-14
+def test_constructions_run_no_eigen_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK routine in a construction")
+
+    for name in ("eigh", "qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert len(pauli_code(3)) == 126
+    assert len(extraspecial_code(3, 2, 1)) == 120
 
 
 def test_mub_codes():

@@ -169,7 +169,8 @@ def test_entries_must_be_numbers():
            "subspaces": [[[[1.0, 0.0]], [[0.0, 0.0]]],
                          [[[0.0, 0.0]], [[1, 0]]]]}
     assert len(code_from_dict(doc)) == 2
-    for bad in (["1.0", "0.0"], [1, "0"], [1.0, None], [[1.0], 0.0]):
+    for bad in (["1.0", "0.0"], [1, "0"], [1.0, None], [[1.0], 0.0],
+                [True, 0.0]):
         broken = copy.deepcopy(doc)
         broken["subspaces"][0][0][0] = bad
         with pytest.raises(FormatError, match="subspace 0:"):
