@@ -19,6 +19,8 @@ from .errors import ClusterAmbiguity, OutOfRange, SizeLimit
 from .partitions import Partition
 from .zonal import normalize_zonal, zonal_basis
 
+TWO_DESIGN_LIMIT = 4096   # largest n^2 of is_two_design's (n^2, n^2) average
+
 
 def pair_angle_matrix(S):
     """Squared principal-angle cosines of every ordered pair, (N, N, m),
@@ -153,10 +155,8 @@ def design_strength(S, t_max=2, tol=1e-8):
 
 def is_one_design(S, tol=1e-8):
     "flag + residual: max-entry distance of the average projector from (m/n)I"
-    B = S.basis_stack()
-    N, n, m = B.shape
-    avg = np.einsum("ink,imk->nm", B, B.conj()) / N
-    res = float(np.abs(avg - (m / n) * np.eye(n)).max())
+    avg = np.einsum("ink,imk->nm", S.bases, S.bases.conj()) / len(S)
+    res = float(np.abs(avg - (S.m / S.n) * np.eye(S.n)).max())
     return res < tol, res
 
 
@@ -166,15 +166,15 @@ def swap_operator(n):
         n * n, n * n)
 
 
-def is_two_design(S, tol=1e-8, size_limit=4096):
+def is_two_design(S, tol=1e-8):
     """flag + residual: max-entry distance of the average of P (x) P from
     (m/(n(n^2-1))) [(nm-1) I + (n-m) T].  The average is one GEMM V^T V over
     the flattened projectors V = P.reshape(N, n^2), regrouped (ac, bd) ->
     (ab, cd)."""
     n, m = S.n, S.m
-    if n * n > size_limit:
-        raise SizeLimit("n^2 = %d exceeds the limit %d" % (n * n, size_limit))
-    B = S.basis_stack()
+    if n * n > TWO_DESIGN_LIMIT:
+        raise SizeLimit("n^2 = %d exceeds the limit %d" % (n * n, TWO_DESIGN_LIMIT))
+    B = S.bases
     V = np.einsum("ink,imk->inm", B, B.conj()).reshape(len(S), n * n)
     avg = (V.T @ V).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(
         n * n, n * n) / len(S)

@@ -25,6 +25,7 @@ from .partitions import Partition
 from .zonal import annihilator_sympoly, expand_in_zonal
 
 _EMPTY = Partition(())
+NONPOS_SLACK = 1e-9   # a code's f <= 0 is checked as f <= NONPOS_SLACK
 
 
 class Condition(NamedTuple):
@@ -94,7 +95,7 @@ def absolute_code_bound(k, m, n):
     return hom, h_bound
 
 
-def relative_code_bound(f, m, n, code=None, tol=1e-9):
+def relative_code_bound(f, m, n, code=None):
     """Upper bound |S| <= f(1,...,1)/c_0 for an f-code, where f = sum c_mu Z_mu
     must have c_mu >= 0 for all mu and c_0 > 0, and f <= 0 on distinct pairs.
 
@@ -125,7 +126,7 @@ def relative_code_bound(f, m, n, code=None, tol=1e-9):
             # per-pair SVD, so the cached batch is never the only witness
             k = int(np.argmax(vals))
             y = principal_angles(code[i[k]], code[j[k]])
-            holds = max(float(vals[k]), f.evaluate(list(y))) <= tol
+            holds = max(float(vals[k]), f.evaluate(list(y))) <= NONPOS_SLACK
         conds.append(Condition("f <= 0 on distinct pairs (checked)",
                                holds, None, False, False))
     else:

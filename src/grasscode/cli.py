@@ -20,6 +20,7 @@ from .bounds import (absolute_code_bound, bound_table, design_absolute_bound,
                      one_distance_bound, simplex_orthoplex,
                      size_from_simplex_alpha, two_distance_bound)
 from .constructions import extraspecial_code, mub_code, pauli_code
+from .core_linalg import gram_matrix, orthonormality_defects
 from .dims import dim_H, dim_Hk
 from .errors import GrasscodeError, NumericalHealthError
 from .io import code_to_dict, read_code, write_code
@@ -138,7 +139,6 @@ def _cmd_angles(args):
 
 
 def _cmd_gram(args):
-    from .core_linalg import gram_matrix
     S = read_code(args.file, tol=args.tol)
     g = gram_matrix(S)
     if args.json:
@@ -299,7 +299,7 @@ def _cmd_check_scheme(args):
 
 def _cmd_info(args):
     S = read_code(args.file, tol=args.tol)
-    ortho = max(float(s.validate(args.tol)) for s in S)
+    ortho = float(orthonormality_defects(S.bases, args.tol).max())
     ips = inner_product_set(S, tol=args.tol) if len(S) > 1 else ()
     if args.json:
         _emit(args, json.dumps({

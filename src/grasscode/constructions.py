@@ -13,12 +13,18 @@ no tolerance is involved.
 """
 
 from itertools import combinations, product
+from math import isqrt
 
 import numpy as np
 
-from .core_linalg import Code, Subspace
+from .core_linalg import Code
 from .dims import q_binomial
 from .errors import OutOfRange, SizeLimit, ValidationFailure
+
+PAULI_LIMIT = 64             # largest n = 2^k of pauli_code
+EXTRASPECIAL_LIMIT = 2048    # largest p^n of extraspecial_code
+MUB_LIMIT = 101              # largest p of mub_code
+ISOTROPIC_LIMIT = 10 ** 6    # most subspaces enumerate_isotropic lists
 
 
 def _joint_eigenspaces(dst, e, r, order, dim):
@@ -74,38 +80,28 @@ def _weyl_table(p, n, a, b):
     return ((vecs + a) % p) @ radix, (vecs * b).sum(axis=-1) % p
 
 
-def pauli_code(k, size_limit=64):
+def pauli_code(k):
     """The {0, n/4}-code of all half-dimensional eigenspaces of non-identity
     Pauli tensor words on n = 2^k dimensions: 2(n^2 - 1) subspaces in G(n/2, n)."""
     if k < 1:
         raise OutOfRange("k must be >= 1, got %d" % k)
     n = 2 ** k
-    if n > size_limit:
-        raise SizeLimit("n = 2^%d = %d exceeds the limit %d" % (k, n, size_limit))
+    if n > PAULI_LIMIT:
+        raise SizeLimit("n = 2^%d = %d exceeds the limit %d" % (k, n, PAULI_LIMIT))
     words = np.array(list(product(range(4), repeat=k))[1:])
     # letters IXYZ = 0123, and Y = iXZ: a letter is i^(xz) X^x Z^z, the
     # p = 2 Weyl operator X(x)Y(z) with its phase doubled to mod 4
     x, z = words % 3 > 0, words // 2
     dst, e = _weyl_table(2, k, x[:, None], z[:, None])
     e = (2 * e + (x * z).sum(axis=1)[:, None, None]) % 4
-    members = []
-    labels = []
-    for digits, pair in zip(words, _joint_eigenspaces(dst, e, 4, 2, n // 2)):
-        word = "".join("IXYZ"[d] for d in digits)
-        members += [Subspace(B) for B in pair]
-        labels += [word + ":+", word + ":-"]
-    return Code(members, labels=labels)
+    bases = _joint_eigenspaces(dst, e, 4, 2, n // 2).reshape(-1, n, n // 2)
+    labels = ["".join("IXYZ"[d] for d in digits) + sign
+              for digits in words for sign in (":+", ":-")]
+    return Code(bases, labels=labels)
 
 
 def _is_odd_prime(p):
-    if p < 3 or p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p > 2 and p % 2 == 1 and all(p % f for f in range(3, isqrt(p) + 1, 2))
 
 
 def _echelon_fill(p, ncols, pivots):
@@ -114,11 +110,7 @@ def _echelon_fill(p, ncols, pivots):
     free = [(r, c) for r in range(d) for c in range(pivots[r] + 1, ncols)
             if c not in pivots]
     base = np.zeros((d, ncols), dtype=np.int64)
-    for r, c in enumerate(pivots):
-        base[r, c] = 1
-    if not free:
-        yield base.copy()
-        return
+    base[range(d), pivots] = 1
     for vals in product(range(p), repeat=len(free)):
         rows = base.copy()
         for (r, c), v in zip(free, vals):
@@ -136,7 +128,7 @@ def isotropic_count(p, n, d):
     return count
 
 
-def enumerate_isotropic(p, n, d, count_limit=10 ** 6):
+def enumerate_isotropic(p, n, d):
     """All totally isotropic d-dimensional subspaces of F_p^{2n}, one
     canonical reduced-echelon representative each, as a d x 2n int64 array
     of rows (a, b) with a1.b2 - a2.b1 = 0 mod p for every two rows, in
@@ -144,18 +136,16 @@ def enumerate_isotropic(p, n, d, count_limit=10 ** 6):
     if not _is_odd_prime(p):
         raise OutOfRange("p must be an odd prime, got %d" % p)
     expected = isotropic_count(p, n, d)
-    if expected > count_limit:
+    if expected > ISOTROPIC_LIMIT:
         raise SizeLimit("isotropic count %d exceeds the limit %d"
-                        % (expected, count_limit))
+                        % (expected, ISOTROPIC_LIMIT))
     if d == 0:
         return [np.zeros((0, 2 * n), dtype=np.int64)]
     out = []
     for pivots in combinations(range(2 * n), d):
         for rows in _echelon_fill(p, 2 * n, pivots):
-            a = rows[:, :n]
-            b = rows[:, n:]
-            gram = (a @ b.T - b @ a.T) % p
-            if not gram.any():
+            a, b = rows[:, :n], rows[:, n:]
+            if not ((a @ b.T - b @ a.T) % p).any():
                 out.append(rows)
     if len(out) != expected:
         raise ValidationFailure(
@@ -169,7 +159,7 @@ def extraspecial_size(p, n, k):
     return p ** (n - k) * isotropic_count(p, n, n - k)
 
 
-def extraspecial_code(p, n, k, size_limit=2048):
+def extraspecial_code(p, n, k):
     """All joint eigenspaces of the commuting unitary families
     {X(a)Y(b) : (a,b) in W} over totally isotropic W of dimension n-k:
     a code of p^k-dimensional subspaces of C^(p^n)."""
@@ -178,41 +168,30 @@ def extraspecial_code(p, n, k, size_limit=2048):
     if not _is_odd_prime(p):
         raise OutOfRange("p must be an odd prime, got %d" % p)
     q = p ** n
-    if q > size_limit:
-        raise SizeLimit("p^n = %d exceeds the limit %d" % (q, size_limit))
+    if q > EXTRASPECIAL_LIMIT:
+        raise SizeLimit("p^n = %d exceeds the limit %d" % (q, EXTRASPECIAL_LIMIT))
     isos = np.array(enumerate_isotropic(p, n, n - k))
     dst, e = _weyl_table(p, n, isos[..., :n], isos[..., n:])
-    members = []
-    labels = []
-    for widx, bases in enumerate(_joint_eigenspaces(dst, e, p, p, p ** k)):
-        for B, tag in zip(bases, product(range(p), repeat=n - k)):
-            members.append(Subspace(B))
-            labels.append("W%d:chi%s" % (widx, "".join(map(str, tag))))
-    if len(members) != extraspecial_size(p, n, k):
+    bases = _joint_eigenspaces(dst, e, p, p, p ** k).reshape(-1, q, p ** k)
+    if len(bases) != extraspecial_size(p, n, k):
         raise ValidationFailure("member count != closed form",
-                                len(members), extraspecial_size(p, n, k))
-    return Code(members, labels=labels)
+                                len(bases), extraspecial_size(p, n, k))
+    labels = ["W%d:chi%s" % (w, "".join(map(str, tag))) for w in range(len(isos))
+              for tag in product(range(p), repeat=n - k)]
+    return Code(bases, labels=labels)
 
 
-def mub_code(p, size_limit=101):
+def mub_code(p):
     """p(p+1) lines in C^p: the standard basis together with the p bases
     with vectors (1/sqrt p) (w^(a s^2 + b s))_s -- a {0, 1/p}-code."""
     if not _is_odd_prime(p):
         raise OutOfRange("p must be an odd prime, got %d" % p)
-    if p > size_limit:
-        raise SizeLimit("p = %d exceeds the limit %d" % (p, size_limit))
+    if p > MUB_LIMIT:
+        raise SizeLimit("p = %d exceeds the limit %d" % (p, MUB_LIMIT))
     roots = np.exp(2j * np.pi * np.arange(p) / p)
-    members = []
-    labels = []
-    for t in range(p):
-        v = np.zeros((p, 1), dtype=complex)
-        v[t, 0] = 1.0
-        members.append(Subspace(v))
-        labels.append("std:%d" % t)
-    s = np.arange(p)
-    for a in range(p):
-        for b in range(p):
-            v = roots[(a * s * s + b * s) % p] / np.sqrt(p)
-            members.append(Subspace(v[:, None]))
-            labels.append("B%d:%d" % (a, b))
-    return Code(members, labels=labels)
+    a, b, s = np.ogrid[:p, :p, :p]
+    bases = np.concatenate([np.eye(p), (roots[(a * s * s + b * s) % p]
+                                        / np.sqrt(p)).reshape(p * p, p)])
+    labels = (["std:%d" % t for t in range(p)]
+              + ["B%d:%d" % ab for ab in product(range(p), repeat=2)])
+    return Code(bases[:, :, None], labels=labels)

@@ -22,6 +22,7 @@ from .sympoly import CENTER
 
 ANGLE_SLACK = 1e-8      # certified range for squared cosines is [-slack, 1+slack]
 DUP_SLACK = 1e-8        # members with tr(PaPb) > m - DUP_SLACK count as duplicates
+RANK_SLACK = 1e-10      # a smallest singular value <= RANK_SLACK is rank-deficient
 
 
 class Subspace:
@@ -51,17 +52,26 @@ class Subspace:
 
     def validate(self, tol=1e-8):
         "the orthonormality defect max |B^dagger B - I|; above tol it raises"
-        with np.errstate(over="ignore", invalid="ignore"):   # huge entries
-            err = np.abs(self.basis.conj().T @ self.basis - np.eye(self.m)).max()
-        if not err <= tol:   # also fails on NaN
-            raise RankDeficient("basis not orthonormal (defect %.3e)" % err)
-        return err
+        return float(orthonormality_defects(self.basis[None], tol)[0])
 
     def __repr__(self):
         return "Subspace(n=%d, m=%d)" % (self.n, self.m)
 
 
-def subspace_from_basis(raw, rank_tol=1e-10):
+def orthonormality_defects(bases, tol=1e-8):
+    """max |B^dagger B - I| of each basis of a stack (N, n, m); the first
+    above tol, or NaN, raises RankDeficient naming its index"""
+    with np.errstate(over="ignore", invalid="ignore"):   # huge entries
+        err = np.abs(bases.conj().swapaxes(1, 2) @ bases
+                     - np.eye(bases.shape[2])).max(axis=(1, 2))
+    bad = np.flatnonzero(~(err <= tol))
+    if bad.size:
+        raise RankDeficient("subspace %d: basis not orthonormal (defect %.3e)"
+                            % (bad[0], err[bad[0]]))
+    return err
+
+
+def subspace_from_basis(raw):
     """Build a Subspace from a full-rank n x m matrix.
 
     An already-orthonormal input is kept verbatim; otherwise the columns are
@@ -75,7 +85,7 @@ def subspace_from_basis(raw, rank_tol=1e-10):
     if not 1 <= m <= n:
         raise DimensionMismatch("need 1 <= m <= n, got n=%d m=%d" % (n, m))
     sv = np.linalg.svd(raw, compute_uv=False)
-    if sv[-1] <= rank_tol:
+    if sv[-1] <= RANK_SLACK:
         raise RankDeficient("column rank < m (smallest singular value %.3e)"
                             % sv[-1])
     g = raw.conj().T @ raw
@@ -222,17 +232,21 @@ class PairGeometry:
     """A code's tr(P_a P_b) (gram), squared principal-angle cosines (angles,
     (N, N, m), descending) and power_sums (N, N, min(t, m)) of all ordered
     pairs, each formed on first use, range-checked and kept read-only;
-    `excursion` is how far the worst angle lay outside [0, 1]."""
+    `excursion` is how far the worst angle lay outside [0, 1].  The first
+    gram kept also checks the code as a set (check_duplicates), after the
+    range checks of the pass that formed it."""
 
-    __slots__ = ("members", "_gram", "_angles", "_sums", "excursion")
+    __slots__ = ("bases", "check_duplicates", "_gram", "_angles", "_sums",
+                 "excursion")
 
-    def __init__(self, members):
-        self.members = members
+    def __init__(self, bases, check_duplicates=True):
+        self.bases = bases
+        self.check_duplicates = check_duplicates
         self._gram = self._angles = self._sums = self.excursion = None
 
     def gram(self):
         if self._gram is None:
-            self._gram = _overlap_pass(self.members)[0]
+            self._keep(_overlap_pass(self.bases)[0])
         return self._gram
 
     def angles(self):
@@ -241,39 +255,51 @@ class PairGeometry:
 
     def power_sums(self, t):
         self.prepare(t=t)
-        return self._sums[..., :min(t, self.members[0].m)]
+        return self._sums[..., :min(t, self.bases.shape[2])]
 
     def prepare(self, angles=False, t=0):
         "one pass for whatever of the angles and power_sums(t) is not cached"
-        m = self.members[0].m
+        m = self.bases.shape[2]
         angles = angles and self._angles is None
         k = min(t, m)
         k = k if self._sums is None or self._sums.shape[-1] < k else 0
         if not (angles or k):
             return
         if m == 1:   # cos^2 = |a^dagger b|^2 is the gram: no second pass
-            y = checked_cosines(self.gram()[:, :, None], self)
+            gram = _overlap_pass(self.bases)[0] if self._gram is None else self._gram
+            y = checked_cosines(gram[:, :, None], self)
             p = y - float(CENTER)
         else:
-            gram, y, p = _overlap_pass(self.members, angles, k, self)
-            self._gram = gram if self._gram is None else self._gram
+            gram, y, p = _overlap_pass(self.bases, angles, k, self)
             y = None if y is None else checked_cosines(y, self)
+        if self._gram is None:
+            self._keep(gram)
         for a in (y, p):
             if a is not None:
                 a.flags.writeable = False
         self._angles = self._angles if y is None else y
         self._sums = self._sums if p is None else p
 
+    def _keep(self, gram):
+        "keep the gram, refusing two members that span one subspace"
+        if self.check_duplicates:
+            off = np.where(np.eye(len(gram), dtype=bool), -np.inf, gram)
+            i, j = np.unravel_index(np.argmax(off), off.shape)
+            if not off[i, j] <= self.bases.shape[2] - DUP_SLACK:   # NaN fails
+                raise DuplicateMember("members %d and %d coincide or are not "
+                                      "finite (tr = %.12g)" % (i, j, off[i, j]))
+        self._gram = gram
 
-def _overlap_pass(members, angles=False, t=0, record=None):
+
+def _overlap_pass(bases, angles=False, t=0, record=None):
     """One GEMM per block of rows forms the overlaps W = A^dagger B.  Returns
     (gram ||W||_F^2, squared_cosines if `angles`, power_sums if t), None
     where not asked, from one W^dagger W per block; no m x m array of all
     pairs outlives its block.
     W_ba = W_ab^dagger has the same norm and cosines, so only pairs a <= b
     are formed and the rest copied: each array is exactly symmetric."""
-    N, m = len(members), members[0].m
-    M = np.hstack([s.basis for s in members])     # n x Nm, bases side by side
+    N, n, m = bases.shape
+    M = bases.transpose(1, 0, 2).reshape(n, N * m)   # bases side by side
     gram = np.empty((N, N))
     y = np.empty((N, N, m)) if angles else None
     p = np.empty((N, N, min(t, m))) if t else None
@@ -298,57 +324,49 @@ def _overlap_pass(members, angles=False, t=0, record=None):
 
 
 class Code:
-    """A finite list of equi-dimensional subspaces of a common C^n.  The
-    members are a tuple, so the cached PairGeometry cannot go stale."""
+    """A finite set of equi-dimensional subspaces of a common C^n, held as
+    one read-only array `bases` (N, n, m), so the cached PairGeometry cannot
+    go stale.  Built from that array or from a list of Subspaces.  Two
+    members spanning one subspace are refused at the first pair request
+    (DuplicateMember), unless check_duplicates is False."""
 
-    __slots__ = ("members", "labels", "geometry")
+    __slots__ = ("bases", "labels", "geometry")
 
-    def __init__(self, members, labels=None, check_duplicates=True,
-                 dup_tol=DUP_SLACK):
-        members = tuple(members)
-        if not members:
-            raise DimensionMismatch("a code needs at least one member")
-        n, m = members[0].n, members[0].m
-        for s in members:
-            if (s.n, s.m) != (n, m):
-                raise DimensionMismatch(
-                    "mixed shapes: (%d,%d) vs (%d,%d)" % (s.n, s.m, n, m))
+    def __init__(self, bases, labels=None, check_duplicates=True):
+        if not isinstance(bases, np.ndarray):   # Subspaces
+            bases = [s.basis for s in bases]
+            shapes = {b.shape for b in bases}
+            if len(shapes) > 1:
+                raise DimensionMismatch("mixed member shapes: %s" % sorted(shapes))
+        bases = np.array(bases, dtype=complex)
+        if bases.ndim != 3 or 0 in bases.shape or bases.shape[2] > bases.shape[1]:
+            raise DimensionMismatch("a code needs bases (N, n, m) with N >= 1 "
+                                    "and 1 <= m <= n, got %r" % (bases.shape,))
         if labels is not None:
             labels = list(labels)
-            if len(labels) != len(members):
+            if len(labels) != len(bases):
                 raise DimensionMismatch("label count != member count")
-        self.members = members
+        bases.flags.writeable = False
+        self.bases = bases
         self.labels = labels
-        self.geometry = PairGeometry(members)
-        if check_duplicates and len(members) > 1:
-            g = self.geometry.gram()
-            off = g - np.diag(np.diagonal(g))
-            hit = off.max()
-            if not hit <= m - dup_tol:   # also fails on NaN
-                i, j = np.unravel_index(np.argmax(off), off.shape)
-                raise DuplicateMember("members %d and %d coincide or are not "
-                                      "finite (tr = %.12g)" % (i, j, hit))
+        self.geometry = PairGeometry(bases, check_duplicates)
 
     @property
     def n(self):
-        return self.members[0].n
+        return self.bases.shape[1]
 
     @property
     def m(self):
-        return self.members[0].m
+        return self.bases.shape[2]
 
     def __len__(self):
-        return len(self.members)
+        return len(self.bases)
 
     def __iter__(self):
-        return iter(self.members)
+        return map(Subspace, self.bases)
 
     def __getitem__(self, i):
-        return self.members[i]
-
-    def basis_stack(self):
-        "all bases as one (N, n, m) array"
-        return np.stack([s.basis for s in self.members])
+        return Subspace(self.bases[i])
 
     def __repr__(self):
         return "Code(N=%d, G(%d,%d))" % (len(self), self.m, self.n)

@@ -7,12 +7,13 @@ A file is a UTF-8 JSON document
 
 with plain decimal numbers (repr round-trip, at most 17 significant digits).
 An optional "labels" list is written when the code carries labels; unknown
-keys are ignored on read.  Loaded bases must pass the orthonormality check.
+keys are ignored on read.  Loaded bases must pass the orthonormality check,
+and repeated members are refused at the code's first pair request.
 """
 
 import json
 
-from .core_linalg import Code, Subspace
+from .core_linalg import Code, orthonormality_defects
 from .errors import FormatError, RankDeficient
 
 import numpy as np
@@ -21,12 +22,13 @@ FORMAT_NAME = "grasscode-v1"
 
 
 def code_to_dict(code):
-    "JSON-ready dict in the exchange format"
-    subs = []
-    for s in code.members:
-        rows = [[[float(z.real), float(z.imag)] for z in row] for row in s.basis]
-        subs.append(rows)
-    doc = {"format": FORMAT_NAME, "n": code.n, "m": code.m, "subspaces": subs}
+    "JSON-ready dict in the exchange format; a non-finite entry is refused"
+    B = code.bases
+    bad = np.flatnonzero(~np.isfinite(B).all(axis=(1, 2)))
+    if bad.size:
+        raise FormatError("subspace %d has a non-finite entry" % bad[0])
+    doc = {"format": FORMAT_NAME, "n": code.n, "m": code.m,
+           "subspaces": np.stack([B.real, B.imag], -1).tolist()}
     if code.labels is not None:
         doc["labels"] = list(code.labels)
     return doc
@@ -69,17 +71,19 @@ def code_from_dict(doc, tol=1e-8):
         arr = arr.astype(float)
         if not np.isfinite(arr).all():
             raise FormatError("subspace %d has a non-finite entry" % idx)
-        members.append(Subspace(arr[..., 0] + 1j * arr[..., 1]))
-        try:
-            members[-1].validate(tol)
-        except RankDeficient as exc:
-            raise FormatError("subspace %d: %s" % (idx, exc)) from None
+        members.append(arr)
+    arr = np.array(members)
+    bases = arr[..., 0] + 1j * arr[..., 1]
+    try:
+        orthonormality_defects(bases, tol)
+    except RankDeficient as exc:
+        raise FormatError(str(exc)) from None
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(members):
             raise FormatError("labels list does not match subspace count")
         labels = [str(x) for x in labels]
-    return Code(members, labels=labels, check_duplicates=False)
+    return Code(bases, labels=labels)
 
 
 def read_code(path, tol=1e-8):

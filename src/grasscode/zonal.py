@@ -270,7 +270,7 @@ def _mean_stderr(blocks, samples):
     return est, (var / samples) ** 0.5
 
 
-def mc_zonal_inner(mu, nu, m, n, samples, seed=0, normalized=False):
+def mc_zonal_inner(mu, nu, m, n, samples, seed=0):
     """Monte-Carlo estimate (and standard error) of the Haar inner product
     integral of Z_mu(y(a,c)) * Z_nu(y(a,c)) over random c, fixed a.
 
@@ -280,9 +280,6 @@ def mc_zonal_inner(mu, nu, m, n, samples, seed=0, normalized=False):
     nu = aspartition(nu)
     Zm = zonal_general(mu, m, n)
     Zn = zonal_general(nu, m, n)
-    if normalized:
-        Zm = normalize_zonal(Zm)
-        Zn = normalize_zonal(Zn)
 
     def products():
         t = max(mu.size, nu.size, 1)

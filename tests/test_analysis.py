@@ -96,9 +96,9 @@ def test_design_flags_agree_with_strength(pauli2, mub5, es320):
 
 
 def test_two_design_size_limit():
-    S = random_code(4, 1, 3, seed=603)
+    S = random_code(65, 1, 2, seed=603)   # n^2 = 4225 > 4096
     with pytest.raises(SizeLimit):
-        is_two_design(S, size_limit=8)
+        is_two_design(S)
 
 
 def test_swap_operator():
@@ -277,7 +277,7 @@ def test_two_design_matches_explicit_tensor_average(pauli2, mub5):
               (5, 2, 6, 614), (6, 3, 5, 615)]]
     for S in codes + [pauli2, mub5]:
         n, m, N = S.n, S.m, len(S)
-        B = S.basis_stack()
+        B = S.bases
         P = np.einsum("ink,imk->inm", B, B.conj())
         avg = np.einsum("iac,ibd->abcd", P, P).reshape(n * n, n * n) / N
         target = (m / (n * (n * n - 1))) * ((n * m - 1) * np.eye(n * n)

@@ -14,7 +14,7 @@ from grasscode.bounds import (BoundTable, absolute_code_bound, bound_table,
 from grasscode.core_linalg import Code
 from grasscode.dims import dim_Hk
 from grasscode.errors import DegenerateDenominator, OutOfRange
-from grasscode.zonal import annihilator_sympoly
+from grasscode.zonal import annihilator_sympoly, zonal_general
 
 from conftest import counting_kernel
 from dgs_oracle import dgs_one_distance, dgs_two_distance
@@ -261,6 +261,18 @@ def test_relative_design_bound_aggregate_square():
     res = relative_design_bound(f, 2, m, n)
     assert res.applicable
     assert res.value == n * n
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_relative_design_bound_sign_above_t(sign):
+    # f = Z_() + Z_(1) + sign Z_(2) at t = 1: c_(2) <= 0 has margin -sign
+    Z = [zonal_general(mu, 1, 5).poly for mu in ((), (1,), (2,))]
+    f = Z[0] + Z[1] + (Z[2] if sign > 0 else -Z[2])
+    res = relative_design_bound(f, 1, 1, 5)
+    (cond,) = [c for c in res.conditions if "degree > t" in c.text]
+    assert cond.text == "c_(2) <= 0 (degree > t)"
+    assert cond.margin == -sign
+    assert res.applicable == (sign < 0)
 
 
 def test_code_design_exact_size():

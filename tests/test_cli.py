@@ -119,6 +119,41 @@ def test_dims_output(capsys):
     assert doc["dim_H_k"][-1] == {"k": 2, "dim": 120}
 
 
+@pytest.mark.parametrize("argv, needles", [
+    (["bound", "absolute", "--m", "2", "--n", "4", "--k", "2"],
+     ["absolute bound (2 distances): 120", "dim H_2: 120"]),
+    (["bound", "absolute", "--m", "2", "--n", "4", "--k", "2", "--json"],
+     ['"bound": 120, "dim_H_k": 120']),
+    (["bound", "one-distance", "--alpha", "1/6", "--m", "1", "--n", "5"],
+     ["one-distance bound: 25", "margin 1/30"]),
+    (["bound", "one-distance", "--alpha", "1/3", "--m", "1", "--n", "3"],
+     ["undefined", "NOT applicable", "(boundary)"]),
+    (["bound", "two-distance", "--alpha", "0", "--beta", "1", "--m", "3",
+      "--n", "9"], ["two-distance bound: 120"]),
+    (["bound", "design", "--m", "2", "--n", "4", "--t", "2", "--json"],
+     ['"bound": 16']),
+    (["bound", "simplex", "--m", "2", "--n", "4", "--alpha", "1/2", "--json"],
+     ['"N": "3"']),
+    (["dims", "--n", "4", "--m", "2"],
+     ["dim H_(2) = 84", "dim H_2(2,4) = 120"]),
+])
+def test_bound_and_dims_outputs(capsys, argv, needles):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    for needle in needles:
+        assert needle in out
+
+
+@pytest.mark.parametrize("command, needle", [
+    ("gram", "[[2. 0. 1. 1."), ("check-scheme", "association scheme: yes")])
+def test_file_commands_text_output(tmp_path, capsys, command, needle):
+    path = tmp_path / "p2.json"
+    run(capsys, "construct", "pauli", "--k", "2", "-o", str(path))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 0 and err == ""
+    assert out.startswith(needle)
+
+
 def test_gram_json(tmp_path, capsys):
     path = tmp_path / "m3.json"
     run(capsys, "construct", "mub", "--p", "3", "-o", str(path))
@@ -348,6 +383,23 @@ def test_non_finite_code_file_is_format_error(tmp_path, capsys, command):
     code, out, err = run(capsys, command, str(path))
     assert code == 1
     assert "non-finite entry" in err and "nan" not in out
+
+
+@pytest.mark.parametrize("command", ["info", "angles", "gram", "check-scheme",
+                                     "verify-design"])
+def test_repeated_member_is_refused(tmp_path, capsys, command):
+    # a code is a set: a file naming one subspace twice exits 1 at the first
+    # pair pass, whichever command forms it
+    path = tmp_path / "es.json"
+    run(capsys, "construct", "extraspecial", "--p", "3", "--n", "2", "--k",
+        "1", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["subspaces"].append(doc["subspaces"][0])
+    doc["labels"].append(doc["labels"][0])
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path), "--json")
+    assert code == 1
+    assert "coincide" in err and out == ""
 
 
 def test_stray_linalg_error_is_numerical_health(tmp_path, capsys,

@@ -276,7 +276,7 @@ def test_bases_are_exact_roots_of_unity(args, tmp_path, capsys):
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
     r = 3 if args[0] == "extraspecial" else 4
-    B = read_code(paths[0]).basis_stack()
+    B = read_code(paths[0]).bases
     size = np.broadcast_to((B != 0).sum(axis=1, keepdims=True), B.shape)
     z, s = B[B != 0], size[B != 0]
     e = np.rint(np.angle(z) * r / (2 * np.pi)).astype(int) % r

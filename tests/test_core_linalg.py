@@ -3,6 +3,7 @@ import pytest
 
 from grasscode.analysis import (inner_product_classes, inner_product_set,
                                 pair_angle_matrix)
+from grasscode.constructions import extraspecial_code, mub_code, pauli_code
 from grasscode.core_linalg import (Code, Subspace, canonical_pair,
                                    chordal_distance, gram_matrix,
                                    haar_basis_batch, haar_subspace,
@@ -11,6 +12,7 @@ from grasscode.core_linalg import (Code, Subspace, canonical_pair,
 from grasscode.errors import (DimensionMismatch, DuplicateMember,
                               NumericalHealthError, RankDeficient,
                               RankTooLarge)
+from grasscode.io import read_code, write_code
 
 from conftest import counting_kernel, random_subspace_pair
 from haar_oracle import gaussian_batch, haar_basis_batch_qr
@@ -132,10 +134,36 @@ def test_code_duplicate_detection():
                      + 1j * np.random.default_rng(5).standard_normal((2, 2)))[0]
     twin = Subspace(s.basis @ g)
     with pytest.raises(DuplicateMember):
-        Code([s, twin])
+        gram_matrix(Code([s, twin]))
     # opt out explicitly
     S = Code([s, twin], check_duplicates=False)
     assert len(S) == 2
+
+
+@pytest.mark.parametrize("members, labels", [
+    ([], None),
+    ([haar_subspace(4, 2, seed=6), haar_subspace(4, 1, seed=7)], None),
+    ([haar_subspace(4, 2, seed=6), haar_subspace(4, 2, seed=7)], ["a"]),
+])
+def test_code_refuses_bad_member_lists(members, labels):
+    with pytest.raises(DimensionMismatch):
+        Code(members, labels=labels)
+
+
+def test_building_or_reading_a_code_runs_no_pair_pass(tmp_path, monkeypatch):
+    calls = counting_kernel(monkeypatch)
+    for S in (pauli_code(2), extraspecial_code(3, 2, 1), mub_code(5)):
+        path = tmp_path / "code.json"
+        write_code(S, path)
+        T = read_code(path)
+        assert T.bases.shape == S.bases.shape and not T.bases.flags.writeable
+    assert calls == []
+
+
+def test_first_pair_request_runs_one_pass(monkeypatch):
+    calls = counting_kernel(monkeypatch)
+    pair_angle_matrix(pauli_code(2))
+    assert calls == [(True, 0)]
 
 
 def test_gram_matrix_properties():
@@ -193,7 +221,7 @@ def test_non_finite_basis_fails_the_tolerance_checks():
     with pytest.raises(RankDeficient):
         bad.validate()
     with pytest.raises(DuplicateMember):
-        Code([s, bad])
+        gram_matrix(Code([s, bad]))
 
 
 def fresh(S):

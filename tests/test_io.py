@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from grasscode.cli import main
 from grasscode.constructions import mub_code
+from grasscode.core_linalg import Code
 from grasscode.errors import FormatError, GrasscodeError
 from grasscode.io import code_from_dict, code_to_dict, read_code, write_code
 
@@ -107,6 +108,18 @@ def test_non_finite_entry_rejected_on_load():
         doc["subspaces"][1][2][0] = [bad, 0.0]
         with pytest.raises(FormatError):
             code_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_code_is_not_written(tmp_path, bad):
+    # bare NaN or Infinity tokens are not JSON (RFC 8259): refused before
+    # the file is opened
+    B = mub_code(3).bases.copy()
+    B[2, 1, 0] = bad
+    path = tmp_path / "bad.json"
+    with pytest.raises(FormatError, match="subspace 2 has a non-finite"):
+        write_code(Code(B, check_duplicates=False), path)
+    assert not path.exists()
 
 
 def test_seventeen_digit_precision(tmp_path):
