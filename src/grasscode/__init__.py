@@ -8,9 +8,8 @@ from .analysis import (RelationPartition, SchemeReport, angle_classes,
                        pair_angle_matrix, scheme_idempotents, swap_operator,
                        twothree_audit)
 from .bounds import (BoundResult, BoundTable, absolute_code_bound,
-                     bound_table, code_design_exact_size,
-                     design_absolute_bound, make_annihilator,
-                     one_distance_bound, relative_code_bound,
+                     code_design_exact_size, design_absolute_bound,
+                     make_annihilator, one_distance_bound, relative_code_bound,
                      relative_design_bound, simplex_orthoplex,
                      size_from_simplex_alpha, two_distance_bound)
 from .constructions import (enumerate_isotropic, extraspecial_code,
@@ -36,7 +35,7 @@ __all__ = [
     "GrasscodeError", "NumericalHealthError", "Partition", "RelationPartition",
     "SchemeReport", "SizeLimit", "Subspace", "SymmetricPolynomial",
     "ZonalExpansion", "ZonalPolynomial",
-    "absolute_code_bound", "aggregate_zonal", "angle_classes", "bound_table",
+    "absolute_code_bound", "aggregate_zonal", "angle_classes",
     "canonical_pair", "check_scheme", "chordal_distance",
     "code_design_exact_size", "code_from_dict", "code_to_dict",
     "design_absolute_bound", "design_strength", "dim_H", "dim_Hk",

@@ -1,9 +1,9 @@
 """Code-size and design-size bounds, all exact rational arithmetic.
 
-Upper bounds for A-codes: dimension-count (absolute) bounds, the
-zonal-expansion (relative) bound engine, and the closed one/two-distance
-corollaries.  Lower bounds for designs, the simplex/orthoplex separation
-thresholds, and the combined bound table.
+Upper bounds for A-codes and lower bounds for designs: dimension-count
+(absolute) bounds, one zonal-sign check (Delsarte's method) behind both
+relative bounds, the closed one/two-distance corollaries, the
+simplex/orthoplex separation thresholds, and the combined bound table.
 
 Every value is a Fraction; floating point never enters, so results are
 bit-identical across runs.  The one float step is the optional check of a
@@ -24,7 +24,6 @@ from .errors import DegenerateDenominator, OutOfRange
 from .partitions import Partition
 from .zonal import annihilator_sympoly, expand_in_zonal
 
-_EMPTY = Partition(())
 NONPOS_SLACK = 1e-9   # a code's f <= 0 is checked as f <= NONPOS_SLACK
 
 
@@ -63,8 +62,9 @@ def _cond(text, margin, strict):
     return Condition(text, holds, margin, strict, margin == 0)
 
 
-def _asserted(text):
-    return Condition(text, True, None, False, False)
+def _marginless(text, holds=True):
+    "a condition with no exact margin: caller-asserted, or checked in floats"
+    return Condition(text, holds, None, False, False)
 
 
 def _result(kind, value, conditions):
@@ -95,26 +95,25 @@ def absolute_code_bound(k, m, n):
     return hom, h_bound
 
 
-def relative_code_bound(f, m, n, code=None):
-    """Upper bound |S| <= f(1,...,1)/c_0 for an f-code, where f = sum c_mu Z_mu
-    must have c_mu >= 0 for all mu and c_0 > 0, and f <= 0 on distinct pairs.
-
-    The sign conditions are checked exactly from the zonal expansion.  The
-    nonpositivity hypothesis is checked numerically when a code is supplied
-    (a plain list of subspaces is made a Code): f is evaluated once on the
-    power sums of every distinct pair from the code's shared PairGeometry
-    (no eigen-solve), and the pair where it is largest is confirmed through
-    principal_angles.  Otherwise it is recorded as the caller's obligation.
-    """
+def _zonal_sign_check(f, m, n, t=None, code=None):
+    """Delsarte's zonal-sign check of f = sum c_mu Z_mu, expanded once, for a
+    code (t None) or a t-design: f(1,...,1)/c_0 (None when c_0 = 0) and the
+    conditions, as relative_code_bound and relative_design_bound state them."""
     exp = expand_in_zonal(f, m, n)
-    conds = []
-    for mu in sorted(exp.coeffs, key=Partition.sort_key):
-        if mu == _EMPTY:
-            continue
-        conds.append(_cond("c_%s >= 0" % mu, exp.coeff(mu), strict=False))
+    low, sign, text = ((0, 1, "c_%s >= 0") if t is None
+                       else (t, -1, "c_%s <= 0 (degree > t)"))
+    conds = [_cond(text % mu, sign * exp.coeff(mu), strict=False)
+             for mu in sorted(exp.coeffs, key=Partition.sort_key)
+             if mu.size > low]
     c0 = exp.c0
     conds.append(_cond("c_0 > 0", c0, strict=True))
-    if code is not None:
+    at_ones = f.at_ones()
+    if t is not None:
+        conds += [_cond("f(1,...,1) >= 0", at_ones, strict=False),
+                  _marginless("f >= 0 on distinct pairs (caller-asserted)")]
+    elif code is None:
+        conds.append(_marginless("f <= 0 on distinct pairs (caller-asserted)"))
+    else:
         if not isinstance(code, Code):
             code = Code(code)
         i, j = np.triu_indices(len(code), 1)
@@ -127,12 +126,23 @@ def relative_code_bound(f, m, n, code=None):
             k = int(np.argmax(vals))
             y = principal_angles(code[i[k]], code[j[k]])
             holds = max(float(vals[k]), f.evaluate(list(y))) <= NONPOS_SLACK
-        conds.append(Condition("f <= 0 on distinct pairs (checked)",
-                               holds, None, False, False))
-    else:
-        conds.append(_asserted("f <= 0 on distinct pairs (caller-asserted)"))
-    value = None if c0 == 0 else f.at_ones() / c0
-    return _result("relative code bound", value, conds)
+        conds.append(_marginless("f <= 0 on distinct pairs (checked)", holds))
+    return (None if c0 == 0 else at_ones / c0), conds
+
+
+def relative_code_bound(f, m, n, code=None):
+    """Upper bound |S| <= f(1,...,1)/c_0 for an f-code, where f = sum c_mu Z_mu
+    must have c_mu >= 0 for all mu and c_0 > 0, and f <= 0 on distinct pairs.
+
+    The sign conditions are checked exactly from the zonal expansion.  The
+    nonpositivity hypothesis is checked numerically when a code is supplied
+    (a plain list of subspaces is made a Code): f is evaluated once on the
+    power sums of every distinct pair from the code's shared PairGeometry
+    (no eigen-solve), and the pair where it is largest is confirmed through
+    principal_angles.  Otherwise it is recorded as the caller's obligation.
+    """
+    return _result("relative code bound",
+                   *_zonal_sign_check(f, m, n, code=code))
 
 
 def _check_domain(m, n):
@@ -141,14 +151,19 @@ def _check_domain(m, n):
         raise OutOfRange("need 1 <= m <= n and n >= 2, got m=%d n=%d" % (m, n))
 
 
+def _orthoplex(m, n):
+    "m^2/n: the orthoplex threshold and one_distance_bound's limit on alpha"
+    return Fraction(m * m, n)
+
+
 def one_distance_bound(alpha, m, n):
     "upper bound n(m - alpha)/(m^2 - n*alpha) for a one-distance code"
     _check_domain(m, n)
     alpha = Fraction(alpha)
-    cond = _cond("alpha < m^2/n", Fraction(m * m, n) - alpha, strict=True)
-    den = Fraction(m * m) - n * alpha
-    value = None if den == 0 else Fraction(n) * (m - alpha) / den
-    return _result("one-distance bound", value, [cond])
+    margin = _orthoplex(m, n) - alpha
+    value = None if margin == 0 else (m - alpha) / margin
+    return _result("one-distance bound", value,
+                   [_cond("alpha < m^2/n", margin, strict=True)])
 
 
 def two_distance_bound(alpha, beta, m, n):
@@ -202,9 +217,8 @@ def simplex_orthoplex(N, m, n):
     if N < 2:
         raise OutOfRange("need N >= 2, got %d" % N)
     simplex = Fraction(m * (m * N - n), n * N - n)
-    orthoplex = Fraction(m * m, n)
     regime = "simplex" if N <= n * n else "orthoplex"
-    return SimplexOrthoplex(simplex, orthoplex, regime)
+    return SimplexOrthoplex(simplex, _orthoplex(m, n), regime)
 
 
 def size_from_simplex_alpha(alpha, m, n):
@@ -212,13 +226,13 @@ def size_from_simplex_alpha(alpha, m, n):
     the threshold stays below m^2/n, so alpha > m^2/n is refused"""
     _check_domain(m, n)
     alpha = Fraction(alpha)
-    den = n * alpha - m * m
-    if den == 0:
+    excess = alpha - _orthoplex(m, n)
+    if excess == 0:
         raise DegenerateDenominator("no finite N at alpha = m^2/n")
-    if den > 0:
+    if excess > 0:
         raise OutOfRange("alpha = %s exceeds m^2/n = %s: no code size meets it"
-                         % (alpha, Fraction(m * m, n)))
-    return n * (alpha - m) / den
+                         % (alpha, _orthoplex(m, n)))
+    return (alpha - m) / excess
 
 
 def design_absolute_bound(t, m, n):
@@ -229,37 +243,23 @@ def design_absolute_bound(t, m, n):
 
 
 def relative_design_bound(f, t, m, n):
-    """Lower bound |S| >= f(1,...,1)/c_0 for a t-design, where f >= 0 on the
-    design (caller's obligation) and c_mu <= 0 for every |mu| > t."""
-    exp = expand_in_zonal(f, m, n)
-    conds = []
-    for mu in sorted(exp.coeffs, key=Partition.sort_key):
-        if mu.size > t:
-            conds.append(_cond("c_%s <= 0 (degree > t)" % mu, -exp.coeff(mu),
-                               strict=False))
-    c0 = exp.c0
-    conds.append(_cond("c_0 > 0", c0, strict=True))
-    conds.append(_asserted("f >= 0 on the design (caller-asserted)"))
-    value = None if c0 == 0 else f.at_ones() / c0
-    return _result("relative design bound", value, conds)
+    """Lower bound |S| >= f(1,...,1)/c_0 for a t-design, where c_mu <= 0 for
+    every |mu| > t, c_0 > 0 and f >= 0 on the design: exact on the diagonal,
+    f(1,...,1) >= 0, and the caller's obligation on distinct pairs."""
+    return _result("relative design bound", *_zonal_sign_check(f, m, n, t=t))
 
 
 def code_design_exact_size(f, t, m, n):
     """The forced cardinality f(1,...,1)/c_0 of a code that is both an f-code
-    and a t-design with t >= deg(f) and nonnegative zonal coefficients.
-
-    Returned as an exact rational; integrality is the caller's check."""
-    if t < f.degree:
-        raise OutOfRange("forced size needs t >= deg f (t=%d, deg=%d)"
-                         % (t, f.degree))
-    exp = expand_in_zonal(f, m, n)
-    bad = [mu for mu in exp.coeffs if exp.coeff(mu) < 0]
+    and a t-design with t >= deg(f) and nonnegative zonal coefficients, as an
+    exact rational (integrality is the caller's check).  Raises OutOfRange
+    naming every violated condition."""
+    value, conds = _zonal_sign_check(f, m, n)
+    conds.append(_cond("t >= deg f", t - f.degree, strict=False))
+    bad = ["%s (margin %s)" % (c.text, c.margin) for c in conds if not c.holds]
     if bad:
-        raise OutOfRange("negative zonal coefficient at %s" %
-                         ", ".join(str(b) for b in sorted(bad, key=Partition.sort_key)))
-    if exp.c0 <= 0:
-        raise OutOfRange("c_0 must be positive, got %s" % exp.c0)
-    return f.at_ones() / exp.c0
+        raise OutOfRange("no forced size: violated %s" % "; ".join(bad))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +273,19 @@ class BoundTable:
 
     def __init__(self, m, n):
         check_mn(m, n)
-        self.m = m
-        self.n = n
-        hom1, _ = absolute_code_bound(1, m, n)
-        hom2, _ = absolute_code_bound(2, m, n)
-        self.abs_one = hom1
-        self.abs_two = hom2
+        self.m, self.n = m, n
+        self.abs_one = absolute_code_bound(1, m, n)[0]
+        self.abs_two = absolute_code_bound(2, m, n)[0]
         self.abs_two_note = ("" if m > 1 else
                              "m=1: generic C(n^2,2) replaced by dim H_2(1,n)")
 
     def rows(self):
         m, n = self.m, self.n
-        thr1 = Fraction(m * m, n)
-        if n > 2:
-            thr2a = Fraction((m + 1) ** 2, n + 2) + Fraction((m - 1) ** 2, n - 2)
-        else:
-            # n = 2 forces m = 1 here and the (m-1)^2 term drops out
-            thr2a = Fraction((m + 1) ** 2, n + 2)
-        thr2b = Fraction(m * m * n - 2 * m + n, n * n - 1)
-        rows = [
+        # at alpha = beta = 0 each condition's margin is its threshold
+        (thr1,) = (c.margin for c in one_distance_bound(0, m, n).conditions)
+        thr2a, thr2b = (c.margin
+                        for c in two_distance_bound(0, 0, m, n).conditions)
+        return [
             ("absolute |A|=1", str(self.abs_one), "n^2", ""),
             ("absolute |A|=2", str(self.abs_two),
              "C(n^2,2) (m>1)" if m > 1 else "dim H_2(1,n)", self.abs_two_note),
@@ -304,12 +298,9 @@ class BoundTable:
             ("relative |A|=2 condition",
              "", "alpha+beta - n alpha beta/m^2 < %s" % thr2b, ""),
         ]
-        return rows
 
     def text(self):
-        rows = self.rows()
-        head = ("kind", "value", "conditions", "note")
-        table = [head] + [tuple(r) for r in rows]
+        table = [("kind", "value", "conditions", "note")] + self.rows()
         widths = [max(len(row[i]) for row in table) for i in range(4)]
         lines = ["bounds for G(%d,%d)" % (self.m, self.n)]
         for row in table:
@@ -320,20 +311,13 @@ class BoundTable:
         import csv as _csv
         import io as _io
         buf = _io.StringIO()
-        w = _csv.writer(buf)
-        w.writerow(["kind", "value", "applicable", "conditions"])
-        w.writerow(["absolute |A|=1", str(self.abs_one), "true", ""])
-        w.writerow(["absolute |A|=2", str(self.abs_two), "true",
-                    self.abs_two_note])
-        rows = self.rows()
-        w.writerow(["relative |A|=1", rows[2][1], "see conditions", rows[2][2]])
-        w.writerow(["relative |A|=2", rows[3][1], "see conditions",
-                    rows[3][2] + "; " + rows[4][2]])
+        r = self.rows()
+        _csv.writer(buf).writerows(
+            [("kind", "value", "applicable", "conditions")]
+            + [(kind, value, "true", note) for kind, value, _, note in r[:2]]
+            + [(r[2][0], r[2][1], "see conditions", r[2][2]),
+               (r[3][0], r[3][1], "see conditions", r[3][2] + "; " + r[4][2])])
         return buf.getvalue()
-
-
-def bound_table(m, n):
-    return BoundTable(m, n)
 
 
 def make_annihilator(values, m):

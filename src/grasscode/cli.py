@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import (angle_classes, check_scheme, design_strength,
                        inner_product_set, is_one_design, is_two_design,
                        scheme_idempotents)
-from .bounds import (absolute_code_bound, bound_table, design_absolute_bound,
+from .bounds import (BoundTable, absolute_code_bound, design_absolute_bound,
                      one_distance_bound, simplex_orthoplex,
                      size_from_simplex_alpha, two_distance_bound)
 from .constructions import extraspecial_code, mub_code, pauli_code
@@ -216,7 +216,7 @@ def _cmd_bound(args):
 def _cmd_table(args):
     if args.m is None or args.n is None:
         raise GrasscodeError("table needs --m and --n")
-    tab = bound_table(args.m, args.n)
+    tab = BoundTable(args.m, args.n)
     if args.json:
         rows = [{"kind": r[0], "value": r[1], "conditions": r[2], "note": r[3]}
                 for r in tab.rows()]
@@ -229,11 +229,12 @@ def _cmd_table(args):
 
 
 def _cmd_dims(args):
-    if args.n is None:
-        raise GrasscodeError("dims needs --n")
+    if args.n is None or args.n < 1:
+        raise GrasscodeError("dims needs --n >= 1")
     n = args.n
     k = 2 if args.k is None else args.k
-    max_len = args.m if args.m is not None else None
+    # H_mu exists only for 2 len(mu) <= n, and G(m, n) reaches len(mu) <= m
+    max_len = n // 2 if args.m is None else min(args.m, n // 2)
     mus = [mu for mu in partitions_up_to(k, max_len=max_len) if mu.size > 0]
     if args.json:
         doc = {"n": n,

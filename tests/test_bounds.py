@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import grasscode.bounds as bounds
-from grasscode.bounds import (BoundTable, absolute_code_bound, bound_table,
+from grasscode.bounds import (BoundTable, absolute_code_bound,
                               code_design_exact_size, design_absolute_bound,
                               make_annihilator, one_distance_bound,
                               relative_code_bound, relative_design_bound,
@@ -166,6 +166,30 @@ def test_relative_engine_matches_closed_forms():
             assert res.value == closed.value
 
 
+def test_relative_engine_matches_closed_forms_on_grid():
+    # one root, or alpha < beta, on the lattice a/(2n) of [0, 1]: the engine's
+    # verdict on the annihilator is the closed form's, and so is its value
+    # wherever the closed form applies
+    cases = 0
+    for n in range(3, 9):
+        lattice = [Fraction(a, 2 * n) for a in range(2 * n + 1)]
+        roots = [[a] for a in lattice] + [[a, b] for i, a in enumerate(lattice)
+                                          for b in lattice[i + 1:]]
+        for m in range(1, n // 2 + 1):
+            for A in roots:
+                try:
+                    closed = (one_distance_bound(A[0], m, n) if len(A) == 1
+                              else two_distance_bound(A[0], A[1], m, n))
+                except DegenerateDenominator:
+                    continue
+                res = relative_code_bound(annihilator_sympoly(A, m), m, n)
+                assert res.applicable == closed.applicable, (m, n, A)
+                if closed.applicable:
+                    assert res.value == closed.value, (m, n, A)
+                cases += 1
+    assert cases > 1000
+
+
 def test_relative_engine_two_distance():
     f = annihilator_sympoly([Fraction(0), Fraction(1)], 2)
     res = relative_code_bound(f, 2, 4)
@@ -263,16 +287,33 @@ def test_relative_design_bound_aggregate_square():
     assert res.value == n * n
 
 
+def lines5_zonals():
+    return [zonal_general(mu, 1, 5).poly for mu in ((), (1,), (2,))]
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_relative_design_bound_sign_above_t(sign):
-    # f = Z_() + Z_(1) + sign Z_(2) at t = 1: c_(2) <= 0 has margin -sign
-    Z = [zonal_general(mu, 1, 5).poly for mu in ((), (1,), (2,))]
-    f = Z[0] + Z[1] + (Z[2] if sign > 0 else -Z[2])
+    # f = 20 Z_() + Z_(1) + sign Z_(2) at t = 1: c_(2) <= 0 has margin -sign,
+    # and f(1,...,1) = 44 or 4 keeps the diagonal condition
+    Z = lines5_zonals()
+    f = 20 * Z[0] + Z[1] + (Z[2] if sign > 0 else -Z[2])
     res = relative_design_bound(f, 1, 1, 5)
     (cond,) = [c for c in res.conditions if "degree > t" in c.text]
     assert cond.text == "c_(2) <= 0 (degree > t)"
     assert cond.margin == -sign
     assert res.applicable == (sign < 0)
+
+
+def test_relative_design_bound_checks_the_diagonal():
+    # f = Z_() + Z_(1) - Z_(2) has every sign right but f(1,...,1) = -15,
+    # and f >= 0 must hold on the diagonal pairs of any design
+    Z = lines5_zonals()
+    res = relative_design_bound(Z[0] + Z[1] - Z[2], 1, 1, 5)
+    (diag,) = [c for c in res.conditions if c.text == "f(1,...,1) >= 0"]
+    assert not diag.holds and diag.margin == -15
+    assert not res.applicable
+    assert [c.text for c in res.conditions][-1] == \
+        "f >= 0 on distinct pairs (caller-asserted)"
 
 
 def test_code_design_exact_size():
@@ -286,6 +327,16 @@ def test_code_design_exact_size():
     assert code_design_exact_size(f, 2, 2, 4) == 16
 
 
+def test_code_design_exact_size_names_every_violation():
+    # f = 1/2 - y has c_0 = 1/4 but c_(1) = -1/4; t = 0 is below deg f = 1
+    f = -annihilator_sympoly([Fraction(1, 2)], 1)
+    with pytest.raises(OutOfRange) as err:
+        code_design_exact_size(f, 0, 1, 4)
+    msg = str(err.value)
+    assert "c_(1) >= 0" in msg and "t >= deg f" in msg
+    assert "c_0 > 0" not in msg
+
+
 def test_make_annihilator():
     ann = make_annihilator([Fraction(1, 2), Fraction(0)], 2)
     assert ann.degree == 2
@@ -296,7 +347,7 @@ def test_make_annihilator():
 def test_bound_table_contents_sweep():
     for n in range(2, 9):
         for m in range(1, n // 2 + 1):
-            text = bound_table(m, n).text()
+            text = BoundTable(m, n).text()
             assert "absolute |A|=1" in text
             assert "absolute |A|=2" in text
             assert "relative |A|=1" in text
@@ -306,20 +357,20 @@ def test_bound_table_contents_sweep():
 
 
 def test_bound_table_cells():
-    t = bound_table(1, 3)
+    t = BoundTable(1, 3)
     assert str(t.abs_one) == "9"
-    t2 = bound_table(2, 4)
+    t2 = BoundTable(2, 4)
     assert t2.abs_one == 16
     assert t2.abs_two == 120
     assert two_distance_bound(Fraction(0), Fraction(1), 2, 4).value == 30
     # m=1 note surfaces the smaller exact space
-    assert bound_table(1, 4).abs_two_note != ""
+    assert BoundTable(1, 4).abs_two_note != ""
     with pytest.raises(OutOfRange):
         BoundTable(3, 4)
 
 
 def test_table_csv():
-    csv_text = bound_table(2, 5).csv()
+    csv_text = BoundTable(2, 5).csv()
     lines = csv_text.strip().splitlines()
     assert lines[0] == "kind,value,applicable,conditions"
     assert len(lines) >= 5

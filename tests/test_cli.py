@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +137,7 @@ def test_dims_output(capsys):
      ['"N": "3"']),
     (["dims", "--n", "4", "--m", "2"],
      ["dim H_(2) = 84", "dim H_2(2,4) = 120"]),
+    (["dims", "--n", "3"], ["dim H_(1) = 8", "dim H_(2) = 27"]),
 ])
 def test_bound_and_dims_outputs(capsys, argv, needles):
     code, out, err = run(capsys, *argv)
@@ -228,6 +230,10 @@ def test_exit_code_validation_error(capsys):
     code, _, err = run(capsys, "bound", "one-distance", "--n", "4", "--m", "2")
     assert code == 1
     assert "alpha" in err
+    # no H_mu with mu != () exists for n < 2, but C^n itself needs n >= 1
+    code, _, err = run(capsys, "dims", "--n", "0")
+    assert code == 1
+    assert "--n >= 1" in err
 
 
 def test_exit_code_usage_error(capsys):
@@ -471,3 +477,17 @@ def test_threads_flag_is_accepted_and_deterministic(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_bound_and_table_outputs_match_golden_bytes(tmp_path, capsys):
+    # tests/golden_cli.json holds the exact stdout (and the written CSV) of
+    # `table` and `bound one-/two-distance` for a fixed set of arguments
+    with open(Path(__file__).with_name("golden_cli.json")) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 39
+    for case in golden:
+        argv = [str(tmp_path / a) if a == "x.csv" else a for a in case["argv"]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, case["stdout"], ""), case["argv"]
+        if "file" in case:
+            assert (tmp_path / "x.csv").read_text() == case["file"]
