@@ -5,11 +5,17 @@ Clustering is single-linkage (values within tol chain together) with a
 declared ambiguity band: if two resulting clusters sit closer than 3*tol the
 tolerance cannot certify the separation and ClusterAmbiguity is raised.
 Design tests are relative to Z_mu(1,...,1), so they are invariant under
-zonal normalization.  They, and the idempotents, evaluate zonals on the power
-sums of each pair's squared cosines (PairGeometry.power_sums: traces of
-powers of W^dagger W - I/2), so they run no eigen-solve; only clustering
-reads the angles.
+zonal normalization.  design_strength evaluates zonals on the power sums of
+each pair's squared cosines (PairGeometry.power_sums: traces of powers of
+W^dagger W - I/2), so it runs no eigen-solve; only clustering reads the
+angles.  Once a scheme's relations close, its idempotents and design strength
+live in the k-dimensional Bose-Mesner algebra: scheme_idempotents works
+there exactly, on the integer intersection numbers and the rationalized
+class representatives, with no pair pass and no N x N product.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,6 +26,10 @@ from .partitions import Partition
 from .zonal import normalize_zonal, zonal_basis
 
 TWO_DESIGN_LIMIT = 4096   # largest n^2 of is_two_design's (n^2, n^2) average
+# largest denominator of a rationalized class representative: the squared
+# cosines of the constructions are 0, 1 and 1/2 (pauli), 1/p (mub) and
+# 1/p^j with p^j <= p^n <= EXTRASPECIAL_LIMIT (extraspecial)
+REP_DENOMINATOR_LIMIT = 2048
 
 
 def pair_angle_matrix(S):
@@ -137,20 +147,28 @@ def inner_product_set(S, tol=1e-8):
     return tuple(sorted(r[0] for r in inner_product_classes(S, tol).reps[1:]))
 
 
+def _first_failure(basis, average, t_max, tol):
+    """The design strength rule: one less than the degree of the first zonal
+    Z of the canonical (degree-ascending) basis whose pair average fails
+    |average(Z)| < tol * |Z(1,...,1)|; t_max if none fails."""
+    for Z in basis:
+        if Z.mu.size and abs(average(Z)) >= tol * abs(Z.at_ones()):
+            return Z.mu.size - 1
+    return max(t_max, 0)
+
+
 def design_strength(S, t_max=2, tol=1e-8):
     """The largest t <= t_max with, for every 1 <= |mu| <= t (len <= m),
     |average over ordered pairs of Z_mu| < tol * Z_mu(1,...,1).
 
-    One pass over the basis in canonical (degree-ascending) order: the
-    strength is one less than the degree of the first zonal that fails."""
+    The basis goes to power sums from the top degree down, so that one
+    cached change of basis serves every degree."""
     P = S.geometry.power_sums(max(t_max, 1))
-    for Z in zonal_basis(S.m, S.n, t_max):
-        if Z.mu.size == 0:
-            continue
-        avg = float(Z.eval_power_sums(P).mean())
-        if abs(avg) >= tol * abs(float(Z.at_ones())):
-            return Z.mu.size - 1
-    return max(t_max, 0)
+    basis = zonal_basis(S.m, S.n, t_max)
+    for Z in reversed(basis):
+        Z.poly.to_power_sums()
+    return _first_failure(basis, lambda Z: float(Z.eval_power_sums(P).mean()),
+                          t_max, tol)
 
 
 def is_one_design(S, tol=1e-8):
@@ -222,6 +240,9 @@ class SchemeReport:
         ]
         if self.idempotents is not None:
             lines.append(self.idempotents.to_text())
+        elif not self.is_scheme:
+            lines.append("idempotents: not computed, the relations are not "
+                         "closed (verify-design tests the design strength)")
         return "\n".join(lines)
 
 
@@ -260,11 +281,12 @@ class IdempotentReport:
     the coarse eigen-relation residuals."""
 
     def __init__(self, pair_residuals, required_design, strength,
-                 coarse_residuals):
+                 coarse_residuals, coarse_classes=None):
         self.pair_residuals = pair_residuals      # {(mu,lam): float}
         self.required_design = required_design    # {(mu,lam): int}
         self.strength = strength                  # measured design strength
         self.coarse_residuals = coarse_residuals  # {(class, degree): float}
+        self.coarse_classes = coarse_classes      # [fine classes of each]
 
     def orthogonality_residual(self):
         "max residual over mu != lam (guaranteed pairs only)"
@@ -310,48 +332,100 @@ class IdempotentReport:
         return "\n".join(lines)
 
 
-def scheme_idempotents(S, R, t=2, tol=1e-8):
-    """Build E_mu = Z_mu(y(a,b))/|S| from normalized zonals for |mu| <= t and
-    measure Frobenius residuals of E_mu E_lam - delta E_mu.
+def rational_representatives(R, tol=1e-8):
+    """Each class representative of R as a tuple of Fractions: every
+    coordinate is the nearest rational with denominator at most
+    REP_DENOMINATOR_LIMIT, which is unique within tol while tol <
+    1/(2 REP_DENOMINATOR_LIMIT^2).  A coordinate with no such rational within
+    tol raises ClusterAmbiguity naming its class."""
+    out = []
+    for c, rep in enumerate(R.reps):
+        exact = tuple(Fraction(y).limit_denominator(REP_DENOMINATOR_LIMIT)
+                      for y in rep)
+        for y, q in zip(rep, exact):
+            if not abs(Fraction(y) - q) <= tol:
+                raise ClusterAmbiguity(
+                    "class %d: representative coordinate %.17g has no "
+                    "rational with denominator <= %d within %g"
+                    % (c, y, REP_DENOMINATOR_LIMIT, tol))
+        out.append(exact)
+    return out
+
+
+def scheme_idempotents(S, R, t=2, tol=1e-8, scheme=None):
+    """E_mu = sum_c Q[mu][c] A_c, |mu| <= t, Q[mu][c] the normalized Z_mu
+    at class c's rational representative over |S|, and the residuals
+    ||E_mu E_lam - delta E_mu||_F / ||E_mu||_F, exact up to one square root,
+    in the Bose-Mesner algebra (Delsarte 1973) of the closed `scheme`
+    (check_scheme(R) when None): E_mu E_lam - delta E_mu = sum_e x_e A_e,
+    x_e = sum_{c,d} Q[mu][c] Q[lam][d] p^e_{cd} - delta Q[mu][e], has the
+    squared norm sum_e x_e^2 |class e|, as the supports are disjoint.
 
     E_mu E_lam = delta_{mu,lam} E_mu is only guaranteed when S is an
     (|mu|+|lam|)-design, so each pair is reported with its requirement and
-    whether the measured strength, tested up to 2t, certifies it.  For the
-    coarse relations the eigen-relation A'_c E'_i ~ E'_i is also measured."""
-    N = len(S)
-    P = S.geometry.power_sums(max(2 * t, 1))
-    Es = {}
-    for Z in zonal_basis(S.m, S.n, t):
-        Es[Z.mu] = normalize_zonal(Z).eval_power_sums(P) / N
-    strength = design_strength(S, t_max=2 * t, tol=tol)
+    whether the design strength, tested up to 2t on the exact pair
+    averages, certifies it.  The coarse relations are the unions of classes
+    of equal exact trace; for each the eigen-relation A'_c E'_i ~ E'_i is
+    measured in the same algebra."""
+    scheme = check_scheme(R, tol=tol) if scheme is None else scheme
+    if not scheme.is_scheme:
+        raise OutOfRange("the relations are not closed (residual %.3e): no "
+                         "Bose-Mesner algebra" % scheme.closure_residual)
+    N, k = R.N, R.n_classes
+    p = scheme.intersection_numbers     # A_c A_d = sum_e p[e][c][d] A_e
+    valency = [p[0][c][c] for c in range(k)]   # |class c| = N valency[c]
+    reps = rational_representatives(R, tol=tol)
+    basis = [normalize_zonal(Z) for Z in zonal_basis(S.m, S.n, 2 * t)]
+    # Q[mu][c]: E_mu's coordinate on A_c
+    Q = {Z.mu: [Z.evaluate(y) / N for y in reps] for Z in basis}
+
+    # the pair average |S|^-2 sum_c |class c| Z(rep_c)
+    strength = _first_failure(
+        basis, lambda Z: sum(v * z for v, z in zip(valency, Q[Z.mu])),
+        2 * t, Fraction(tol))
+
+    def inner(x, y):
+        "Frobenius inner product of sum_e x[e] A_e and sum_e y[e] A_e"
+        return N * sum(v * a * b for v, a, b in zip(valency, x, y))
+
+    def product(x, y):
+        "the coordinates of (sum_c x[c] A_c) (sum_d y[d] A_d)"
+        return [sum(n * x[c] * y[d] for c, row in enumerate(pe)
+                    for d, n in enumerate(row) if n) for pe in p]
+
+    def residual(num, den):
+        return math.sqrt(num / den) if num else 0.0
+
+    mus = sorted((Z.mu for Z in basis if Z.mu.size <= t),
+                 key=Partition.sort_key)
     pair_res = {}
     required = {}
-    mus = sorted(Es, key=Partition.sort_key)
     for mu in mus:
         for lam in mus:
-            prod = Es[mu] @ Es[lam]
+            x = product(Q[mu], Q[lam])
             if mu == lam:
-                prod = prod - Es[mu]
-            r = float(np.linalg.norm(prod) / max(np.linalg.norm(Es[mu]), 1e-300))
-            pair_res[(mu, lam)] = r
+                x = [a - b for a, b in zip(x, Q[mu])]
+            pair_res[(mu, lam)] = residual(inner(x, x), inner(Q[mu], Q[mu]))
             required[(mu, lam)] = mu.size + lam.size
+
+    trace = [sum(y) for y in reps]
+    levels = sorted({trace[c] for c in range(1, k)}, reverse=True)
+    groups = [(0,)] + [tuple(c for c in range(1, k) if trace[c] == level)
+                       for level in levels]
     coarse = {}
-    coarse_R = R if R.m == 1 else inner_product_classes(S, tol=tol)
-    degrees = sorted({mu.size for mu in mus})
-    for i in degrees:
-        Ei = sum(Es[mu] for mu in mus if mu.size == i)
-        for c in range(coarse_R.n_classes):
-            A = coarse_R.relation_matrix(c)
-            M = A @ Ei
-            lam = float((M * Ei).sum() / max((Ei * Ei).sum(), 1e-300))
+    for i in sorted({mu.size for mu in mus}):
+        q = [sum(Q[mu][e] for mu in mus if mu.size == i) for e in range(k)]
+        nrm = inner(q, q)
+        for g, group in enumerate(groups):
+            M = product([int(c in group) for c in range(k)], q)
+            eig = inner(M, q) / nrm if nrm else 0
             # eigenvalues of A on the algebra are bounded by the class
             # degree, so degree * ||E|| is a scale-stable reference even
             # when the eigenvalue itself is 0
-            deg = max(float(A.sum(axis=1).max()), 1.0)
-            r = float(np.linalg.norm(M - lam * Ei)
-                      / (deg * max(np.linalg.norm(Ei), 1e-300)))
-            coarse[(c, i)] = r
-    return IdempotentReport(pair_res, required, strength, coarse)
+            deg = max(sum(valency[c] for c in group), 1)
+            d = [a - eig * b for a, b in zip(M, q)]
+            coarse[(g, i)] = residual(inner(d, d), nrm) / deg
+    return IdempotentReport(pair_res, required, strength, coarse, groups)
 
 
 class TwoThreeReport:

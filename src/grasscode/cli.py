@@ -285,12 +285,11 @@ def _cmd_verify_design(args):
 def _cmd_check_scheme(args):
     S = read_code(args.file, tol=args.tol)
     t = 2 if args.t is None else args.t
-    # one pass over the pairs forms what both readers need: the angles for
-    # the clustering, the power sums for the idempotents and strength to 2t
-    S.geometry.prepare(angles=True, t=max(2 * t, 1))
     R = angle_classes(S, tol=args.tol)
     rep = check_scheme(R, tol=args.tol)
-    rep.idempotents = scheme_idempotents(S, R, t=t, tol=args.tol)
+    if rep.is_scheme:   # the idempotents live in the closed algebra
+        rep.idempotents = scheme_idempotents(S, R, t=t, tol=args.tol,
+                                             scheme=rep)
     if args.json:
         _emit(args, json.dumps(rep.to_json_dict(), sort_keys=True))
     else:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grasscode.sympoly as sympoly
 from grasscode.analysis import (RelationPartition, _cluster_vectors,
                                 angle_classes, check_scheme, design_strength,
                                 inner_product_classes, inner_product_set,
@@ -336,6 +337,22 @@ def test_cluster_vectors_is_max_norm_single_linkage(planted):
     assert got == max_norm_single_linkage(vecs, CLUSTER_TOL)
     assert got == {frozenset(np.nonzero(truth == c)[0].tolist())
                    for c in set(truth.tolist())}
+
+
+def test_design_strength_builds_one_power_table(es321, monkeypatch):
+    # the degree-4 change of basis holds every lower degree, so a fresh
+    # cache is filled once, not once per degree
+    class Builds(dict):
+        count = 0
+
+        def __setitem__(self, key, value):
+            self.count += 1
+            super().__setitem__(key, value)
+
+    builds = Builds()
+    monkeypatch.setattr(sympoly, "_power_cache", builds)
+    assert design_strength(es321, t_max=4) == 2
+    assert builds.count == 1 and builds[3][0] == 4
 
 
 @pytest.mark.parametrize("name", ["mub5", "pauli2", "es321"])

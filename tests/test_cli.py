@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import grasscode.analysis as analysis
 import grasscode.core_linalg as core_linalg
 from grasscode.cli import main
-from grasscode.io import read_code
+from grasscode.core_linalg import Code
+from grasscode.io import read_code, write_code
 
 from conftest import counting_kernel
 
@@ -439,6 +441,57 @@ def test_check_scheme_runs_the_pair_kernel_once(tmp_path, capsys,
     assert code == 0
     assert len(calls) == 1
     assert len(forms) == (read_code(str(path)).m > 1)
+
+
+def test_check_scheme_pass_runs_under_pair_angle_matrix(tmp_path, capsys,
+                                                        monkeypatch):
+    path = tmp_path / "es321.json"
+    run(capsys, "construct", "extraspecial", "--p", "3", "--n", "2", "--k",
+        "1", "-o", str(path))
+    inside, calls = [], []
+    angles, kernel = analysis.pair_angle_matrix, core_linalg._overlap_pass
+
+    def traced(S):
+        inside.append(True)
+        try:
+            return angles(S)
+        finally:
+            inside.pop()
+
+    def counted(bases, angles=False, t=0, record=None):
+        calls.append((angles, t, bool(inside)))
+        return kernel(bases, angles, t, record)
+
+    monkeypatch.setattr(analysis, "pair_angle_matrix", traced)
+    monkeypatch.setattr(core_linalg, "_overlap_pass", counted)
+    code, _, _ = run(capsys, "check-scheme", str(path), "--json")
+    assert code == 0
+    # one pass, for the angles only, made inside pair_angle_matrix
+    assert calls == [(True, 0, True)]
+
+
+def test_check_scheme_without_closure_omits_idempotents(tmp_path, capsys):
+    path = tmp_path / "es320.json"
+    run(capsys, "construct", "extraspecial", "--p", "3", "--n", "2", "--k",
+        "0", "-o", str(path))
+    code, out, _ = run(capsys, "check-scheme", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["is_scheme"] is False and "idempotents" not in doc
+    code, out, _ = run(capsys, "check-scheme", str(path))
+    assert code == 0 and "idempotents: not computed" in out
+
+
+def test_check_scheme_irrational_representative_exit_2(tmp_path, capsys):
+    # two lines with cos^2 = 1/phi^2: a closed scheme whose one class has no
+    # rational representative of denominator <= 2048 within tol
+    y = (3 - 5 ** 0.5) / 2
+    bases = np.array([[[1.0], [0.0]], [[y ** 0.5], [(1 - y) ** 0.5]]])
+    path = tmp_path / "two.json"
+    write_code(Code(bases), str(path))
+    code, out, err = run(capsys, "check-scheme", str(path), "--json")
+    assert code == 2 and out == ""
+    assert "class 1" in err and "rational" in err
 
 
 def test_exit_code_size_limit(capsys):
