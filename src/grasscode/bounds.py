@@ -20,7 +20,7 @@ import numpy as np
 
 from .core_linalg import Code, principal_angles
 from .dims import check_mn, dim_Hk, hom_dim_bound
-from .errors import DegenerateDenominator, OutOfRange
+from .errors import DegenerateDenominator, DimensionMismatch, OutOfRange
 from .partitions import Partition
 from .zonal import annihilator_sympoly, expand_in_zonal
 
@@ -114,8 +114,10 @@ def _zonal_sign_check(f, m, n, t=None, code=None):
     elif code is None:
         conds.append(_marginless("f <= 0 on distinct pairs (caller-asserted)"))
     else:
-        if not isinstance(code, Code):
-            code = Code(code)
+        code = code if isinstance(code, Code) else Code(code)
+        if (code.m, code.n) != (m, n):   # refused before any pair pass
+            raise DimensionMismatch("code in G(%d,%d), bound for G(%d,%d)"
+                                    % (code.m, code.n, m, n))
         i, j = np.triu_indices(len(code), 1)
         vals = f.eval_power_sums(
             code.geometry.power_sums(max(f.degree, 1))[i, j])

@@ -17,7 +17,7 @@ batched Gram-Schmidt twice (CGS2), not LAPACK QR: the same phase-fixed Q.
 import numpy as np
 
 from .errors import (DimensionMismatch, DuplicateMember, NumericalHealthError,
-                     RankDeficient, RankTooLarge)
+                     OutOfRange, RankDeficient, RankTooLarge)
 from .sympoly import CENTER
 
 ANGLE_SLACK = 1e-8      # certified range for squared cosines is [-slack, 1+slack]
@@ -160,12 +160,13 @@ def power_sums(H, t, record=None):
     """Centered power sums tr(H^k) = sum_i (y_i - CENTER)^k, k = 1..min(t, m),
     t >= 1, of a stack of W^dagger W (..., m, m) from squared_overlaps,
     centered in place to H.  tr(H^(a+b)) is the real inner product of H^a
-    and H^b, so k <= 4 takes one product H^2.  Range check, as
-    checked_cosines': W^dagger W is positive semidefinite, and its
-    eigenvalues are below 1 + ANGLE_SLACK iff (1 + ANGLE_SLACK - CENTER) I -
-    H has a Cholesky factor.  Samuelson's bound (mean + sqrt(m - 1) standard
-    deviations) clears most pairs first; the factorization passes NaN, so the
-    sums must be finite.  Failures are worded by checked_cosines."""
+    and H^b, so k <= 4 takes one product H^2: H^dagger H by rows at m = 3 (H
+    is Hermitian), where rows beat a stacked matmul, which wins at m >= 4.
+    Range check, as checked_cosines': W^dagger W is positive semidefinite,
+    with eigenvalues below 1 + ANGLE_SLACK iff (1 + ANGLE_SLACK - CENTER) I
+    - H has a Cholesky factor.  Samuelson's bound (mean + sqrt(m - 1)
+    standard deviations) clears most pairs first; the factorization passes
+    NaN, so the sums must be finite.  Failures are worded by checked_cosines."""
     m, top = H.shape[-1], 1 - float(CENTER) + ANGLE_SLACK
     with np.errstate(invalid="ignore", over="ignore"):
         H[..., range(m), range(m)] -= float(CENTER)
@@ -174,7 +175,7 @@ def power_sums(H, t, record=None):
         powers = [None, H]
         for k in range(2, p.shape[-1] + 1):
             if (k + 1) // 2 == len(powers):
-                powers.append(powers[-1] @ H)
+                powers.append(squared_overlaps(H) if m == 3 else powers[-1] @ H)
             a, b = (x.view(float).reshape(x.shape[:-2] + (-1,))
                     for x in (powers[(k + 1) // 2], powers[k // 2]))
             p[..., k - 1] = np.einsum("...i,...i->...", a, b)
@@ -231,10 +232,12 @@ def canonical_pair(a, b):
 class PairGeometry:
     """A code's tr(P_a P_b) (gram), squared principal-angle cosines (angles,
     (N, N, m), descending) and power_sums (N, N, min(t, m)) of all ordered
-    pairs, each formed on first use, range-checked and kept read-only;
+    pairs.  Each request forms only its own array, in one pass on first use
+    (power_sums again for a larger t), range-checked and kept read-only; at
+    m = 1 the angles are the gram, the power sums the angles less CENTER.
     `excursion` is how far the worst angle lay outside [0, 1].  The first
-    gram kept also checks the code as a set (check_duplicates), after the
-    range checks of the pass that formed it."""
+    gram kept checks the code as a set (check_duplicates), after the range
+    check of its pass, so a non-finite member fails the range check."""
 
     __slots__ = ("bases", "check_duplicates", "_gram", "_angles", "_sums",
                  "excursion")
@@ -250,77 +253,69 @@ class PairGeometry:
         return self._gram
 
     def angles(self):
-        self.prepare(angles=True)
+        if self._angles is None:
+            m = self.bases.shape[2]
+            gram, y = (self._line_pass() if m == 1 else
+                       _overlap_pass(self.bases, squared_cosines, m))
+            self._angles = self._keep(gram, checked_cosines(y, self))
         return self._angles
 
     def power_sums(self, t):
-        self.prepare(t=t)
-        return self._sums[..., :min(t, self.bases.shape[2])]
-
-    def prepare(self, angles=False, t=0):
-        "one pass for whatever of the angles and power_sums(t) is not cached"
+        if t < 1:
+            raise OutOfRange("power sums need t >= 1, got %r" % (t,))
         m = self.bases.shape[2]
-        angles = angles and self._angles is None
         k = min(t, m)
-        k = k if self._sums is None or self._sums.shape[-1] < k else 0
-        if not (angles or k):
-            return
-        if m == 1:   # cos^2 = |a^dagger b|^2 is the gram: no second pass
-            gram = _overlap_pass(self.bases)[0] if self._gram is None else self._gram
-            y = checked_cosines(gram[:, :, None], self)
-            p = y - float(CENTER)
-        else:
-            gram, y, p = _overlap_pass(self.bases, angles, k, self)
-            y = None if y is None else checked_cosines(y, self)
-        if self._gram is None:
-            self._keep(gram)
-        for a in (y, p):
-            if a is not None:
-                a.flags.writeable = False
-        self._angles = self._angles if y is None else y
-        self._sums = self._sums if p is None else p
+        if self._sums is None or self._sums.shape[-1] < k:
+            gram, p = (self._line_pass() if m == 1 else _overlap_pass(
+                self.bases, lambda G: power_sums(G, k, self), k))
+            p = checked_cosines(p, self) - float(CENTER) if m == 1 else p
+            self._sums = self._keep(gram, p)
+        return self._sums[..., :k]
 
-    def _keep(self, gram):
-        "keep the gram, refusing two members that span one subspace"
-        if self.check_duplicates:
+    def _line_pass(self):
+        "at m = 1 cos^2 = |a^dagger b|^2: (gram, angles), no pass once kept"
+        gram = _overlap_pass(self.bases)[0] if self._gram is None else self._gram
+        return gram, gram[:, :, None]
+
+    def _keep(self, gram, out=None):
+        """keep the first gram, refusing two members that span one subspace;
+        returns `out`, the checked array of the same pass, read-only"""
+        if self._gram is None and self.check_duplicates:
             off = np.where(np.eye(len(gram), dtype=bool), -np.inf, gram)
             i, j = np.unravel_index(np.argmax(off), off.shape)
             if not off[i, j] <= self.bases.shape[2] - DUP_SLACK:   # NaN fails
                 raise DuplicateMember("members %d and %d coincide or are not "
                                       "finite (tr = %.12g)" % (i, j, off[i, j]))
-        self._gram = gram
+        self._gram = gram if self._gram is None else self._gram
+        if out is not None:
+            out.flags.writeable = False
+        return out
 
 
-def _overlap_pass(bases, angles=False, t=0, record=None):
+def _overlap_pass(bases, form=None, width=0):
     """One GEMM per block of rows forms the overlaps W = A^dagger B.  Returns
-    (gram ||W||_F^2, squared_cosines if `angles`, power_sums if t), None
-    where not asked, from one W^dagger W per block; no m x m array of all
-    pairs outlives its block.
+    the gram ||W||_F^2 and form(W^dagger W) of each block, (N, N, width), or
+    None without `form`; no m x m array of all pairs outlives its block.
     W_ba = W_ab^dagger has the same norm and cosines, so only pairs a <= b
     are formed and the rest copied: each array is exactly symmetric."""
     N, n, m = bases.shape
     M = bases.transpose(1, 0, 2).reshape(n, N * m)   # bases side by side
     gram = np.empty((N, N))
-    y = np.empty((N, N, m)) if angles else None
-    p = np.empty((N, N, min(t, m))) if t else None
+    out = None if form is None else np.empty((N, N, width))
     step = max(1, int(4e6) // max(1, N * m * m))
     for lo in range(0, N, step):
         hi = min(N, lo + step)
-        with np.errstate(invalid="ignore", over="ignore"):  # checked below
+        with np.errstate(invalid="ignore", over="ignore"):  # checked later
             w = (M[:, lo * m:hi * m].conj().T @ M[:, lo * m:]).reshape(
                 hi - lo, m, N - lo, m).transpose(0, 2, 1, 3)  # A_i^dag B_j
             gram[lo:hi, lo:] = np.sum(np.abs(w) ** 2, axis=(2, 3))
-            G = squared_overlaps(w) if angles or t else None
-            if angles:
-                y[lo:hi, lo:] = squared_cosines(G)
-        if t:
-            p[lo:hi, lo:] = power_sums(G, t, record)
-    for out in (gram, y, p):
-        if out is not None:
-            for i in range(1, N):
-                out[i, :i] = out[:i, i]
+            if form is not None:
+                out[lo:hi, lo:] = form(squared_overlaps(w))
+    for a in (gram,) if out is None else (gram, out):
+        for i in range(1, N):
+            a[i, :i] = a[:i, i]
     gram.flags.writeable = False
-    return gram, y, p
+    return gram, out
 
 
 class Code:

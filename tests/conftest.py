@@ -39,15 +39,23 @@ def random_subspace_pair(n, m, rng):
     return subspace_from_basis(a), subspace_from_basis(b)
 
 
+def pass_form(form, width):
+    """what a pair pass forms besides the gram: "gram" (nothing else),
+    "angles" (squared_cosines of each W^dagger W) or ("sums", degree)"""
+    if form is None:
+        return "gram"
+    return "angles" if form is core_linalg.squared_cosines else ("sums", width)
+
+
 def counting_kernel(monkeypatch):
     """replace the blocked pair kernel by a wrapper that logs what each pass
-    was asked to form: (angles, power-sum degree)"""
+    forms (pass_form)"""
     calls = []
     kernel = core_linalg._overlap_pass
 
-    def counted(members, angles=False, t=0, record=None):
-        calls.append((angles, t))
-        return kernel(members, angles, t, record)
+    def counted(bases, form=None, width=0):
+        calls.append(pass_form(form, width))
+        return kernel(bases, form, width)
 
     monkeypatch.setattr(core_linalg, "_overlap_pass", counted)
     return calls

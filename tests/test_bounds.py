@@ -13,7 +13,7 @@ from grasscode.bounds import (BoundTable, absolute_code_bound,
                               two_distance_bound)
 from grasscode.core_linalg import Code
 from grasscode.dims import dim_Hk
-from grasscode.errors import DegenerateDenominator, OutOfRange
+from grasscode.errors import DegenerateDenominator, DimensionMismatch, OutOfRange
 from grasscode.zonal import annihilator_sympoly, zonal_general
 
 from conftest import counting_kernel
@@ -251,8 +251,21 @@ def test_relative_bound_check_reads_shared_geometry(es321, monkeypatch):
 
     monkeypatch.setattr(bounds, "principal_angles", counted)
     assert checked(relative_code_bound(f, S.m, S.n, code=S))
-    assert kernel == [(False, 2)]   # one pass, power sums only
+    assert kernel == [("sums", 2)]   # one pass, power sums only
     assert len(oracle) == 1      # only the decisive pair is recomputed
+
+
+@pytest.mark.parametrize("m, n", [(2, 6), (1, 4), (3, 9)])
+def test_relative_bound_refuses_a_code_outside_the_space(pauli2, monkeypatch,
+                                                          m, n):
+    # pauli(2) lies in G(2,4): a bound for another G(m,n) is refused, naming
+    # both shapes, before any pair pass
+    f = annihilator_sympoly([Fraction(0), Fraction(1)], m)
+    kernel = counting_kernel(monkeypatch)
+    with pytest.raises(DimensionMismatch, match=r"G\(2,4\).*G\(%d,%d\)"
+                       % (m, n)):
+        relative_code_bound(f, m, n, code=Code(list(pauli2)))
+    assert kernel == []
 
 
 def test_relative_bound_check_runs_no_eigen_solve(es321, monkeypatch):

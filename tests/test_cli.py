@@ -10,7 +10,7 @@ from grasscode.cli import main
 from grasscode.core_linalg import Code
 from grasscode.io import read_code, write_code
 
-from conftest import counting_kernel
+from conftest import counting_kernel, pass_form
 
 
 def run(capsys, *argv):
@@ -316,7 +316,7 @@ def test_verify_design_runs_no_eigen_solve(tmp_path, capsys, monkeypatch,
     # pauli(2) is a 3-design in G(2,4), es(3,2,1) a 2-design in G(3,9)
     strength, m = (3, 2) if family[0] == "pauli" else (2, 3)
     assert json.loads(out)["strength"] == min(strength, int(t))
-    assert calls == [(False, min(int(t), m))]   # one pass, no angles
+    assert calls == [("sums", min(int(t), m))]   # one pass, no angles
 
 
 @pytest.mark.parametrize("command", ["angles", "gram", "verify-design",
@@ -428,8 +428,8 @@ def test_stray_linalg_error_is_numerical_health(tmp_path, capsys,
                                     ["mub", "--p", "5"]])
 def test_check_scheme_runs_the_pair_kernel_once(tmp_path, capsys,
                                                 monkeypatch, family):
-    # and, at m > 1, forms one W^dagger W per block for both the angles and
-    # the power sums (the codes here fit one block)
+    # and, at m > 1, forms one W^dagger W per block, for the angles only
+    # (the codes here fit one block); at m = 1 the angles are the gram
     path = tmp_path / "code.json"
     run(capsys, "construct", *family, "-o", str(path))
     calls = counting_kernel(monkeypatch)
@@ -458,16 +458,16 @@ def test_check_scheme_pass_runs_under_pair_angle_matrix(tmp_path, capsys,
         finally:
             inside.pop()
 
-    def counted(bases, angles=False, t=0, record=None):
-        calls.append((angles, t, bool(inside)))
-        return kernel(bases, angles, t, record)
+    def counted(bases, form=None, width=0):
+        calls.append((pass_form(form, width), bool(inside)))
+        return kernel(bases, form, width)
 
     monkeypatch.setattr(analysis, "pair_angle_matrix", traced)
     monkeypatch.setattr(core_linalg, "_overlap_pass", counted)
     code, _, _ = run(capsys, "check-scheme", str(path), "--json")
     assert code == 0
     # one pass, for the angles only, made inside pair_angle_matrix
-    assert calls == [(True, 0, True)]
+    assert calls == [("angles", True)]
 
 
 def test_check_scheme_without_closure_omits_idempotents(tmp_path, capsys):

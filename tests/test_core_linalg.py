@@ -10,11 +10,11 @@ from grasscode.core_linalg import (Code, Subspace, canonical_pair,
                                    principal_angles, subspace_from_basis,
                                    trace_inner_product)
 from grasscode.errors import (DimensionMismatch, DuplicateMember,
-                              NumericalHealthError, RankDeficient,
+                              NumericalHealthError, OutOfRange, RankDeficient,
                               RankTooLarge)
 from grasscode.io import read_code, write_code
 
-from conftest import counting_kernel, random_subspace_pair
+from conftest import counting_kernel, random_code, random_subspace_pair
 from haar_oracle import gaussian_batch, haar_basis_batch_qr
 
 
@@ -163,7 +163,7 @@ def test_building_or_reading_a_code_runs_no_pair_pass(tmp_path, monkeypatch):
 def test_first_pair_request_runs_one_pass(monkeypatch):
     calls = counting_kernel(monkeypatch)
     pair_angle_matrix(pauli_code(2))
-    assert calls == [(True, 0)]
+    assert calls == ["angles"]
 
 
 def test_gram_matrix_properties():
@@ -253,9 +253,72 @@ def test_gram_only_requests_run_no_eigen_solve(pauli2, monkeypatch):
     g = gram_matrix(S)
     inner_product_set(S)
     inner_product_classes(S)
-    assert calls == [(False, 0)]
+    assert calls == ["gram"]   # no W^dagger W is formed
     assert S.geometry.excursion is None   # no angles were formed
     assert np.abs(np.diag(g) - S.m).max() < 1e-12
+
+
+def test_angles_then_gram_runs_one_pass(pauli2, monkeypatch):
+    S = fresh(pauli2)
+    calls = counting_kernel(monkeypatch)
+    Y = S.geometry.angles()
+    g = S.geometry.gram()
+    assert calls == ["angles"]
+    assert np.abs(Y.sum(-1) - g).max() < 1e-12
+    assert not (Y.flags.writeable or g.flags.writeable)
+
+
+def test_power_sums_pass_again_only_for_a_larger_degree(monkeypatch):
+    S = random_code(8, 4, 6, seed=5)
+    calls = counting_kernel(monkeypatch)
+    P2 = S.geometry.power_sums(2)
+    P4 = S.geometry.power_sums(4)
+    P3 = S.geometry.power_sums(3)
+    assert calls == [("sums", 2), ("sums", 4)]
+    assert P2.shape == (6, 6, 2) and np.abs(P4[..., :2] - P2).max() < 1e-12
+    assert np.array_equal(P3, P4[..., :3]) and not P4.flags.writeable
+    assert S.geometry.angles().shape == (6, 6, 4)
+    assert calls == [("sums", 2), ("sums", 4), "angles"]
+
+
+def test_line_code_requests_share_the_gram(mub5, monkeypatch):
+    # at m = 1 the angles are the gram and the power sums the angles less
+    # CENTER: one pass for all three, and an angle request keeps no sums
+    S = fresh(mub5)
+    calls = counting_kernel(monkeypatch)
+    Y = S.geometry.angles()
+    assert S.geometry._sums is None
+    P = S.geometry.power_sums(3)
+    g = S.geometry.gram()
+    assert calls == ["gram"]
+    assert P.shape == Y.shape == (len(S), len(S), 1)
+    assert np.array_equal(P, Y - 0.5) and np.array_equal(Y[..., 0], g)
+
+
+def test_power_sums_refuse_degree_below_one(pauli2):
+    S = fresh(pauli2)
+    for t in (0, -1):
+        with pytest.raises(OutOfRange):
+            S.geometry.power_sums(t)
+    S.geometry.power_sums(2)
+    with pytest.raises(OutOfRange):
+        S.geometry.power_sums(0)
+
+
+@pytest.mark.parametrize("name", ["mub5", "pauli2"])
+@pytest.mark.parametrize("request_kind", ["angles", "power_sums"])
+def test_non_finite_member_fails_the_range_check_first(name, request_kind,
+                                                        request):
+    # the range check of a request runs before the set check of the gram
+    # its pass keeps: NumericalHealthError, not DuplicateMember
+    S = request.getfixturevalue(name)
+    with np.errstate(invalid="ignore"):
+        planted = Subspace(S[0].basis * np.nan)
+    T = Code([planted] + list(S)[1:], check_duplicates=True)
+    ask = (T.geometry.angles if request_kind == "angles"
+           else lambda: T.geometry.power_sums(2))
+    with pytest.raises(NumericalHealthError):
+        ask()
 
 
 @pytest.mark.parametrize("name", ["mub5", "pauli2"])

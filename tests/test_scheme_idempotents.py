@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import grasscode.analysis as analysis
+import grasscode.core_linalg as core_linalg
 from grasscode.analysis import (REP_DENOMINATOR_LIMIT, RelationPartition,
                                 _cluster_vectors, angle_classes, check_scheme,
                                 design_strength, inner_product_classes,
@@ -15,8 +16,7 @@ from grasscode.analysis import (REP_DENOMINATOR_LIMIT, RelationPartition,
 from grasscode.constructions import (EXTRASPECIAL_LIMIT, MUB_LIMIT,
                                      PAULI_LIMIT, extraspecial_code, mub_code,
                                      pauli_code)
-from grasscode.core_linalg import (PairGeometry, squared_cosines,
-                                   squared_overlaps)
+from grasscode.core_linalg import squared_cosines, squared_overlaps
 from grasscode.errors import ClusterAmbiguity, OutOfRange
 from grasscode.sympoly import SymmetricPolynomial
 
@@ -79,7 +79,7 @@ def test_no_pair_data_is_read(scheme, monkeypatch):
     monkeypatch.setattr(RelationPartition, "relation_matrix", refuse)
     monkeypatch.setattr(analysis, "inner_product_classes", refuse)
     monkeypatch.setattr(SymmetricPolynomial, "eval_power_sums", refuse)
-    monkeypatch.setattr(PairGeometry, "prepare", refuse)
+    monkeypatch.setattr(core_linalg, "_overlap_pass", refuse)
     got = scheme_idempotents(SimpleNamespace(m=S.m, n=S.n),
                              RelationPartition(R.N, R.m, R.reps, None),
                              t=2, scheme=rep)
