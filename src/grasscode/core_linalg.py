@@ -160,13 +160,12 @@ def power_sums(H, t, record=None):
     """Centered power sums tr(H^k) = sum_i (y_i - CENTER)^k, k = 1..min(t, m),
     t >= 1, of a stack of W^dagger W (..., m, m) from squared_overlaps,
     centered in place to H.  tr(H^(a+b)) is the real inner product of H^a
-    and H^b, so k <= 4 takes one product H^2: H^dagger H by rows at m = 3 (H
-    is Hermitian), where rows beat a stacked matmul, which wins at m >= 4.
-    Range check, as checked_cosines': W^dagger W is positive semidefinite,
-    with eigenvalues below 1 + ANGLE_SLACK iff (1 + ANGLE_SLACK - CENTER) I
-    - H has a Cholesky factor.  Samuelson's bound (mean + sqrt(m - 1)
-    standard deviations) clears most pairs first; the factorization passes
-    NaN, so the sums must be finite.  Failures are worded by checked_cosines."""
+    and H^b, so k <= 4 takes one product H^2.  Range check, as
+    checked_cosines': W^dagger W is positive semidefinite, and its
+    eigenvalues are below 1 + ANGLE_SLACK iff (1 + ANGLE_SLACK - CENTER) I -
+    H has a Cholesky factor.  Samuelson's bound (mean + sqrt(m - 1) standard
+    deviations) clears most pairs first; the factorization passes NaN, so the
+    sums must be finite.  Failures are worded by checked_cosines."""
     m, top = H.shape[-1], 1 - float(CENTER) + ANGLE_SLACK
     with np.errstate(invalid="ignore", over="ignore"):
         H[..., range(m), range(m)] -= float(CENTER)
@@ -175,7 +174,7 @@ def power_sums(H, t, record=None):
         powers = [None, H]
         for k in range(2, p.shape[-1] + 1):
             if (k + 1) // 2 == len(powers):
-                powers.append(squared_overlaps(H) if m == 3 else powers[-1] @ H)
+                powers.append(powers[-1] @ H)
             a, b = (x.view(float).reshape(x.shape[:-2] + (-1,))
                     for x in (powers[(k + 1) // 2], powers[k // 2]))
             p[..., k - 1] = np.einsum("...i,...i->...", a, b)
@@ -256,7 +255,7 @@ class PairGeometry:
         if self._angles is None:
             m = self.bases.shape[2]
             gram, y = (self._line_pass() if m == 1 else
-                       _overlap_pass(self.bases, squared_cosines, m))
+                       _overlap_pass(self.bases, squared_cosines))
             self._angles = self._keep(gram, checked_cosines(y, self))
         return self._angles
 
@@ -267,7 +266,7 @@ class PairGeometry:
         k = min(t, m)
         if self._sums is None or self._sums.shape[-1] < k:
             gram, p = (self._line_pass() if m == 1 else _overlap_pass(
-                self.bases, lambda G: power_sums(G, k, self), k))
+                self.bases, lambda G: power_sums(G, k, self)))
             p = checked_cosines(p, self) - float(CENTER) if m == 1 else p
             self._sums = self._keep(gram, p)
         return self._sums[..., :k]
@@ -292,16 +291,15 @@ class PairGeometry:
         return out
 
 
-def _overlap_pass(bases, form=None, width=0):
+def _overlap_pass(bases, form=None):
     """One GEMM per block of rows forms the overlaps W = A^dagger B.  Returns
-    the gram ||W||_F^2 and form(W^dagger W) of each block, (N, N, width), or
+    the gram ||W||_F^2 and form(W^dagger W) of each block, (N, N, ...), or
     None without `form`; no m x m array of all pairs outlives its block.
     W_ba = W_ab^dagger has the same norm and cosines, so only pairs a <= b
     are formed and the rest copied: each array is exactly symmetric."""
     N, n, m = bases.shape
     M = bases.transpose(1, 0, 2).reshape(n, N * m)   # bases side by side
-    gram = np.empty((N, N))
-    out = None if form is None else np.empty((N, N, width))
+    gram, out = np.empty((N, N)), None
     step = max(1, int(4e6) // max(1, N * m * m))
     for lo in range(0, N, step):
         hi = min(N, lo + step)
@@ -310,7 +308,9 @@ def _overlap_pass(bases, form=None, width=0):
                 hi - lo, m, N - lo, m).transpose(0, 2, 1, 3)  # A_i^dag B_j
             gram[lo:hi, lo:] = np.sum(np.abs(w) ** 2, axis=(2, 3))
             if form is not None:
-                out[lo:hi, lo:] = form(squared_overlaps(w))
+                r = form(squared_overlaps(w))
+                out = np.empty((N, N) + r.shape[2:]) if out is None else out
+                out[lo:hi, lo:] = r
     for a in (gram,) if out is None else (gram, out):
         for i in range(1, N):
             a[i, :i] = a[:i, i]

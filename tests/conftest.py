@@ -39,23 +39,26 @@ def random_subspace_pair(n, m, rng):
     return subspace_from_basis(a), subspace_from_basis(b)
 
 
-def pass_form(form, width):
-    """what a pair pass forms besides the gram: "gram" (nothing else),
-    "angles" (squared_cosines of each W^dagger W) or ("sums", degree)"""
+def pass_form(form, out):
+    """what a pair pass formed besides the gram: "gram" (nothing else),
+    "angles" (squared_cosines of each W^dagger W) or ("sums", degree), the
+    degree read off the formed array"""
     if form is None:
         return "gram"
-    return "angles" if form is core_linalg.squared_cosines else ("sums", width)
+    return ("angles" if form is core_linalg.squared_cosines
+            else ("sums", out.shape[-1]))
 
 
 def counting_kernel(monkeypatch):
-    """replace the blocked pair kernel by a wrapper that logs what each pass
-    forms (pass_form)"""
+    """replace the blocked pair kernel by a wrapper that logs what each
+    completed pass formed (pass_form)"""
     calls = []
     kernel = core_linalg._overlap_pass
 
-    def counted(bases, form=None, width=0):
-        calls.append(pass_form(form, width))
-        return kernel(bases, form, width)
+    def counted(bases, form=None):
+        gram, out = kernel(bases, form)
+        calls.append(pass_form(form, out))
+        return gram, out
 
     monkeypatch.setattr(core_linalg, "_overlap_pass", counted)
     return calls

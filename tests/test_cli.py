@@ -458,9 +458,10 @@ def test_check_scheme_pass_runs_under_pair_angle_matrix(tmp_path, capsys,
         finally:
             inside.pop()
 
-    def counted(bases, form=None, width=0):
-        calls.append((pass_form(form, width), bool(inside)))
-        return kernel(bases, form, width)
+    def counted(bases, form=None):
+        gram, out = kernel(bases, form)
+        calls.append((pass_form(form, out), bool(inside)))
+        return gram, out
 
     monkeypatch.setattr(analysis, "pair_angle_matrix", traced)
     monkeypatch.setattr(core_linalg, "_overlap_pass", counted)
