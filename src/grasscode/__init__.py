@@ -1,5 +1,6 @@
 """Codes and designs in complex subspaces: principal angles, zonal
-polynomials, linear-programming bounds, named constructions, and empirical
+polynomials, exact bounds (closed forms, and Delsarte's conditions checked
+for a polynomial the caller supplies), named constructions, and empirical
 scheme/design analysis for finite sets of m-dimensional subspaces of C^n."""
 
 from .analysis import (RelationPartition, SchemeReport, angle_classes,

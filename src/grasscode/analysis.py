@@ -97,10 +97,6 @@ class RelationPartition:
     def relation_matrix(self, k):
         return (self.assignment == k).astype(float)
 
-    def pairs(self, k):
-        "the set of ordered index pairs in class k"
-        return {(int(i), int(j)) for i, j in np.argwhere(self.assignment == k)}
-
     def __repr__(self):
         return ("RelationPartition(N=%d, classes=%s)"
                 % (self.N, ["(%s)x%d" % (",".join("%.4g" % v for v in r),
@@ -150,16 +146,16 @@ def inner_product_set(S, tol=1e-8):
 def _first_failure(basis, average, t_max, tol):
     """The design strength rule: one less than the degree of the first zonal
     Z of the canonical (degree-ascending) basis whose pair average fails
-    |average(Z)| < tol * |Z(1,...,1)|; t_max if none fails."""
+    |average(Z)| <= tol * |Z(1,...,1)|; t_max if none fails."""
     for Z in basis:
-        if Z.mu.size and abs(average(Z)) >= tol * abs(Z.at_ones()):
+        if Z.mu.size and abs(average(Z)) > tol * abs(Z.at_ones()):
             return Z.mu.size - 1
     return max(t_max, 0)
 
 
 def design_strength(S, t_max=2, tol=1e-8):
     """The largest t <= t_max with, for every 1 <= |mu| <= t (len <= m),
-    |average over ordered pairs of Z_mu| < tol * Z_mu(1,...,1).
+    |average over ordered pairs of Z_mu| <= tol * Z_mu(1,...,1).
 
     The basis goes to power sums from the top degree down, so that one
     cached change of basis serves every degree."""
@@ -203,16 +199,14 @@ def is_two_design(S, tol=1e-8):
 
 
 class SchemeReport:
-    """Closure check of the relation-matrix algebra plus, optionally,
-    idempotent diagnostics (filled by scheme_idempotents)."""
+    """Closure check of the relation-matrix algebra, its intersection numbers
+    (None unless closed) and, optionally, idempotent diagnostics."""
 
-    def __init__(self, is_scheme, n_classes, closure_residual,
-                 intersection_numbers, rounding_delta):
+    def __init__(self, is_scheme, n_classes, closure_residual, intersection_numbers):
         self.is_scheme = is_scheme
         self.n_classes = n_classes
         self.closure_residual = closure_residual
         self.intersection_numbers = intersection_numbers
-        self.rounding_delta = rounding_delta
         self.idempotents = None
 
     def to_json_dict(self):
@@ -220,13 +214,9 @@ class SchemeReport:
             "is_scheme": bool(self.is_scheme),
             "classes": int(self.n_classes),
             "closure_residual": float(self.closure_residual),
-            "rounding_delta": float(self.rounding_delta),
         }
         if self.intersection_numbers is not None:
-            doc["intersection_numbers"] = [
-                [[int(x) for x in row] for row in mat]
-                for mat in self.intersection_numbers
-            ]
+            doc["intersection_numbers"] = self.intersection_numbers
         if self.idempotents is not None:
             doc["idempotents"] = self.idempotents.to_json_dict()
         return doc
@@ -236,7 +226,6 @@ class SchemeReport:
             "association scheme: %s" % ("yes" if self.is_scheme else "no"),
             "classes (incl. identity): %d" % self.n_classes,
             "closure residual: %.3e" % self.closure_residual,
-            "intersection-number rounding delta: %.3e" % self.rounding_delta,
         ]
         if self.idempotents is not None:
             lines.append(self.idempotents.to_text())
@@ -246,12 +235,15 @@ class SchemeReport:
         return "\n".join(lines)
 
 
-def check_scheme(R, tol=1e-8):
+def check_scheme(R):
     """Bose-Mesner closure: project every product A_i A_j, 1 <= i <= j, onto
     the span of the relation matrices and report the worst relative
     Frobenius residual.  Disjoint 0/1 supports make the projection the mean
     of the product over each class: one bincount over the assignment.
-    A_0 = I is exact: p^c_{0j} = p^c_{j0} = [c = j]."""
+    A_0 = I is exact: p^c_{0j} = p^c_{j0} = [c = j].  No tolerance: products
+    of 0/1 matrices and their class sums are integers <= N^3, exact in float64
+    for N < 2 * 10^5, so the relations close iff the residual is 0.0, and the
+    class means are then the intersection numbers."""
     if R.n_classes < 2:
         raise OutOfRange("need at least 2 relation classes")
     k = R.n_classes
@@ -259,7 +251,6 @@ def check_scheme(R, tol=1e-8):
     counts = np.bincount(labels, minlength=k)
     A = {c: R.relation_matrix(c) for c in range(1, k)}
     worst = 0.0
-    rdelta = 0.0
     inums = np.zeros((k, k, k), dtype=np.int64)
     inums[:, 0, :] = inums[:, :, 0] = np.eye(k, dtype=np.int64)
     for i in range(1, k):
@@ -267,13 +258,11 @@ def check_scheme(R, tol=1e-8):
             prod = A[i] @ A[j]
             coef = np.bincount(labels, weights=prod.ravel(),
                                minlength=k) / counts
-            r = np.rint(coef)
-            rdelta = max(rdelta, float(np.abs(coef - r).max()))
-            inums[:, i, j] = inums[:, j, i] = r
+            inums[:, i, j] = inums[:, j, i] = coef
             res = float(np.linalg.norm(prod - coef[R.assignment])
                         / max(np.linalg.norm(prod), 1e-300))
             worst = max(worst, res)
-    return SchemeReport(worst < tol, k, worst, inums.tolist(), rdelta)
+    return SchemeReport(worst == 0.0, k, worst, None if worst else inums.tolist())
 
 
 class IdempotentReport:
@@ -335,19 +324,20 @@ class IdempotentReport:
 def rational_representatives(R, tol=1e-8):
     """Each class representative of R as a tuple of Fractions: every
     coordinate is the nearest rational with denominator at most
-    REP_DENOMINATOR_LIMIT, which is unique within tol while tol <
-    1/(2 REP_DENOMINATOR_LIMIT^2).  A coordinate with no such rational within
-    tol raises ClusterAmbiguity naming its class."""
+    REP_DENOMINATOR_LIMIT, within min(tol, 1/(2 REP_DENOMINATOR_LIMIT^2)),
+    where no other such rational can be.  A coordinate with none raises
+    ClusterAmbiguity naming its class and that radius."""
+    radius = min(Fraction(tol), Fraction(1, 2 * REP_DENOMINATOR_LIMIT ** 2))
     out = []
     for c, rep in enumerate(R.reps):
         exact = tuple(Fraction(y).limit_denominator(REP_DENOMINATOR_LIMIT)
                       for y in rep)
         for y, q in zip(rep, exact):
-            if not abs(Fraction(y) - q) <= tol:
+            if not abs(Fraction(y) - q) <= radius:
                 raise ClusterAmbiguity(
                     "class %d: representative coordinate %.17g has no "
-                    "rational with denominator <= %d within %g"
-                    % (c, y, REP_DENOMINATOR_LIMIT, tol))
+                    "rational with denominator <= %d within %.3g"
+                    % (c, y, REP_DENOMINATOR_LIMIT, radius))
         out.append(exact)
     return out
 
@@ -366,8 +356,8 @@ def scheme_idempotents(S, R, t=2, tol=1e-8, scheme=None):
     whether the design strength, tested up to 2t on the exact pair
     averages, certifies it.  The coarse relations are the unions of classes
     of equal exact trace; for each the eigen-relation A'_c E'_i ~ E'_i is
-    measured in the same algebra."""
-    scheme = check_scheme(R, tol=tol) if scheme is None else scheme
+    measured in the same algebra.  Only the rationalization reads tol."""
+    scheme = check_scheme(R) if scheme is None else scheme
     if not scheme.is_scheme:
         raise OutOfRange("the relations are not closed (residual %.3e): no "
                          "Bose-Mesner algebra" % scheme.closure_residual)
@@ -379,10 +369,10 @@ def scheme_idempotents(S, R, t=2, tol=1e-8, scheme=None):
     # Q[mu][c]: E_mu's coordinate on A_c
     Q = {Z.mu: [Z.evaluate(y) / N for y in reps] for Z in basis}
 
-    # the pair average |S|^-2 sum_c |class c| Z(rep_c)
+    # the exact pair average |S|^-2 sum_c |class c| Z(rep_c); nonzero fails
     strength = _first_failure(
         basis, lambda Z: sum(v * z for v, z in zip(valency, Q[Z.mu])),
-        2 * t, Fraction(tol))
+        2 * t, 0)
 
     def inner(x, y):
         "Frobenius inner product of sum_e x[e] A_e and sum_e y[e] A_e"

@@ -286,7 +286,7 @@ def _cmd_check_scheme(args):
     S = read_code(args.file, tol=args.tol)
     t = 2 if args.t is None else args.t
     R = angle_classes(S, tol=args.tol)
-    rep = check_scheme(R, tol=args.tol)
+    rep = check_scheme(R)
     if rep.is_scheme:   # the idempotents live in the closed algebra
         rep.idempotents = scheme_idempotents(S, R, t=t, tol=args.tol,
                                              scheme=rep)

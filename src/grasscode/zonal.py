@@ -29,8 +29,9 @@ import numpy as np
 
 from .core_linalg import haar_basis_batch, power_sums, squared_overlaps
 from .dims import check_mn, dim_H
-from .errors import (DegenerateAtOnes, LengthExceedsVariables, OutOfRange,
-                     UnsupportedPartition)
+from .errors import (DegenerateAtOnes, DimensionMismatch,
+                     LengthExceedsVariables, OutOfRange, UnsupportedPartition,
+                     VariableCountMismatch)
 from .partitions import Partition, aspartition, partitions_up_to
 from .sympoly import (SymmetricPolynomial, _accumulate, _exact_coefficient,
                       _place, _shape, _times_p, hypergeom_coeff, schur_norm)
@@ -293,7 +294,13 @@ def mc_zonal_inner(mu, nu, m, n, samples, seed=0):
 def mc_function_inner(f, g, a, b, samples, seed=0):
     """Monte-Carlo estimate (and standard error) of the kernel pairing: the
     Haar integral of f(y(a,c)) * g(y(b,c)) over random c for fixed
-    subspaces a, b."""
+    subspaces a, b of one G(m, n), with f and g in m variables."""
+    if (a.n, a.m) != (b.n, b.m):
+        raise DimensionMismatch("subspaces in G(%d,%d) and G(%d,%d)"
+                                % (a.m, a.n, b.m, b.n))
+    if (f.m, g.m) != (a.m, a.m):
+        raise VariableCountMismatch("%d- and %d-variable polynomials on G(%d,%d)"
+                                    % (f.m, g.m, a.m, a.n))
     Ba = a.basis.conj().T
     Bb = b.basis.conj().T
     t = max(f.degree, g.degree, 1)

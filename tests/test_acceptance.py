@@ -65,7 +65,7 @@ def test_c01_pauli_code_size_distances_and_bound(tmp_path, capsys):
 def test_c02_pauli_angle_classes_and_scheme(pauli2, capsys):
     t0 = time.monotonic()
     R = angle_classes(pauli2, tol=1e-8)
-    rep = check_scheme(R, tol=1e-8)
+    rep = check_scheme(R)
     elapsed = time.monotonic() - t0
     want = {(1.0, 1.0), (0.0, 0.0), (1.0, 0.0), (0.5, 0.5)}
     got = set()

@@ -479,8 +479,43 @@ def test_check_scheme_without_closure_omits_idempotents(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["is_scheme"] is False and "idempotents" not in doc
+    assert "intersection_numbers" not in doc
     code, out, _ = run(capsys, "check-scheme", str(path))
     assert code == 0 and "idempotents: not computed" in out
+
+
+def test_check_scheme_closure_ignores_the_clustering_tol(tmp_path, capsys):
+    # mub(11) less one member is not closed (residual 0.0282); a --tol above
+    # that residual used to report a scheme with "certified" idempotents
+    path = tmp_path / "mub11.json"
+    run(capsys, "construct", "mub", "--p", "11", "-o", str(path))
+    write_code(Code(read_code(str(path)).bases[1:]), str(path))
+    for tol in ("1e-8", "0.03"):
+        code, out, _ = run(capsys, "check-scheme", str(path), "--tol", tol,
+                           "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["is_scheme"] is False and doc["classes"] == 3
+        assert 0.028 < doc["closure_residual"] < 0.029
+        assert "idempotents" not in doc
+        assert "intersection_numbers" not in doc
+
+
+@pytest.mark.parametrize("family, strength", [
+    (["pauli", "--k", "2"], 3),
+    (["mub", "--p", "5"], 2),
+    (["extraspecial", "--p", "3", "--n", "2", "--k", "1"], 2)])
+def test_check_scheme_strength_ignores_the_clustering_tol(tmp_path, capsys,
+                                                          family, strength):
+    # the exact pair averages decide the strength; --tol 0.05 used to pass
+    # the nonzero degree-3 and degree-4 averages of mub(5) and es(3,2,1)
+    path = tmp_path / "code.json"
+    run(capsys, "construct", *family, "-o", str(path))
+    for tol in ("1e-8", "0.05"):
+        code, out, _ = run(capsys, "check-scheme", str(path), "--tol", tol,
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["idempotents"]["strength"] == strength
 
 
 def test_check_scheme_irrational_representative_exit_2(tmp_path, capsys):
@@ -493,6 +528,20 @@ def test_check_scheme_irrational_representative_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "check-scheme", str(path), "--json")
     assert code == 2 and out == ""
     assert "class 1" in err and "rational" in err
+
+
+def test_check_scheme_rationalizes_only_within_the_unique_radius(tmp_path,
+                                                                 capsys):
+    # 610/1597 is 1.75e-7 from 1/phi^2: inside --tol 1e-6, but outside
+    # 1/(2 * 2048^2) = 1.19e-7, the radius within which the nearest rational
+    # of denominator <= 2048 is the only one
+    y = (3 - 5 ** 0.5) / 2
+    bases = np.array([[[1.0], [0.0]], [[y ** 0.5], [(1 - y) ** 0.5]]])
+    path = tmp_path / "two.json"
+    write_code(Code(bases), str(path))
+    code, out, err = run(capsys, "check-scheme", str(path), "--tol", "1e-6")
+    assert code == 2 and out == ""
+    assert "class 1" in err and "within 1.19e-07" in err
 
 
 def test_exit_code_size_limit(capsys):

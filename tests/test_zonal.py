@@ -10,7 +10,8 @@ import grasscode.zonal as zonal
 from grasscode.core_linalg import (Subspace, haar_basis_batch, haar_subspace,
                                    principal_angles)
 from grasscode.dims import dim_H
-from grasscode.errors import NumericalHealthError, OutOfRange
+from grasscode.errors import (DimensionMismatch, NumericalHealthError,
+                              OutOfRange, VariableCountMismatch)
 from grasscode.partitions import Partition, partitions_up_to
 from grasscode.sympoly import SymmetricPolynomial, _power_basis
 from grasscode.zonal import (aggregate_zonal, annihilator_sympoly,
@@ -192,6 +193,27 @@ def test_mc_sample_counts():
             mc_zonal_inner(P1, P2, m, n, samples)
         with pytest.raises(OutOfRange):
             mc_function_inner(K, K, a, b, samples)
+
+
+@pytest.mark.parametrize("n_b, m_b, m_f, m_g, error", [
+    (8, 3, 3, 3, DimensionMismatch),       # b in C^8, a in C^9
+    (9, 2, 3, 3, DimensionMismatch),       # b in G(2,9), a in G(3,9)
+    (9, 3, 2, 3, VariableCountMismatch),   # f in 2 variables on G(3,9)
+    (9, 3, 3, 2, VariableCountMismatch),   # g in 2 variables on G(3,9)
+])
+def test_mc_function_inner_refuses_mismatched_inputs(n_b, m_b, m_f, m_g,
+                                                     error, monkeypatch):
+    # refused before any sample is drawn; the parent returned a finite
+    # estimate for a 2-variable g on G(3,9) and raised numpy's ValueError
+    # for b in C^8
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Haar sample was drawn")
+
+    monkeypatch.setattr(zonal, "haar_basis_batch", refuse)
+    a, b = haar_subspace(9, 3, seed=1), haar_subspace(n_b, m_b, seed=2)
+    f, g = aggregate_zonal(2, m_f, 9), aggregate_zonal(2, m_g, 9)
+    with pytest.raises(error):
+        mc_function_inner(f, g, a, b, 100, seed=3)
 
 
 @pytest.mark.parametrize("which", ["zonal", "function"])
