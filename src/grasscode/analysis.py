@@ -3,7 +3,8 @@ relations, design strength, association-scheme closure and idempotents.
 
 Clustering is single-linkage (values within tol chain together) with a
 declared ambiguity band: if two resulting clusters sit closer than 3*tol the
-tolerance cannot certify the separation and ClusterAmbiguity is raised.
+tolerance cannot certify the separation and ClusterAmbiguity is raised.  X is
+symmetric, so each unordered pair is clustered once.
 Design tests are relative to Z_mu(1,...,1), so they are invariant under
 zonal normalization.  design_strength evaluates zonals on the power sums of
 each pair's squared cosines (PairGeometry.power_sums: traces of powers of
@@ -60,31 +61,32 @@ def _split_1d(values, tol):
 
 def _cluster_vectors(vecs, tol):
     """Cluster rows of an (N, m) array by recursive coordinate splitting
-    (single linkage per coordinate).  Returns integer labels."""
-    N, m = vecs.shape
-    labels = np.zeros(N, dtype=np.int64)
-    blocks = [np.arange(N)]
-    for c in range(m):
+    (single linkage per coordinate).  Returns the clusters as index arrays,
+    each sorted by its last coordinate."""
+    blocks = [np.arange(len(vecs))]
+    for c in range(vecs.shape[1]):
         nxt = []
         for idx in blocks:
             nxt.extend(idx[g] for g in _split_1d(vecs[idx, c], tol))
         blocks = nxt
-    for k, idx in enumerate(blocks):
-        labels[idx] = k
-    return labels, len(blocks)
+    return blocks
 
 
 class RelationPartition:
     """Ordered pairs of code members grouped by principal-angle vector.
     Class 0 is the identity relation (the diagonal); relation matrices are
-    symmetric 0/1 and sum to the all-ones matrix."""
+    symmetric 0/1 and sum to the all-ones matrix.  spreads[c] is the
+    largest max - min of class c's members over the coordinates (all 0 when
+    not given: the members are taken to be their representative)."""
 
-    __slots__ = ("N", "m", "reps", "assignment")
+    __slots__ = ("N", "m", "reps", "spreads", "assignment")
 
-    def __init__(self, N, m, reps, assignment):
+    def __init__(self, N, m, reps, assignment, spreads=None):
         self.N = N
         self.m = m
         self.reps = [tuple(float(x) for x in r) for r in reps]
+        self.spreads = ([0.0] * len(self.reps) if spreads is None
+                        else [float(x) for x in spreads])
         self.assignment = assignment
 
     @property
@@ -105,24 +107,35 @@ class RelationPartition:
 
 
 def _relations(X, identity, tol):
-    """Cluster the off-diagonal rows of X (N, N, k) at tol (max norm) into a
-    RelationPartition: class 0 is the diagonal, with representative
-    `identity`; the rest are ordered by representative, lexicographically
-    descending (closest to the identity first)."""
+    """Cluster the rows X[a, b], a < b, of X (N, N, k), which is symmetric,
+    at tol (max norm) into a RelationPartition: class 0 is the diagonal,
+    with representative `identity`; the rest are ordered by representative
+    (each coordinate's mean, summed pairwise down one contiguous column),
+    lexicographically descending (closest to the identity first), and
+    assigned to both triangles.  Each class's spread comes from the same
+    walk over its members, class 0's from the diagonal."""
     N = X.shape[0]
     if N < 2:
         raise OutOfRange("need at least 2 members")
-    mask = ~np.eye(N, dtype=bool)
-    flat = X[mask]
-    labels, k = _cluster_vectors(flat, tol)
-    reps = [tuple(flat[labels == j].mean(axis=0)) for j in range(k)]
-    order = sorted(range(k), key=lambda j: reps[j], reverse=True)
-    relabel = np.empty(k, dtype=np.int64)
-    relabel[order] = np.arange(1, k + 1)
+    iu = np.triu_indices(N, 1)
+    flat = X[iu]
+    cols = np.ascontiguousarray(flat.T)
+    blocks = _cluster_vectors(flat, tol)
+    reps, spreads = [], []
+    for idx in blocks:   # idx is sorted by the last coordinate
+        v = cols[:, idx]
+        reps.append(tuple(row.mean() for row in v))
+        spreads.append(max([v[-1, -1] - v[-1, 0], *np.ptp(v[:-1], axis=1)]))
+    order = sorted(range(len(blocks)), key=lambda j: reps[j], reverse=True)
+    labels = np.empty(len(flat), dtype=np.int64)
+    for c, j in enumerate(order, 1):
+        labels[blocks[j]] = c
     assignment = np.zeros((N, N), dtype=np.int64)
-    assignment[mask] = relabel[labels]
-    return RelationPartition(N, X.shape[2], [identity] + [reps[j] for j in order],
-                             assignment)
+    assignment[iu] = assignment[iu[::-1]] = labels
+    diag = X[range(N), range(N)]
+    return RelationPartition(
+        N, X.shape[2], [identity] + [reps[j] for j in order], assignment,
+        [np.ptp(diag, axis=0).max()] + [spreads[j] for j in order])
 
 
 def angle_classes(S, tol=1e-8):
@@ -325,19 +338,21 @@ def rational_representatives(R, tol=1e-8):
     """Each class representative of R as a tuple of Fractions: every
     coordinate is the nearest rational with denominator at most
     REP_DENOMINATOR_LIMIT, within min(tol, 1/(2 REP_DENOMINATOR_LIMIT^2)),
-    where no other such rational can be.  A coordinate with none raises
-    ClusterAmbiguity naming its class and that radius."""
+    where no other such rational can be.  A class whose members do not all
+    lie within that radius of it, |rep - q| + spread above the radius,
+    raises ClusterAmbiguity naming the class, its spread and the radius."""
     radius = min(Fraction(tol), Fraction(1, 2 * REP_DENOMINATOR_LIMIT ** 2))
     out = []
-    for c, rep in enumerate(R.reps):
+    for c, (rep, spread) in enumerate(zip(R.reps, R.spreads)):
         exact = tuple(Fraction(y).limit_denominator(REP_DENOMINATOR_LIMIT)
                       for y in rep)
         for y, q in zip(rep, exact):
-            if not abs(Fraction(y) - q) <= radius:
+            if not abs(Fraction(y) - q) + Fraction(spread) <= radius:
                 raise ClusterAmbiguity(
-                    "class %d: representative coordinate %.17g has no "
-                    "rational with denominator <= %d within %.3g"
-                    % (c, y, REP_DENOMINATOR_LIMIT, radius))
+                    "class %d: representative coordinate %.17g, members "
+                    "spread over %.3g: no rational with denominator <= %d "
+                    "lies within %.3g of them all"
+                    % (c, y, spread, REP_DENOMINATOR_LIMIT, radius))
         out.append(exact)
     return out
 

@@ -5,12 +5,13 @@ read off the m x m overlap W = basis_a^dagger basis_b, never the n x n
 projector product (a test oracle only): tr(P_a P_b) = ||W||_F^2, and the
 squared principal-angle cosines are the eigenvalues of G = W^dagger W, which
 squared_overlaps builds by rows (rank-one broadcast products, no matmul).
-Every float consumer that averages or signs a symmetric polynomial of the
-angles -- a code's PairGeometry, the Monte Carlo sampler -- reads the power
-sums tr(G^k) from power_sums, range-checked by a batched Cholesky
-factorization; only clustering reads the angles, from the same G
-(squared_cosines, checked_cosines).  principal_angles keeps its own SVD as
-the per-pair oracle.  haar_basis_batch draws one Gaussian stream and runs
+W_ba = W_ab^dagger, so a code's pair pass forms G once per unordered pair
+and copies the other triangle.  Every float consumer that averages or signs
+a symmetric polynomial of the angles -- a code's PairGeometry, the Monte
+Carlo sampler -- reads the power sums tr(G^k) from power_sums,
+range-checked by a batched Cholesky factorization; only clustering reads
+the angles, from the same G (squared_cosines, checked_cosines).
+principal_angles keeps its own SVD as the per-pair oracle.  haar_basis_batch draws one Gaussian stream and runs
 batched Gram-Schmidt twice (CGS2), not LAPACK QR: the same phase-fixed Q.
 """
 
@@ -292,11 +293,13 @@ class PairGeometry:
 
 
 def _overlap_pass(bases, form=None):
-    """One GEMM per block of rows forms the overlaps W = A^dagger B.  Returns
-    the gram ||W||_F^2 and form(W^dagger W) of each block, (N, N, ...), or
-    None without `form`; no m x m array of all pairs outlives its block.
-    W_ba = W_ab^dagger has the same norm and cosines, so only pairs a <= b
-    are formed and the rest copied: each array is exactly symmetric."""
+    """One GEMM per block of rows a forms the overlaps W = A^dagger B with
+    every b >= the block's first row.  Returns the gram ||W||_F^2 and
+    form(W^dagger W), (N, N, ...), or None without `form`; no m x m array of
+    all pairs outlives its block.  W_ba = W_ab^dagger has the same norm and
+    cosines, so `form` sees each unordered pair once, N(N+1)/2 stacks in
+    all: the pairs b >= a of a block are gathered, formed and scattered
+    back, and the rest copied, so each array is exactly symmetric."""
     N, n, m = bases.shape
     M = bases.transpose(1, 0, 2).reshape(n, N * m)   # bases side by side
     gram, out = np.empty((N, N)), None
@@ -308,9 +311,10 @@ def _overlap_pass(bases, form=None):
                 hi - lo, m, N - lo, m).transpose(0, 2, 1, 3)  # A_i^dag B_j
             gram[lo:hi, lo:] = np.sum(np.abs(w) ** 2, axis=(2, 3))
             if form is not None:
-                r = form(squared_overlaps(w))
-                out = np.empty((N, N) + r.shape[2:]) if out is None else out
-                out[lo:hi, lo:] = r
+                i, j = np.triu_indices(hi - lo, 0, N - lo)   # b >= a
+                r = form(squared_overlaps(w[i, j]))
+                out = np.empty((N, N) + r.shape[1:]) if out is None else out
+                out[lo + i, lo + j] = r
     for a in (gram,) if out is None else (gram, out):
         for i in range(1, N):
             a[i, :i] = a[:i, i]

@@ -12,6 +12,7 @@ and repeated members are refused at the code's first pair request.
 """
 
 import json
+from itertools import chain
 
 from .core_linalg import Code, orthonormality_defects
 from .errors import FormatError, RankDeficient
@@ -43,6 +44,29 @@ def write_code(code, path):
         fp.write("\n")
 
 
+def _scalars(subs):
+    "the entries of a list of members of rows of [re, im] pairs, in order"
+    return chain.from_iterable(chain.from_iterable(chain.from_iterable(subs)))
+
+
+def _member(rows, idx, n, m):
+    """member idx as an (n, m, 2) float array, or a FormatError naming it: a
+    string, null or an integer beyond int64 leaves no numeric dtype, and a
+    boolean among numbers is upcast, so it is looked for"""
+    try:
+        arr = np.asarray(rows)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError("subspace %d: %s" % (idx, exc)) from None
+    if (arr.shape != (n, m, 2) or arr.dtype.kind not in "iuf"
+            or bool in set(map(type, _scalars([rows])))):
+        raise FormatError("subspace %d: not %d rows of %d [re, im] "
+                          "number pairs" % (idx, n, m))
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise FormatError("subspace %d has a non-finite entry" % idx)
+    return arr
+
+
 def code_from_dict(doc, tol=1e-8):
     "parse and validate a dict in the exchange format"
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
@@ -56,23 +80,19 @@ def code_from_dict(doc, tol=1e-8):
             raise FormatError("%s must be an integer >= 1, got %r" % (key, val))
     if not isinstance(subs, list) or not subs:
         raise FormatError("subspaces must be a nonempty list")
-    members = []
-    for idx, rows in enumerate(subs):
-        try:
-            arr = np.asarray(rows)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError("subspace %d: %s" % (idx, exc)) from None
-        # a string, null or an integer beyond int64 leaves no numeric dtype,
-        # and a boolean among numbers is upcast, so it is looked for
-        if (arr.shape != (n, m, 2) or arr.dtype.kind not in "iuf"
-                or any(type(x) is bool for row in rows for z in row for x in z)):
-            raise FormatError("subspace %d: not %d rows of %d [re, im] "
-                              "number pairs" % (idx, n, m))
-        arr = arr.astype(float)
-        if not np.isfinite(arr).all():
-            raise FormatError("subspace %d has a non-finite entry" % idx)
-        members.append(arr)
-    arr = np.array(members)
+    try:   # the whole list at once; a member found wrong is named below
+        arr = np.asarray(subs)
+        ok = (arr.shape == (len(subs), n, m, 2) and arr.dtype.kind in "iuf"
+              and bool not in set(map(type, _scalars(subs))))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        arr = np.array([_member(rows, idx, n, m)
+                        for idx, rows in enumerate(subs)])
+    arr = arr.astype(float)
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=(1, 2, 3)))
+    if bad.size:
+        raise FormatError("subspace %d has a non-finite entry" % bad[0])
     bases = arr[..., 0] + 1j * arr[..., 1]
     try:
         orthonormality_defects(bases, tol)
@@ -80,7 +100,7 @@ def code_from_dict(doc, tol=1e-8):
         raise FormatError(str(exc)) from None
     labels = doc.get("labels")
     if labels is not None:
-        if not isinstance(labels, list) or len(labels) != len(members):
+        if not isinstance(labels, list) or len(labels) != len(subs):
             raise FormatError("labels list does not match subspace count")
         labels = [str(x) for x in labels]
     return Code(bases, labels=labels)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import grasscode.sympoly as sympoly
 from grasscode.analysis import (RelationPartition, _cluster_vectors,
-                                angle_classes, check_scheme, design_strength,
+                                _relations, angle_classes, check_scheme, design_strength,
                                 inner_product_classes, inner_product_set,
                                 is_one_design, is_two_design,
                                 pair_angle_matrix, scheme_idempotents,
@@ -18,6 +18,7 @@ from grasscode.partitions import Partition
 from grasscode.zonal import zonal_basis
 
 from conftest import random_code
+from relations_oracle import ordered_pair_relations
 
 
 def test_partition_invariants_hold_exactly(pauli2):
@@ -334,8 +335,10 @@ def planted_classes(draw):
 @given(planted_classes())
 def test_cluster_vectors_is_max_norm_single_linkage(planted):
     vecs, truth = planted
-    labels, k = _cluster_vectors(vecs, CLUSTER_TOL)
-    got = {frozenset(np.nonzero(labels == c)[0].tolist()) for c in range(k)}
+    blocks = _cluster_vectors(vecs, CLUSTER_TOL)
+    got = {frozenset(idx.tolist()) for idx in blocks}
+    assert sum(map(len, blocks)) == len(vecs)
+    assert all((np.diff(vecs[idx, -1]) >= 0).all() for idx in blocks)
     assert got == max_norm_single_linkage(vecs, CLUSTER_TOL)
     assert got == {frozenset(np.nonzero(truth == c)[0].tolist())
                    for c in set(truth.tolist())}
@@ -398,3 +401,73 @@ def test_power_sums_match_the_angles(name, request):
     want = np.stack([(Y ** k).sum(-1) for k in range(1, min(5, S.m) + 1)], -1)
     assert P.shape == want.shape and np.abs(P - want).max() < 1e-12
     assert np.array_equal(P, P.swapaxes(0, 1))
+
+
+def relations_or_refusal(relations, X, identity, tol):
+    "what a relations routine returns, or its ClusterAmbiguity text"
+    try:
+        return relations(X, identity, tol)
+    except ClusterAmbiguity as exc:
+        return str(exc)
+
+
+def assert_matches_the_ordered_pair_oracle(X, identity, tol):
+    got = relations_or_refusal(_relations, X, identity, tol)
+    want = relations_or_refusal(ordered_pair_relations, X, identity, tol)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return got
+    assignment, reps = want
+    assert np.array_equal(got.assignment, assignment)
+    assert len(got.reps) == len(reps)
+    assert max(abs(a - b) for r, s in zip(got.reps, reps)
+               for a, b in zip(r, s)) < 1e-12
+    for c in range(got.n_classes):   # spread: the exact max - min of its pairs
+        assert got.spreads[c] == np.ptp(X[assignment == c], axis=0).max()
+    return got
+
+
+@pytest.mark.parametrize("name", ["pauli2", "mub5", "es321", "es320"])
+def test_relations_match_the_ordered_pair_oracle(name, request):
+    S = request.getfixturevalue(name)
+    for X, identity in ((S.geometry.angles(), (1.0,) * S.m),
+                        (S.geometry.gram()[:, :, None], (float(S.m),))):
+        R = assert_matches_the_ordered_pair_oracle(X, identity, 1e-8)
+        assert max(R.spreads) < 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_relations_match_the_oracle_on_random_codes(m):
+    S = random_code(7, m, 30, seed=640 + m)
+    X = S.geometry.angles()
+    # the widest gap g of the first coordinate lies in the band at tol = g/2
+    g = float(np.diff(np.unique(X[np.triu_indices(30, 1)][:, 0])).max())
+    outcomes = []
+    for tol in (1e-8, 1e-2, 0.3, g / 2):
+        for Y, identity in ((X, (1.0,) * m),
+                            (S.geometry.gram()[:, :, None], (float(m),))):
+            got = assert_matches_the_ordered_pair_oracle(Y, identity, tol)
+            outcomes.append(got if isinstance(got, str) else got.n_classes)
+    assert outcomes[:2] == [436, 436] and outcomes[4:6] == [2, 2]
+    assert "ambiguity band" in outcomes[6]
+
+
+@pytest.mark.parametrize("tol, classes", [(1e-3, 5), (1e-6, None),
+                                           (1e-12, 781)])
+def test_relations_match_the_oracle_on_planted_classes(tol, classes):
+    # 4 classes 0.1 apart in one of 2 coordinates, each pair's value within
+    # 1e-4 of its class centre: at 1e-3 they chain into the 4 classes (and
+    # the identity), at 1e-6 a gap inside them falls in the band, at 1e-12
+    # each of the 780 pairs is a class
+    rng = np.random.default_rng(650)
+    N = 40
+    centres = np.array([[0.5, 0.2], [0.5, 0.3], [0.4, 0.3], [0.1, 0.1]])
+    X = centres[rng.integers(0, 4, (N, N))] + rng.uniform(0, 1e-4, (N, N, 2))
+    X = np.triu(X.transpose(2, 0, 1), 1)
+    X = (X + X.swapaxes(1, 2)).transpose(1, 2, 0)
+    X[range(N), range(N)] = 1.0
+    got = assert_matches_the_ordered_pair_oracle(X, (1.0, 1.0), tol)
+    if classes is None:
+        assert "ambiguity band" in got
+    else:
+        assert got.n_classes == classes and max(got.spreads) < 1e-4

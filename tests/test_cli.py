@@ -544,6 +544,18 @@ def test_check_scheme_rationalizes_only_within_the_unique_radius(tmp_path,
     assert "class 1" in err and "within 1.19e-07" in err
 
 
+def test_check_scheme_refuses_a_class_spread_beyond_the_radius(tmp_path,
+                                                               capsys):
+    # --tol 10 chains mub(5)'s 0 and 1/5 pairs into one class whose mean,
+    # 5/29, no pair has; it used to be rationalized and reported with
+    # "measured design strength 1"
+    path = tmp_path / "mub5.json"
+    run(capsys, "construct", "mub", "--p", "5", "-o", str(path))
+    code, out, err = run(capsys, "check-scheme", str(path), "--tol", "10")
+    assert code == 2 and out == ""
+    assert "class 1" in err and "spread over 0.2" in err
+
+
 def test_exit_code_size_limit(capsys):
     code, _, err = run(capsys, "construct", "extraspecial", "--p", "3",
                        "--n", "7", "--k", "1")

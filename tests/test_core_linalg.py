@@ -4,10 +4,12 @@ import pytest
 from grasscode.analysis import (inner_product_classes, inner_product_set,
                                 pair_angle_matrix)
 from grasscode.constructions import extraspecial_code, mub_code, pauli_code
-from grasscode.core_linalg import (Code, Subspace, canonical_pair,
-                                   chordal_distance, gram_matrix,
-                                   haar_basis_batch, haar_subspace,
-                                   principal_angles, subspace_from_basis,
+from grasscode.core_linalg import (Code, Subspace, _overlap_pass,
+                                   canonical_pair, chordal_distance,
+                                   gram_matrix, haar_basis_batch,
+                                   haar_subspace, power_sums,
+                                   principal_angles, squared_cosines,
+                                   squared_overlaps, subspace_from_basis,
                                    trace_inner_product)
 from grasscode.errors import (DimensionMismatch, DuplicateMember,
                               NumericalHealthError, OutOfRange, RankDeficient,
@@ -333,3 +335,44 @@ def test_out_of_range_squared_cosine_raises(name, scale, request):
         assert abs(T.geometry.excursion - (scale ** 4 - 1)) < 1e-12
     else:
         assert np.isnan(T.geometry.excursion)
+
+
+def full_block_pass(bases, form):
+    """the pair pass that forms every pair (a, b) of a block with b >= the
+    block's first row, both triangles of its diagonal square, then copies
+    the lower triangle from the upper: the reference for _overlap_pass"""
+    N, n, m = bases.shape
+    M = bases.transpose(1, 0, 2).reshape(n, N * m)
+    gram, out = np.empty((N, N)), None
+    step = max(1, int(4e6) // max(1, N * m * m))
+    for lo in range(0, N, step):
+        hi = min(N, lo + step)
+        w = (M[:, lo * m:hi * m].conj().T @ M[:, lo * m:]).reshape(
+            hi - lo, m, N - lo, m).transpose(0, 2, 1, 3)
+        gram[lo:hi, lo:] = np.sum(np.abs(w) ** 2, axis=(2, 3))
+        r = form(squared_overlaps(w))
+        out = np.empty((N, N) + r.shape[2:]) if out is None else out
+        out[lo:hi, lo:] = r
+    for a in (gram, out):
+        for i in range(1, N):
+            a[i, :i] = a[:i, i]
+    return gram, out
+
+
+@pytest.mark.parametrize("make, stacks", [
+    (lambda: extraspecial_code(3, 2, 1), [7260]),           # one block
+    (lambda: random_code(9, 3, 700, seed=17), [243139, 2211])])  # two
+def test_overlap_pass_forms_each_unordered_pair_once(make, stacks):
+    bases = make().bases
+    N = len(bases)
+    assert sum(stacks) == N * (N + 1) // 2
+    forms = {"angles": squared_cosines,
+             "sums2": lambda G: power_sums(G, 2),
+             "sums3": lambda G: power_sums(G, 3)}
+    for form in forms.values():
+        seen = []
+        gram, out = _overlap_pass(bases, lambda G: seen.append(len(G)) or form(G))
+        assert seen == stacks
+        want_gram, want = full_block_pass(bases, form)
+        assert np.array_equal(gram, want_gram) and np.array_equal(out, want)
+        assert np.array_equal(out, out.swapaxes(0, 1))

@@ -190,6 +190,33 @@ def test_entries_must_be_numbers():
             code_from_dict(broken)
 
 
+def plant(entry):
+    "put a bad value at row 1, column 0 of member 3"
+    return lambda member: member[1].__setitem__(0, entry)
+
+
+SHAPE = "subspace 3: not 4 rows of 2 [re, im] number pairs"
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (plant([True, 0.0]), SHAPE),                      # a bool among floats
+    (plant(["0.5", 0.0]), SHAPE),                     # a string
+    (plant([None, 0.0]), SHAPE),                      # null
+    (plant([2 ** 70, 0.0]), SHAPE),                   # beyond int64
+    (lambda member: member[1].append([0.0, 0.0]),     # a ragged row
+     "subspace 3: setting an array element with a sequence"),
+    (plant([float("inf"), 0.0]), "subspace 3 has a non-finite entry"),
+    (plant([0.0, float("nan")]), "subspace 3 has a non-finite entry"),
+    (lambda member: [row.append([0.0, 0.0]) for row in member], SHAPE)])
+def test_malformed_member_is_named(spoil, message):
+    # the list is read in one array; a failure is traced to its member
+    doc = code_to_dict(random_code(4, 2, 5, seed=812))
+    spoil(doc["subspaces"][3])
+    with pytest.raises(FormatError) as exc:
+        code_from_dict(doc)
+    assert str(exc.value).startswith(message)
+
+
 # the fuzz suite: every document below is malformed by construction, and
 # each must fail as a GrasscodeError with its documented exit code, from the
 # library and from the command line, never with a traceback or exit 0

@@ -121,6 +121,16 @@ def test_irrational_representative_is_refused():
     assert rational_representatives(R)[1] == (Fraction(1, 2), Fraction(1, 3))
 
 
+def test_representative_is_refused_when_its_members_spread():
+    # |rep - q| + spread bounds every member's distance from q
+    reps = [(1.0,), (0.2,)]
+    R = RelationPartition(2, 1, reps, None, spreads=[0.0, 2e-8])
+    with pytest.raises(ClusterAmbiguity, match="class 1: .* spread over 2e-08"):
+        rational_representatives(R)
+    R = RelationPartition(2, 1, reps, None, spreads=[0.0, 5e-9])
+    assert rational_representatives(R)[1] == (Fraction(1, 5),)
+
+
 def row_classes(S, tol=1e-8):
     """The classes of S as member 0 sees them: the clustered angles of its
     pairs with every member.  The automorphism groups of these codes are
@@ -128,8 +138,7 @@ def row_classes(S, tol=1e-8):
     pass (about 1 GB for mub(61))."""
     W = S.bases[0].conj().T[None] @ S.bases[1:]
     y = np.clip(squared_cosines(squared_overlaps(W)), 0.0, 1.0)
-    labels, k = _cluster_vectors(y, tol)
-    reps = [tuple(y[labels == j].mean(axis=0)) for j in range(k)]
+    reps = [tuple(y[idx].mean(axis=0)) for idx in _cluster_vectors(y, tol)]
     return RelationPartition(len(S), S.m, [(1.0,) * S.m] + reps, None)
 
 
