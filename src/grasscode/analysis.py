@@ -76,17 +76,15 @@ class RelationPartition:
     """Ordered pairs of code members grouped by principal-angle vector.
     Class 0 is the identity relation (the diagonal); relation matrices are
     symmetric 0/1 and sum to the all-ones matrix.  spreads[c] is the
-    largest max - min of class c's members over the coordinates (all 0 when
-    not given: the members are taken to be their representative)."""
+    largest max - min of class c's members over the coordinates."""
 
     __slots__ = ("N", "m", "reps", "spreads", "assignment")
 
-    def __init__(self, N, m, reps, assignment, spreads=None):
+    def __init__(self, N, m, reps, assignment, spreads):
         self.N = N
         self.m = m
         self.reps = [tuple(float(x) for x in r) for r in reps]
-        self.spreads = ([0.0] * len(self.reps) if spreads is None
-                        else [float(x) for x in spreads])
+        self.spreads = [float(x) for x in spreads]
         self.assignment = assignment
 
     @property

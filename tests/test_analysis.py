@@ -235,7 +235,8 @@ def brute_force_closure(A, k):
 
 
 def labelling_partition(A, k):
-    return RelationPartition(len(A), 1, [(float(c),) for c in range(k)], A)
+    return RelationPartition(len(A), 1, [(float(c),) for c in range(k)], A,
+                             [0.0] * k)
 
 
 def test_check_scheme_matches_brute_force_counts(pauli2):

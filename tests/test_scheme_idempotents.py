@@ -81,7 +81,8 @@ def test_no_pair_data_is_read(scheme, monkeypatch):
     monkeypatch.setattr(SymmetricPolynomial, "eval_power_sums", refuse)
     monkeypatch.setattr(core_linalg, "_overlap_pass", refuse)
     got = scheme_idempotents(SimpleNamespace(m=S.m, n=S.n),
-                             RelationPartition(R.N, R.m, R.reps, None),
+                             RelationPartition(R.N, R.m, R.reps, None,
+                                               R.spreads),
                              t=2, scheme=rep)
     assert got.pair_residuals == want.pair_residuals
     assert got.coarse_residuals == want.coarse_residuals
@@ -114,20 +115,21 @@ def test_denominator_limit_covers_every_construction():
 
 def test_irrational_representative_is_refused():
     y = (3 - 5 ** 0.5) / 2   # 1/phi^2: no rational of denominator <= 2048
-    R = RelationPartition(2, 2, [(1.0, 1.0), (0.5, y)], None)
+    R = RelationPartition(2, 2, [(1.0, 1.0), (0.5, y)], None, [0.0, 0.0])
     with pytest.raises(ClusterAmbiguity, match="class 1"):
         rational_representatives(R)
-    R = RelationPartition(2, 2, [(1.0, 1.0), (0.5, 1 / 3 + 3e-9)], None)
+    R = RelationPartition(2, 2, [(1.0, 1.0), (0.5, 1 / 3 + 3e-9)], None,
+                          [0.0, 0.0])
     assert rational_representatives(R)[1] == (Fraction(1, 2), Fraction(1, 3))
 
 
 def test_representative_is_refused_when_its_members_spread():
     # |rep - q| + spread bounds every member's distance from q
     reps = [(1.0,), (0.2,)]
-    R = RelationPartition(2, 1, reps, None, spreads=[0.0, 2e-8])
+    R = RelationPartition(2, 1, reps, None, [0.0, 2e-8])
     with pytest.raises(ClusterAmbiguity, match="class 1: .* spread over 2e-08"):
         rational_representatives(R)
-    R = RelationPartition(2, 1, reps, None, spreads=[0.0, 5e-9])
+    R = RelationPartition(2, 1, reps, None, [0.0, 5e-9])
     assert rational_representatives(R)[1] == (Fraction(1, 5),)
 
 
@@ -138,8 +140,11 @@ def row_classes(S, tol=1e-8):
     pass (about 1 GB for mub(61))."""
     W = S.bases[0].conj().T[None] @ S.bases[1:]
     y = np.clip(squared_cosines(squared_overlaps(W)), 0.0, 1.0)
-    reps = [tuple(y[idx].mean(axis=0)) for idx in _cluster_vectors(y, tol)]
-    return RelationPartition(len(S), S.m, [(1.0,) * S.m] + reps, None)
+    blocks = _cluster_vectors(y, tol)
+    reps = [tuple(y[idx].mean(axis=0)) for idx in blocks]
+    spreads = [np.ptp(y[idx], axis=0).max() for idx in blocks]
+    return RelationPartition(len(S), S.m, [(1.0,) * S.m] + reps, None,
+                             [0.0] + spreads)
 
 
 @pytest.mark.parametrize("make, classes", [
