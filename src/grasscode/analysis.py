@@ -128,11 +128,11 @@ def _relations(X, identity, tol):
     labels = np.empty(len(flat), dtype=np.int64)
     for c, j in enumerate(order, 1):
         labels[blocks[j]] = c
-    assignment = np.zeros((N, N), dtype=np.int64)
-    assignment[iu] = assignment[iu[::-1]] = labels
+    upper = np.zeros((N, N), dtype=np.int64)
+    upper[iu] = labels
     diag = X[range(N), range(N)]
     return RelationPartition(
-        N, X.shape[2], [identity] + [reps[j] for j in order], assignment,
+        N, X.shape[2], [identity] + [reps[j] for j in order], upper + upper.T,
         [np.ptp(diag, axis=0).max()] + [spreads[j] for j in order])
 
 

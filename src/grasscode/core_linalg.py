@@ -11,8 +11,9 @@ a symmetric polynomial of the angles -- a code's PairGeometry, the Monte
 Carlo sampler -- reads the power sums tr(G^k) from power_sums,
 range-checked by a batched Cholesky factorization; only clustering reads
 the angles, from the same G (squared_cosines, checked_cosines).
-principal_angles keeps its own SVD as the per-pair oracle.  haar_basis_batch draws one Gaussian stream and runs
-batched Gram-Schmidt twice (CGS2), not LAPACK QR: the same phase-fixed Q.
+principal_angles keeps its own SVD as the per-pair oracle.  haar_basis_batch
+draws one Gaussian stream and runs batched Gram-Schmidt twice (CGS2), not
+LAPACK QR: the same phase-fixed Q.
 """
 
 import numpy as np

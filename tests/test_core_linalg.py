@@ -360,18 +360,18 @@ def full_block_pass(bases, form):
 
 
 @pytest.mark.parametrize("make, stacks", [
-    (lambda: extraspecial_code(3, 2, 1), [7260]),           # one block
-    (lambda: random_code(9, 3, 700, seed=17), [243139, 2211])])  # two
+    (lambda: extraspecial_code(3, 2, 1), [7260]),     # one block
+    # N m = 2100 > 2000 takes two blocks, of 634 and 66 rows
+    (lambda: random_code(9, 3, 700, seed=17), [243139, 2211])])
 def test_overlap_pass_forms_each_unordered_pair_once(make, stacks):
     bases = make().bases
     N = len(bases)
     assert sum(stacks) == N * (N + 1) // 2
-    forms = {"angles": squared_cosines,
-             "sums2": lambda G: power_sums(G, 2),
-             "sums3": lambda G: power_sums(G, 3)}
-    for form in forms.values():
+    for form in (squared_cosines, lambda G: power_sums(G, 2),
+                 lambda G: power_sums(G, 3)):
         seen = []
-        gram, out = _overlap_pass(bases, lambda G: seen.append(len(G)) or form(G))
+        gram, out = _overlap_pass(
+            bases, lambda G: seen.append(len(G)) or form(G))
         assert seen == stacks
         want_gram, want = full_block_pass(bases, form)
         assert np.array_equal(gram, want_gram) and np.array_equal(out, want)
