@@ -3,8 +3,8 @@ relations, design strength, association-scheme closure and idempotents.
 
 Clustering is single-linkage (values within tol chain together) with a
 declared ambiguity band: if two resulting clusters sit closer than 3*tol the
-tolerance cannot certify the separation and ClusterAmbiguity is raised.  X is
-symmetric, so each unordered pair is clustered once.
+tolerance cannot certify the separation and ClusterAmbiguity is raised.  The
+pair arrays are symmetric, so each unordered pair is clustered once.
 Design tests are relative to Z_mu(1,...,1), so they are invariant under
 zonal normalization.  design_strength evaluates zonals on the power sums of
 each pair's squared cosines (PairGeometry.power_sums: traces of powers of
