@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core_linalg import Code, principal_angles
-from .dims import check_mn, dim_Hk, hom_dim_bound
+from .dims import check_degree, check_mn, dim_Hk, hom_dim_bound
 from .errors import DegenerateDenominator, DimensionMismatch, OutOfRange
 from .partitions import Partition
 from .zonal import annihilator_sympoly, expand_in_zonal
@@ -80,8 +80,7 @@ def absolute_code_bound(k, m, n):
     falling back to the generic count C(n^2+k-1, k); for k=2, m=1 the exact
     space is smaller and dim H_2(1,n) is used.  h_bound = dim H_k(m,n).
     """
-    if k < 0:
-        raise OutOfRange("k must be >= 0, got %d" % k)
+    check_degree(k)
     check_mn(m, n)
     h_bound = dim_Hk(k, m, n)
     if k == 0:
@@ -239,8 +238,7 @@ def size_from_simplex_alpha(alpha, m, n):
 
 def design_absolute_bound(t, m, n):
     "lower bound dim H_floor(t/2)(m,n) on the size of a t-design"
-    if t < 0:
-        raise OutOfRange("t must be >= 0, got %d" % t)
+    check_degree(t)
     return dim_Hk(t // 2, m, n)
 
 

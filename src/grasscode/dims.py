@@ -6,7 +6,7 @@ All arithmetic is exact (Python ints); results are exact integers.
 from math import comb
 
 from .errors import NotDominant, OutOfRange, PartitionTooLong
-from .partitions import aspartition, partitions_up_to
+from .partitions import aspartition, is_integer, partitions_up_to
 
 
 def weyl_dim(lam):
@@ -23,8 +23,9 @@ def weyl_dim(lam):
     den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
+            if lam[i] != lam[j]:      # an equal pair's factor is 1
+                num *= lam[i] - lam[j] + j - i
+                den *= j - i
     q, r = divmod(num, den)
     assert r == 0
     return q
@@ -42,15 +43,22 @@ def dim_H(mu, n):
 
 
 def check_mn(m, n):
-    "raise OutOfRange unless G(m,n) is in range: 1 <= m and 2m <= n"
+    "raise OutOfRange unless G(m,n) is in range: integers 1 <= m, 2m <= n"
+    if not (is_integer(m) and is_integer(n)):
+        raise OutOfRange("m and n must be integers, got m=%r n=%r" % (m, n))
     if not (1 <= m and 2 * m <= n):
         raise OutOfRange("need 1 <= m and 2m <= n, got m=%d n=%d" % (m, n))
 
 
+def check_degree(t):
+    "raise OutOfRange unless the degree t is an integer (not a bool) >= 0"
+    if not (is_integer(t) and t >= 0):
+        raise OutOfRange("degree must be an integer >= 0, got %r" % (t,))
+
+
 def dim_Hk(k, m, n):
     """Dimension of H_k(m,n) = sum of dim H_mu over |mu| <= k, len(mu) <= m."""
-    if k < 0:
-        raise OutOfRange("k must be >= 0, got %d" % k)
+    check_degree(k)
     check_mn(m, n)
     return sum(dim_H(mu, n) for mu in partitions_up_to(k, max_len=m))
 
@@ -58,8 +66,7 @@ def dim_Hk(k, m, n):
 def hom_dim_bound(k, n):
     """Generic upper bound C(n^2 + k - 1, k) on dim Hom_k (polynomials of
     degree <= k in the entries of a projection matrix)."""
-    if k < 0:
-        raise OutOfRange("k must be >= 0, got %d" % k)
+    check_degree(k)
     return comb(n * n + k - 1, k)
 
 

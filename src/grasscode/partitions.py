@@ -5,6 +5,13 @@ lexicographically descending on the parts, so degree-2 partitions come out
 as (2) before (1,1) and the full order starts (), (1), (2), (1,1), (3), ...
 """
 
+from numbers import Integral
+
+
+def is_integer(x):
+    "is x an integer (any Integral type) and not a bool?"
+    return type(x) is int or isinstance(x, Integral) and type(x) is not bool
+
 
 class Partition:
     """A weakly decreasing tuple of positive integers (possibly empty)."""
@@ -14,6 +21,8 @@ class Partition:
     def __init__(self, *parts):
         if len(parts) == 1 and not isinstance(parts[0], int):
             parts = tuple(parts[0])
+        if not all(map(is_integer, parts)):
+            raise ValueError("parts must be integers, got %r" % (parts,))
         parts = tuple(int(p) for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]

@@ -19,10 +19,13 @@ det[h_(sigma_i - i + j)] of complete homogeneous sums, in integers over a
 common denominator; it never reads the change of basis, so it stays the
 oracle for the float route.  The monomial basis and the bialternant
 determinant ratio live with the test suite's oracles.  The zonal construction
-works in integers and builds each polynomial once.
+works in integers and builds each table once per (kappa, m, n) (zonal.py);
+the shapes it and the bead moves produce are one Partition per
+(exponents, m).
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
 
 import numpy as np
@@ -80,6 +83,13 @@ class SymmetricPolynomial:
     @classmethod
     def x_star(cls, sigma, m):
         return cls(m, {aspartition(sigma): Fraction(1)})
+
+    @classmethod
+    def _unchecked(cls, m, coeffs):
+        "on `coeffs` as they are: nonzero Fractions keyed by shapes that fit m"
+        out = cls.__new__(cls)
+        out.m, out.coeffs, out._power = int(m), coeffs, None
+        return out
 
     # -- views ------------------------------------------------------------
 
@@ -217,8 +227,10 @@ class SymmetricPolynomial:
         return out
 
     def at_ones(self):
-        "f(1,...,1): just the coefficient sum, since every X* is 1 there"
-        return sum(self.coeffs.values(), Fraction(0))
+        "f(1,...,1): the coefficient sum (every X* is 1 there), in integers"
+        D = lcm(*(c.denominator for c in self.coeffs.values()))
+        return Fraction(sum(c.numerator * (D // c.denominator)
+                            for c in self.coeffs.values()), D)
 
 
 def _accumulate(acc, coeffs, scale=None):
@@ -272,12 +284,18 @@ def _place(used, e):
     (the alternant would have two equal columns)"""
     if e in used:
         return None
-    above = sum(1 for u in used if u > e)
+    above = 0
+    for u in used:
+        if u < e:
+            break
+        above += 1
     return -1 if above % 2 else 1, used[:above] + (e,) + used[above:]
 
 
+@cache
 def _shape(exponents, m):
-    "the Schur shape of the alternant det[y_i^(r_j)], r descending"
+    """the Schur shape of the alternant det[y_i^(r_j)], r descending: one
+    Partition per (exponents, m)"""
     return Partition([e - (m - 1 - j) for j, e in enumerate(exponents)])
 
 

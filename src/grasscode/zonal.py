@@ -13,7 +13,12 @@ exact construction, zonal_general: the Jacobi determinant ratio of James &
 Constantine, expanded in Schur polynomials and scaled to the constant term
 (-1)^|kappa| [m]_kappa, which reproduces the forms above exactly.  The
 determinant, the Schur norms and [m]_kappa are all integers, so the expansion
-runs on ints and the scale is the one Fraction division per zonal.
+runs on ints and the scale is the one Fraction division per zonal.  That
+table, {Schur shape: Fraction}, is built once per (kappa, m, n) and cached;
+every zonal_general call hands out a fresh ZonalPolynomial on its own copy,
+so changing a returned zonal changes nothing else.  The reproducing kernel
+and ZonalExpansion.reconstruct sum their zonals in integers over one common
+denominator, with one Fraction per shape.
 
 The Monte Carlo inner products draw Haar bases through
 core_linalg.haar_basis_batch (one Gaussian stream, batched CGS2 Gram-Schmidt,
@@ -23,12 +28,13 @@ that evaluates a polynomial does: no angle is formed.
 """
 
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, lcm
 
 import numpy as np
 
 from .core_linalg import haar_basis_batch, power_sums, squared_overlaps
-from .dims import check_mn, dim_H
+from .dims import check_degree, check_mn, dim_H
 from .errors import (DegenerateAtOnes, DimensionMismatch,
                      LengthExceedsVariables, OutOfRange, UnsupportedPartition,
                      VariableCountMismatch)
@@ -103,6 +109,16 @@ def zonal_general(kappa, m, n):
     if len(kappa) > m:
         raise LengthExceedsVariables(
             "partition %s too long for m=%d" % (kappa, m))
+    # a fresh polynomial on its own copy of the table, built on Python ints
+    table = _jacobi_table(kappa, int(m), int(n))
+    poly = SymmetricPolynomial._unchecked(m, dict(table))
+    return ZonalPolynomial(kappa, m, n, poly, normalized=not kappa.parts)
+
+
+@cache
+def _jacobi_table(kappa, m, n):
+    """zonal_general's coefficients {Schur shape: Fraction}, built on integers
+    once per (kappa, m, n); shapes and Fractions are immutable"""
     # {exponents used so far, descending: signed integer coefficient}
     terms = {(): 1}
     for d in reversed([p + m - 1 - j for j, p in enumerate(kappa.pad(m))]):
@@ -126,8 +142,7 @@ def zonal_general(kappa, m, n):
         raise UnsupportedPartition("Z_%s has no constant term to scale" % kappa)
     # everything so far is an integer; the one division is the final scale
     scale = Fraction((-1) ** kappa.size * hypergeom_coeff(m, kappa), c0)
-    poly = SymmetricPolynomial(m, {lam: scale * c for lam, c in coeffs.items()})
-    return ZonalPolynomial(kappa, m, n, poly, normalized=not kappa.parts)
+    return {lam: scale * c for lam, c in coeffs.items()}
 
 
 def _normalizing_scale(Z):
@@ -148,16 +163,34 @@ def normalize_zonal(Z):
 def zonal_basis(m, n, t):
     "all Z_mu with |mu| <= t, len(mu) <= m, canonical order"
     check_mn(m, n)
+    check_degree(t)
     return [zonal_general(mu, m, n) for mu in partitions_up_to(t, max_len=m)]
+
+
+def _zonal_sum(m, terms):
+    """sum s Z over the (s, Z) of `terms`, s exact and nonzero, in integers:
+    each Z over its lcm denominator D, all over one L, one Fraction per shape"""
+    over = []
+    for s, Z in terms:
+        s = _exact_coefficient(s)
+        D = lcm(*(c.denominator for c in Z.poly.coeffs.values()))
+        over.append((s, D, Z.poly.coeffs))
+    L = lcm(*(s.denominator * D for s, D, _ in over))
+    total = {}
+    for s, D, coeffs in over:
+        f = s.numerator * (L // (s.denominator * D))
+        for lam, c in coeffs.items():
+            v = f * c.numerator * (D // c.denominator)
+            total[lam] = total.get(lam, 0) + v
+    return SymmetricPolynomial._unchecked(
+        m, {lam: Fraction(v, L) for lam, v in total.items() if v})
 
 
 def aggregate_zonal(t, m, n, experimental=None):
     """the degree-t reproducing kernel: sum of the normalized Z_mu, |mu| <= t
     (`experimental` is accepted and ignored)"""
-    total = {}
-    for Z in zonal_basis(m, n, t):
-        _accumulate(total, Z.poly.coeffs, _normalizing_scale(Z))
-    return SymmetricPolynomial(m, total)
+    return _zonal_sum(m, [(_normalizing_scale(Z), Z)
+                          for Z in zonal_basis(m, n, t)])
 
 
 class ZonalExpansion:
@@ -180,12 +213,9 @@ class ZonalExpansion:
 
     def reconstruct(self, experimental=None):
         "sum c_mu Z_mu as a SymmetricPolynomial (`experimental` is ignored)"
-        total = {}
-        for Z in zonal_basis(self.m, self.n, self.degree):
-            c = self.coeff(Z.mu)
-            if c != 0:
-                _accumulate(total, Z.poly.coeffs, c)
-        return SymmetricPolynomial(self.m, total)
+        basis = zonal_basis(self.m, self.n, self.degree)
+        return _zonal_sum(self.m, [(c, Z) for Z in basis
+                                   if (c := self.coeff(Z.mu)) != 0])
 
     def __repr__(self):
         bits = ", ".join("c%s=%s" % (mu, c) for mu, c in

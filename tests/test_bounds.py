@@ -151,6 +151,10 @@ def test_absolute_bounds():
     hom3, _ = absolute_code_bound(3, 2, 6)
     from math import comb
     assert hom3 == comb(36 + 2, 3)
+    # a negative, bool or non-integral degree is refused, never read as 0/1
+    for k in (-1, True, 1.0):
+        with pytest.raises(OutOfRange):
+            absolute_code_bound(k, 2, 4)
 
 
 def test_relative_engine_matches_closed_forms():
@@ -285,6 +289,9 @@ def test_design_bounds():
             assert design_absolute_bound(t, m, n) == dim_Hk(t // 2, m, n)
     # 2-design lower bound in G(2,4) is n^2 = 16
     assert design_absolute_bound(2, 2, 4) == 16
+    for t in (-1, True, 2.0):
+        with pytest.raises(OutOfRange):
+            design_absolute_bound(t, 2, 4)
 
 
 def test_relative_design_bound_aggregate_square():

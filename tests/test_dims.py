@@ -1,8 +1,11 @@
+from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
-from grasscode.dims import dim_H, dim_Hk, hom_dim_bound, q_binomial, weyl_dim
+from grasscode.dims import (check_degree, check_mn, dim_H, dim_Hk,
+                            hom_dim_bound, q_binomial, weyl_dim)
 from grasscode.errors import OutOfRange
 
 
@@ -81,5 +84,22 @@ def test_dim_h_positive_and_monotone_in_n():
 def test_bad_inputs():
     with pytest.raises(OutOfRange):
         dim_Hk(-1, 1, 4)
+    # a bool or non-integral degree, m or n is refused, never read as 0 or 1
+    for k, m, n in [(True, 1, 4), (1.0, 1, 4), (1, True, 4), (1, 1.0, 4),
+                    (1, 1, 4.0), (2, 1, False)]:
+        with pytest.raises(OutOfRange):
+            dim_Hk(k, m, n)
+    for k in (-1, True, 2.0):
+        with pytest.raises(OutOfRange):
+            hom_dim_bound(k, 3)
+    for m, n in [(True, 5), (2.0, 5), (2, 5.0), (Fraction(2), 5)]:
+        with pytest.raises(OutOfRange):
+            check_mn(m, n)
+    for t in (-1, True, False, 1.0, Fraction(1), "1"):
+        with pytest.raises(OutOfRange):
+            check_degree(t)
+    check_mn(np.int64(2), np.int64(5))
+    check_degree(np.int64(0))
+    assert dim_Hk(np.int64(2), np.int64(1), np.int64(4)) == dim_Hk(2, 1, 4)
     with pytest.raises(Exception):
         dim_H((1, 1, 1, 1, 1), 4)  # partition longer than n

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,13 @@ def test_validation():
         Partition(-1)
     assert Partition(3, 1, 0, 0).parts == (3, 1)
     assert Partition(()).parts == ()
+    # a non-integral or bool part is refused, not truncated to an int
+    for bad in [(2, 1.5), (2, 1.0), (True,), (2, False), ("2", "1")]:
+        with pytest.raises(ValueError):
+            Partition(bad)
+    with pytest.raises(ValueError):
+        Partition(True)
+    assert Partition((np.int64(2), 1)).parts == (2, 1)
 
 
 def test_canonical_order():

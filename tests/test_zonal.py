@@ -460,6 +460,103 @@ def test_general_coefficients_are_fractions():
                    for c in aggregate_zonal(4, m, n).coeffs.values())
 
 
+_REFUSED = [(zonal_basis, (2, 5, -1)), (aggregate_zonal, (-1, 2, 5)),
+            (zonal_basis, (2, 5, True)), (aggregate_zonal, (True, 2, 5)),
+            (aggregate_zonal, (False, 2, 5)), (aggregate_zonal, (2.0, 2, 5)),
+            (zonal_general, ((1,), True, 5)), (zonal_general, ((1,), 1, True)),
+            (zonal_general, ((1,), 2.0, 5)), (zonal_general, ((1,), 2, 5.0)),
+            (zonal_basis, (2.0, 5, 2)), (aggregate_zonal, (2, True, 5))]
+
+
+@pytest.mark.parametrize("fn, args", _REFUSED,
+                         ids=["%s%r" % (f.__name__, a) for f, a in _REFUSED])
+def test_degree_and_range_checks_refuse_bools_and_non_integers(fn, args):
+    # a bool is never read as 0 or 1 and a float m never reaches the
+    # construction: each fails as OutOfRange
+    with pytest.raises(OutOfRange):
+        fn(*args)
+
+
+def test_integral_degree_and_range_are_accepted():
+    i = np.int64
+    assert aggregate_zonal(i(3), i(2), i(5)) == aggregate_zonal(3, 2, 5)
+    assert ([Z.poly for Z in zonal_basis(i(2), i(5), i(2))]
+            == [Z.poly for Z in zonal_basis(2, 5, 2)])
+    assert zonal_general((2, 1), i(3), i(9)).poly == zonal_general(
+        (2, 1), 3, 9).poly
+    # built first from numpy ints, the table is still built on Python ints:
+    # no int64 product wraps, and the cache serves the exact table
+    zonal._jacobi_table.cache_clear()
+    Z = zonal_general((14,), i(1), i(60))
+    zonal._jacobi_table.cache_clear()
+    assert Z.poly == zonal_general((14,), 1, 60).poly
+
+
+def test_returned_zonals_do_not_share_the_cached_table():
+    # a caller that mutates a returned zonal's coefficients, or replaces its
+    # polynomial, changes nothing that a later call returns
+    m, n, kappa = 3, 9, Partition(2, 1)
+    f = annihilator_sympoly([Fraction(0), Fraction(1, 3), Fraction(1, 2)], m)
+    Z = zonal_general(kappa, m, n)
+    want = dict(Z.poly.coeffs)
+    basis = [Z.poly for Z in zonal_basis(m, n, 3)]
+    K = aggregate_zonal(3, m, n)
+    e = expand_in_zonal(f, m, n)
+    for sig in list(Z.poly.coeffs):
+        Z.poly.coeffs[sig] *= 7
+    Z.poly.coeffs[Partition(3)] = Fraction(5)
+    del Z.poly.coeffs[E]
+    Z.poly = Z.poly + SymmetricPolynomial.constant(1, m)
+    Z.mu = Partition(1)
+    again = zonal_general(kappa, m, n)
+    assert list(again.poly.coeffs.items()) == list(want.items())
+    assert again.mu == kappa and again.poly is not Z.poly
+    assert [Z.poly for Z in zonal_basis(m, n, 3)] == basis
+    assert aggregate_zonal(3, m, n) == K
+    assert expand_in_zonal(f, m, n).coeffs == e.coeffs
+    assert e.reconstruct() == f
+
+
+def _first_seen(polys, keep):
+    "the shapes of `polys` in order of first appearance, those in `keep`"
+    order = {}
+    for p in polys:
+        for sig in p.coeffs:
+            order.setdefault(sig, None)
+    return [sig for sig in order if sig in keep]
+
+
+@pytest.mark.parametrize("mn", SWEEP + [(1, 2), (2, 5), (3, 6)])
+def test_kernels_and_reconstructions_equal_a_fraction_sum(mn):
+    # the oracle: each term scaled as a Fraction polynomial and summed by
+    # SymmetricPolynomial.__add__, with no common denominator
+    m, n = mn
+    for t in range(7):
+        basis = zonal_basis(m, n, t)
+        normed = [normalize_zonal(Z).poly for Z in basis]
+        want = SymmetricPolynomial(m, {})
+        for p in normed:
+            want = want + p
+        K = aggregate_zonal(t, m, n)
+        assert K == want, (m, n, t)
+        assert list(K.coeffs) == _first_seen(normed, want.coeffs)
+        assert all(type(c) is Fraction for c in K.coeffs.values())
+        # every third coefficient zero, the others rational multiples
+        c = {Z.mu: Fraction(i % 3, 7 + i) * (i % 2 or -1)
+             for i, Z in enumerate(basis)}
+        scaled = [Z.poly.scale(c[Z.mu]) for Z in basis if c[Z.mu]]
+        want = SymmetricPolynomial(m, {})
+        for p in scaled:
+            want = want + p
+        got = zonal.ZonalExpansion(m, n, c, t).reconstruct()
+        assert got == want, (m, n, t)
+        assert list(got.coeffs) == _first_seen(scaled, want.coeffs)
+        assert all(type(v) is Fraction for v in got.coeffs.values())
+        got = zonal.ZonalExpansion(m, n, {Z.mu: dim_H(Z.mu, n) / Z.at_ones()
+                                          for Z in basis}, t).reconstruct()
+        assert got == K
+
+
 def test_annihilator_and_two_distance_c0():
     m, n = 2, 4
     f = annihilator_sympoly([Fraction(0), Fraction(1)], m)
