@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core_linalg import gram_matrix
-from .dims import dim_Hk
+from .core_linalg import check_tolerance, gram_matrix
+from .dims import check_integer, dim_Hk
 from .errors import ClusterAmbiguity, OutOfRange, SizeLimit
 from .partitions import Partition
 from .zonal import normalize_zonal, zonal_basis
@@ -112,6 +112,7 @@ def _relations(X, identity, tol):
     lexicographically descending (closest to the identity first), and
     assigned to both triangles.  Each class's spread comes from the same
     walk over its members, class 0's from the diagonal."""
+    check_tolerance(tol)
     N = X.shape[0]
     if N < 2:
         raise OutOfRange("need at least 2 members")
@@ -170,6 +171,7 @@ def design_strength(S, t_max=2, tol=1e-8):
 
     The basis goes to power sums from the top degree down, so that one
     cached change of basis serves every degree."""
+    check_tolerance(tol)
     P = S.geometry.power_sums(max(t_max, 1))
     basis = zonal_basis(S.m, S.n, t_max)
     for Z in reversed(basis):
@@ -180,6 +182,7 @@ def design_strength(S, t_max=2, tol=1e-8):
 
 def is_one_design(S, tol=1e-8):
     "flag + residual: max-entry distance of the average projector from (m/n)I"
+    check_tolerance(tol)
     avg = np.einsum("ink,imk->nm", S.bases, S.bases.conj()) / len(S)
     res = float(np.abs(avg - (S.m / S.n) * np.eye(S.n)).max())
     return res < tol, res
@@ -196,6 +199,7 @@ def is_two_design(S, tol=1e-8):
     (m/(n(n^2-1))) [(nm-1) I + (n-m) T].  The average is one GEMM V^T V over
     the flattened projectors V = P.reshape(N, n^2), regrouped (ac, bd) ->
     (ab, cd)."""
+    check_tolerance(tol)
     n, m = S.n, S.m
     if n * n > TWO_DESIGN_LIMIT:
         raise SizeLimit("n^2 = %d exceeds the limit %d" % (n * n, TWO_DESIGN_LIMIT))
@@ -339,6 +343,7 @@ def rational_representatives(R, tol=1e-8):
     where no other such rational can be.  A class whose members do not all
     lie within that radius of it, |rep - q| + spread above the radius,
     raises ClusterAmbiguity naming the class, its spread and the radius."""
+    check_tolerance(tol)
     radius = min(Fraction(tol), Fraction(1, 2 * REP_DENOMINATOR_LIMIT ** 2))
     out = []
     for c, (rep, spread) in enumerate(zip(R.reps, R.spreads)):
@@ -370,6 +375,7 @@ def scheme_idempotents(S, R, t=2, tol=1e-8, scheme=None):
     averages, certifies it.  The coarse relations are the unions of classes
     of equal exact trace; for each the eigen-relation A'_c E'_i ~ E'_i is
     measured in the same algebra.  Only the rationalization reads tol."""
+    check_integer(t, "t")
     scheme = check_scheme(R) if scheme is None else scheme
     if not scheme.is_scheme:
         raise OutOfRange("the relations are not closed (residual %.3e): no "
@@ -476,8 +482,7 @@ class TwoThreeReport:
 
 def twothree_audit(S, t, tol=1e-8):
     "evaluate the two-of-three predicates and check theorem consistency"
-    if t < 1:
-        raise OutOfRange("t must be >= 1, got %d" % t)
+    check_integer(t, "t", 1)
     vals = inner_product_set(S, tol=tol)
     is_dist = len(vals) == t
     is_design = design_strength(S, t_max=2 * t, tol=tol) >= 2 * t

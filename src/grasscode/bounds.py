@@ -5,11 +5,11 @@ Upper bounds for A-codes and lower bounds for designs: dimension-count
 relative bounds, the closed one/two-distance corollaries, the
 simplex/orthoplex separation thresholds, and the combined bound table.
 
-Every value is a Fraction; floating point never enters, so results are
-bit-identical across runs.  The one float step is the optional check of a
-supplied code, which reads the code's shared pair geometry.  A bound that
-fails its regime conditions is still reported, with per-condition margins,
-and marked not applicable.
+Every value is a Fraction; floating point never enters (a float alpha or beta
+is refused), so results are bit-identical across runs.  The one float step is
+the optional check of a supplied code, which reads the code's shared pair
+geometry.  A bound that fails its regime conditions is still reported, with
+per-condition margins, and marked not applicable.
 """
 
 from fractions import Fraction
@@ -19,9 +19,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core_linalg import Code, principal_angles
-from .dims import check_degree, check_mn, dim_Hk, hom_dim_bound
+from .dims import check_integer, check_mn, dim_Hk, hom_dim_bound
 from .errors import DegenerateDenominator, DimensionMismatch, OutOfRange
 from .partitions import Partition
+from .sympoly import _exact_coefficient
 from .zonal import annihilator_sympoly, expand_in_zonal
 
 NONPOS_SLACK = 1e-9   # a code's f <= 0 is checked as f <= NONPOS_SLACK
@@ -80,7 +81,7 @@ def absolute_code_bound(k, m, n):
     falling back to the generic count C(n^2+k-1, k); for k=2, m=1 the exact
     space is smaller and dim H_2(1,n) is used.  h_bound = dim H_k(m,n).
     """
-    check_degree(k)
+    check_integer(k, "k")
     check_mn(m, n)
     h_bound = dim_Hk(k, m, n)
     if k == 0:
@@ -148,8 +149,9 @@ def relative_code_bound(f, m, n, code=None):
 
 def _check_domain(m, n):
     "the G(m, n) these closed forms hold on: 1 <= m <= n and n >= 2"
-    if m < 1 or n < 2 or m > n:
-        raise OutOfRange("need 1 <= m <= n and n >= 2, got m=%d n=%d" % (m, n))
+    need = "need 1 <= m <= n and n >= 2, got m=%r n=%r" % (m, n)
+    check_integer(m, "m", 1, need)
+    check_integer(n, "n", max(m, 2), need)
 
 
 def _orthoplex(m, n):
@@ -160,7 +162,7 @@ def _orthoplex(m, n):
 def one_distance_bound(alpha, m, n):
     "upper bound n(m - alpha)/(m^2 - n*alpha) for a one-distance code"
     _check_domain(m, n)
-    alpha = Fraction(alpha)
+    alpha = _exact_coefficient(alpha)
     margin = _orthoplex(m, n) - alpha
     value = None if margin == 0 else (m - alpha) / margin
     return _result("one-distance bound", value,
@@ -177,8 +179,7 @@ def two_distance_bound(alpha, beta, m, n):
     alpha+beta - n*alpha*beta/m^2 < (m^2 n - 2m + n)/(n^2 - 1) (strict).
     """
     _check_domain(m, n)
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
+    alpha, beta = _exact_coefficient(alpha), _exact_coefficient(beta)
     s = alpha + beta
     p = alpha * beta
     # the printed threshold 2(m^2 n - 4m + n)/(n^2 - 4) equals
@@ -215,8 +216,7 @@ def simplex_orthoplex(N, m, n):
     at least the simplex threshold m(mN - n)/(nN - n); and once N > n^2 the
     largest inner product is at least the orthoplex threshold m^2/n."""
     _check_domain(m, n)
-    if N < 2:
-        raise OutOfRange("need N >= 2, got %d" % N)
+    check_integer(N, "N", 2)
     simplex = Fraction(m * (m * N - n), n * N - n)
     regime = "simplex" if N <= n * n else "orthoplex"
     return SimplexOrthoplex(simplex, _orthoplex(m, n), regime)
@@ -226,7 +226,7 @@ def size_from_simplex_alpha(alpha, m, n):
     """invert the simplex threshold: the N with m(mN - n)/(nN - n) = alpha;
     the threshold stays below m^2/n, so alpha > m^2/n is refused"""
     _check_domain(m, n)
-    alpha = Fraction(alpha)
+    alpha = _exact_coefficient(alpha)
     excess = alpha - _orthoplex(m, n)
     if excess == 0:
         raise DegenerateDenominator("no finite N at alpha = m^2/n")
@@ -238,7 +238,7 @@ def size_from_simplex_alpha(alpha, m, n):
 
 def design_absolute_bound(t, m, n):
     "lower bound dim H_floor(t/2)(m,n) on the size of a t-design"
-    check_degree(t)
+    check_integer(t, "t")
     return dim_Hk(t // 2, m, n)
 
 
@@ -246,6 +246,7 @@ def relative_design_bound(f, t, m, n):
     """Lower bound |S| >= f(1,...,1)/c_0 for a t-design, where c_mu <= 0 for
     every |mu| > t, c_0 > 0 and f >= 0 on the design: exact on the diagonal,
     f(1,...,1) >= 0, and the caller's obligation on distinct pairs."""
+    check_integer(t, "t")
     return _result("relative design bound", *_zonal_sign_check(f, m, n, t=t))
 
 
@@ -254,6 +255,7 @@ def code_design_exact_size(f, t, m, n):
     and a t-design with t >= deg(f) and nonnegative zonal coefficients, as an
     exact rational (integrality is the caller's check).  Raises OutOfRange
     naming every violated condition."""
+    check_integer(t, "t")
     value, conds = _zonal_sign_check(f, m, n)
     conds.append(_cond("t >= deg f", t - f.degree, strict=False))
     bad = ["%s (margin %s)" % (c.text, c.margin) for c in conds if not c.holds]

@@ -20,9 +20,9 @@ from .bounds import (BoundTable, absolute_code_bound, design_absolute_bound,
                      one_distance_bound, simplex_orthoplex,
                      size_from_simplex_alpha, two_distance_bound)
 from .constructions import extraspecial_code, mub_code, pauli_code
-from .core_linalg import gram_matrix, orthonormality_defects
+from .core_linalg import check_tolerance, gram_matrix, orthonormality_defects
 from .dims import dim_H, dim_Hk
-from .errors import GrasscodeError, NumericalHealthError
+from .errors import GrasscodeError, NumericalHealthError, OutOfRange
 from .io import code_to_dict, read_code, write_code
 from .partitions import partitions_up_to
 
@@ -43,12 +43,11 @@ def _rational(text):
 
 
 def _tolerance(text):
-    "a finite float > 0"
+    "a float that passes check_tolerance"
     try:
         val = float(text)
-    except ValueError:
-        val = float("nan")
-    if not (np.isfinite(val) and val > 0):
+        check_tolerance(val)
+    except (ValueError, OutOfRange):
         raise argparse.ArgumentTypeError("not a finite number > 0: %r" % text)
     return val
 

@@ -18,7 +18,7 @@ from math import isqrt
 import numpy as np
 
 from .core_linalg import Code
-from .dims import q_binomial
+from .dims import check_integer, q_binomial
 from .errors import OutOfRange, SizeLimit, ValidationFailure
 
 PAULI_LIMIT = 64             # largest n = 2^k of pauli_code
@@ -83,8 +83,7 @@ def _weyl_table(p, n, a, b):
 def pauli_code(k):
     """The {0, n/4}-code of all half-dimensional eigenspaces of non-identity
     Pauli tensor words on n = 2^k dimensions: 2(n^2 - 1) subspaces in G(n/2, n)."""
-    if k < 1:
-        raise OutOfRange("k must be >= 1, got %d" % k)
+    check_integer(k, "k", 1)
     n = 2 ** k
     if n > PAULI_LIMIT:
         raise SizeLimit("n = 2^%d = %d exceeds the limit %d" % (k, n, PAULI_LIMIT))
@@ -100,8 +99,10 @@ def pauli_code(k):
     return Code(bases, labels=labels)
 
 
-def _is_odd_prime(p):
-    return p > 2 and p % 2 == 1 and all(p % f for f in range(3, isqrt(p) + 1, 2))
+def _check_odd_prime(p):
+    check_integer(p, "p", 3)
+    if not (p % 2 and all(p % f for f in range(3, isqrt(p) + 1, 2))):
+        raise OutOfRange("p must be an odd prime, got %d" % p)
 
 
 def _echelon_fill(p, ncols, pivots):
@@ -120,8 +121,8 @@ def _echelon_fill(p, ncols, pivots):
 
 def isotropic_count(p, n, d):
     "number of totally isotropic d-subspaces of F_p^{2n} (exact)"
-    if not 0 <= d <= n:
-        raise OutOfRange("need 0 <= d <= n, got d=%d n=%d" % (d, n))
+    check_integer(d, "d")
+    check_integer(n, "n", d)
     count = q_binomial(n, d, p)
     for i in range(n - d + 1, n + 1):
         count *= p ** i + 1
@@ -133,8 +134,7 @@ def enumerate_isotropic(p, n, d):
     canonical reduced-echelon representative each, as a d x 2n int64 array
     of rows (a, b) with a1.b2 - a2.b1 = 0 mod p for every two rows, in
     deterministic order.  The closed-form count is a mandatory self-check."""
-    if not _is_odd_prime(p):
-        raise OutOfRange("p must be an odd prime, got %d" % p)
+    _check_odd_prime(p)
     expected = isotropic_count(p, n, d)
     if expected > ISOTROPIC_LIMIT:
         raise SizeLimit("isotropic count %d exceeds the limit %d"
@@ -156,6 +156,8 @@ def enumerate_isotropic(p, n, d):
 
 def extraspecial_size(p, n, k):
     "closed-form member count of extraspecial_code(p, n, k)"
+    check_integer(k, "k")
+    check_integer(n, "n", k + 1)
     return p ** (n - k) * isotropic_count(p, n, n - k)
 
 
@@ -163,10 +165,9 @@ def extraspecial_code(p, n, k):
     """All joint eigenspaces of the commuting unitary families
     {X(a)Y(b) : (a,b) in W} over totally isotropic W of dimension n-k:
     a code of p^k-dimensional subspaces of C^(p^n)."""
-    if not 0 <= k <= n - 1:
-        raise OutOfRange("need 0 <= k <= n-1, got k=%d n=%d" % (k, n))
-    if not _is_odd_prime(p):
-        raise OutOfRange("p must be an odd prime, got %d" % p)
+    check_integer(k, "k")
+    check_integer(n, "n", k + 1)
+    _check_odd_prime(p)
     q = p ** n
     if q > EXTRASPECIAL_LIMIT:
         raise SizeLimit("p^n = %d exceeds the limit %d" % (q, EXTRASPECIAL_LIMIT))
@@ -184,8 +185,7 @@ def extraspecial_code(p, n, k):
 def mub_code(p):
     """p(p+1) lines in C^p: the standard basis together with the p bases
     with vectors (1/sqrt p) (w^(a s^2 + b s))_s -- a {0, 1/p}-code."""
-    if not _is_odd_prime(p):
-        raise OutOfRange("p must be an odd prime, got %d" % p)
+    _check_odd_prime(p)
     if p > MUB_LIMIT:
         raise SizeLimit("p = %d exceeds the limit %d" % (p, MUB_LIMIT))
     roots = np.exp(2j * np.pi * np.arange(p) / p)

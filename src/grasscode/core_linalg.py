@@ -16,8 +16,12 @@ draws one Gaussian stream and runs batched Gram-Schmidt twice (CGS2), not
 LAPACK QR: the same phase-fixed Q.
 """
 
+from math import inf
+from numbers import Real
+
 import numpy as np
 
+from .dims import check_integer
 from .errors import (DimensionMismatch, DuplicateMember, NumericalHealthError,
                      OutOfRange, RankDeficient, RankTooLarge)
 from .sympoly import CENTER
@@ -60,9 +64,16 @@ class Subspace:
         return "Subspace(n=%d, m=%d)" % (self.n, self.m)
 
 
+def check_tolerance(tol):
+    "raise OutOfRange unless tol is a real number (not a bool), finite and > 0"
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 < tol < inf):
+        raise OutOfRange("tolerance must be a finite number > 0, got %r" % (tol,))
+
+
 def orthonormality_defects(bases, tol=1e-8):
     """max |B^dagger B - I| of each basis of a stack (N, n, m); the first
     above tol, or NaN, raises RankDeficient naming its index"""
+    check_tolerance(tol)
     with np.errstate(over="ignore", invalid="ignore"):   # huge entries
         err = np.abs(bases.conj().swapaxes(1, 2) @ bases
                      - np.eye(bases.shape[2])).max(axis=(1, 2))
@@ -262,10 +273,8 @@ class PairGeometry:
         return self._angles
 
     def power_sums(self, t):
-        if t < 1:
-            raise OutOfRange("power sums need t >= 1, got %r" % (t,))
         m = self.bases.shape[2]
-        k = min(t, m)
+        k = min(check_integer(t, "t", 1), m)
         if self._sums is None or self._sums.shape[-1] < k:
             gram, p = (self._line_pass() if m == 1 else _overlap_pass(
                 self.bases, lambda G: power_sums(G, k, self)))
@@ -383,8 +392,8 @@ def gram_matrix(S):
 
 def haar_subspace(n, m, seed=0):
     "one Haar-distributed m-dimensional subspace of C^n"
-    if not 1 <= m <= n:
-        raise DimensionMismatch("need 1 <= m <= n, got n=%d m=%d" % (n, m))
+    check_integer(m, "m", 1)
+    check_integer(n, "n", m)
     return Subspace(haar_basis_batch(n, m, 1, seed)[0])
 
 

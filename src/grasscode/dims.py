@@ -3,9 +3,10 @@
 All arithmetic is exact (Python ints); results are exact integers.
 """
 
-from math import comb
+from math import comb, inf
 
-from .errors import NotDominant, OutOfRange, PartitionTooLong
+from .errors import (NotDominant, OutOfRange, PartitionTooLong,
+                     ValidationFailure)
 from .partitions import aspartition, is_integer, partitions_up_to
 
 
@@ -15,7 +16,7 @@ def weyl_dim(lam):
     lam is a weakly decreasing integer vector of length n (entries may be
     negative).  Product formula: prod_{i<j} (lam_i - lam_j + j - i)/(j - i).
     """
-    lam = [int(x) for x in lam]
+    lam = [check_integer(x, "a weight", -inf) for x in lam]
     n = len(lam)
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise NotDominant("weight not weakly decreasing: %r" % (lam,))
@@ -27,7 +28,9 @@ def weyl_dim(lam):
                 num *= lam[i] - lam[j] + j - i
                 den *= j - i
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ValidationFailure("Weyl product %d/%d not integral" % (num, den),
+                                num, den)
     return q
 
 
@@ -36,29 +39,32 @@ def dim_H(mu, n):
     lines/subspaces of C^n: the U(n) irrep with highest weight
     (mu, 0, ..., 0, -reverse(mu))."""
     mu = aspartition(mu)
+    check_integer(n, "n")
     if 2 * len(mu) > n:
         raise PartitionTooLong("need 2*len(mu) <= n, got len %d, n %d" % (len(mu), n))
     lam = mu.pad(n - len(mu)) + [-p for p in reversed(mu.parts)]
     return weyl_dim(lam)
 
 
+def check_integer(x, name, low=0, need=None):
+    """x as an int, the one rule for every integer parameter: any Integral
+    but a bool, >= low; else OutOfRange, worded by `need` if given"""
+    if not (is_integer(x) and x >= low):
+        raise OutOfRange(need or "%s must be an integer >= %s, got %r"
+                         % (name, low, x))
+    return int(x)
+
+
 def check_mn(m, n):
     "raise OutOfRange unless G(m,n) is in range: integers 1 <= m, 2m <= n"
-    if not (is_integer(m) and is_integer(n)):
-        raise OutOfRange("m and n must be integers, got m=%r n=%r" % (m, n))
-    if not (1 <= m and 2 * m <= n):
-        raise OutOfRange("need 1 <= m and 2m <= n, got m=%d n=%d" % (m, n))
-
-
-def check_degree(t):
-    "raise OutOfRange unless the degree t is an integer (not a bool) >= 0"
-    if not (is_integer(t) and t >= 0):
-        raise OutOfRange("degree must be an integer >= 0, got %r" % (t,))
+    need = "need integers 1 <= m and 2m <= n, got m=%r n=%r" % (m, n)
+    check_integer(m, "m", 1, need)
+    check_integer(n, "n", 2 * m, need)
 
 
 def dim_Hk(k, m, n):
     """Dimension of H_k(m,n) = sum of dim H_mu over |mu| <= k, len(mu) <= m."""
-    check_degree(k)
+    check_integer(k, "k")
     check_mn(m, n)
     return sum(dim_H(mu, n) for mu in partitions_up_to(k, max_len=m))
 
@@ -66,21 +72,23 @@ def dim_Hk(k, m, n):
 def hom_dim_bound(k, n):
     """Generic upper bound C(n^2 + k - 1, k) on dim Hom_k (polynomials of
     degree <= k in the entries of a projection matrix)."""
-    check_degree(k)
+    check_integer(k, "k")
+    check_integer(n, "n", 1)
     return comb(n * n + k - 1, k)
 
 
 def q_binomial(n, m, q):
     """Gaussian binomial [n choose m]_q, exact."""
-    if not 0 <= m <= n:
-        raise OutOfRange("need 0 <= m <= n, got m=%d n=%d" % (m, n))
-    if q < 2:
-        raise OutOfRange("need q >= 2, got %r" % (q,))
+    check_integer(m, "m")
+    check_integer(n, "n", m)
+    check_integer(q, "q", 2)
     num = 1
     den = 1
     for i in range(m):
         num *= q ** (n - i) - 1
         den *= q ** (m - i) - 1
     quot, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ValidationFailure("q-binomial %d/%d not integral" % (num, den),
+                                num, den)
     return quot

@@ -88,6 +88,8 @@ def partitions_of(k, max_len=None, max_part=None):
 
     Yielded in lexicographically descending order.
     """
+    from .dims import check_integer   # dims imports this module
+    check_integer(k, "k")
     if max_part is None:
         max_part = k
     if max_len is None:
@@ -103,13 +105,11 @@ def partitions_of(k, max_len=None, max_part=None):
             for rest in rec(rem - first, first, room - 1):
                 yield (first,) + rest
 
-    for parts in rec(k, max_part, max_len):
-        yield Partition(parts)
+    return map(Partition, rec(k, max_part, max_len))
 
 
 def partitions_up_to(t, max_len=None):
     """All partitions of size <= t with at most max_len parts, canonical order."""
-    out = []
-    for k in range(t + 1):
-        out.extend(partitions_of(k, max_len=max_len))
-    return out
+    from .dims import check_integer
+    return [mu for k in range(check_integer(t, "t") + 1)
+            for mu in partitions_of(k, max_len=max_len)]

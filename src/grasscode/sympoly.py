@@ -30,10 +30,10 @@ from math import comb, lcm
 
 import numpy as np
 
-from .errors import (InexactCoefficient, LengthExceedsVariables,
+from .errors import (InexactCoefficient, LengthExceedsVariables, OutOfRange,
                      VariableCountMismatch)
 from .partitions import Partition, aspartition, partitions_of, partitions_up_to
-from .dims import weyl_dim
+from .dims import check_integer, weyl_dim
 
 _EMPTY = Partition(())
 
@@ -166,13 +166,15 @@ class SymmetricPolynomial:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, y):
-        "exact Fraction if all points are exact, float otherwise"
+        """exact Fraction if every coordinate is an exact scalar
+        (_exact_coefficient), float if one is a float; a bool is refused"""
         y = list(y)
         if len(y) != self.m:
             raise VariableCountMismatch(
                 "expected %d values, got %d" % (self.m, len(y)))
-        if all(isinstance(v, (int, Fraction)) for v in y):
-            return self._evaluate_exact([Fraction(v) for v in y])
+        y = [v if isinstance(v, _INEXACT) else _exact_coefficient(v) for v in y]
+        if all(isinstance(v, Fraction) for v in y):
+            return self._evaluate_exact(y)
         return float(self.eval_batch(np.asarray(y, dtype=float)[None, :])[0])
 
     __call__ = evaluate
@@ -349,11 +351,17 @@ def _int_det(M):
     return sign * M[-1][-1] if n else 1
 
 
+_INEXACT = (float, complex, np.floating, np.complexfloating)
+
+
 def _exact_coefficient(c):
-    "c as a Fraction; a float or complex (rounded already) is refused"
-    if isinstance(c, (float, complex, np.floating, np.complexfloating)):
+    """c as a Fraction, the one rule for every exact scalar: a float or
+    complex (rounded already) is refused, and so is a bool"""
+    if isinstance(c, _INEXACT):
         raise InexactCoefficient(
             "inexact coefficient %r: pass an int, Fraction or string" % (c,))
+    if isinstance(c, (bool, np.bool_)):
+        raise OutOfRange("a bool is not a number: %r" % (c,))
     return Fraction(c)
 
 
@@ -361,15 +369,15 @@ def _exact_coefficient(c):
 # hypergeometric coefficients
 
 def _exact(a):
-    "ints stay ints; anything else becomes a Fraction"
-    return a if isinstance(a, int) else Fraction(a)
+    "an int stays an int; anything else is an exact scalar (a Fraction)"
+    return a if type(a) is int else _exact_coefficient(a)
 
 
 def ascending_product(a, s):
     "(a)_s = a (a+1) ... (a+s-1), exact: an int for an int a, else a Fraction"
     a = _exact(a)
     out = 1 if isinstance(a, int) else Fraction(1)
-    for i in range(int(s)):
+    for i in range(check_integer(s, "s")):
         out *= a + i
     return out
 

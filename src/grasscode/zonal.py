@@ -34,10 +34,10 @@ from math import comb, lcm
 import numpy as np
 
 from .core_linalg import haar_basis_batch, power_sums, squared_overlaps
-from .dims import check_degree, check_mn, dim_H
+from .dims import check_integer, check_mn, dim_H
 from .errors import (DegenerateAtOnes, DimensionMismatch,
                      LengthExceedsVariables, OutOfRange, UnsupportedPartition,
-                     VariableCountMismatch)
+                     ValidationFailure, VariableCountMismatch)
 from .partitions import Partition, aspartition, partitions_up_to
 from .sympoly import (SymmetricPolynomial, _accumulate, _exact_coefficient,
                       _place, _shape, _times_p, hypergeom_coeff, schur_norm)
@@ -163,7 +163,7 @@ def normalize_zonal(Z):
 def zonal_basis(m, n, t):
     "all Z_mu with |mu| <= t, len(mu) <= m, canonical order"
     check_mn(m, n)
-    check_degree(t)
+    check_integer(t, "t")
     return [zonal_general(mu, m, n) for mu in partitions_up_to(t, max_len=m)]
 
 
@@ -243,16 +243,18 @@ def expand_in_zonal(f, m, n, experimental=None):
         coeffs[Z.mu] = c
         if c != 0:
             _accumulate(rest, Z.poly.coeffs, -c)
-    assert not any(rest.values()), "zonal expansion left a remainder: %r" % rest
+    if any(rest.values()):
+        raise ValidationFailure("zonal expansion left a remainder: %r" % rest,
+                                rest, {})
     return ZonalExpansion(m, n, coeffs, deg)
 
 
 def annihilator_sympoly(A, m):
     "product of (sum_i y_i - alpha) over alpha in A, exact"
+    check_integer(m, "m", 1)
     alphas = sorted(_exact_coefficient(a) for a in A)
-    if not alphas or m < 1:
-        raise OutOfRange("need at least one root and m >= 1, got %r and m = %r"
-                         % (alphas, m))
+    if not alphas:
+        raise OutOfRange("need at least one root")
     out = {_EMPTY: Fraction(1)}
     for alpha in alphas:     # out * (p_1 - alpha), p_1 = sum of the variables
         nxt = _times_p(out, 1, m)
@@ -287,8 +289,7 @@ def _angle_batch(n, m, samples, seed, t):
 def _mean_stderr(blocks, samples):
     """Mean and standard error of the values in `blocks` (arrays holding
     `samples` values in all); the standard error is inf for one sample."""
-    if samples < 1:
-        raise OutOfRange("need at least 1 sample, got %d" % samples)
+    check_integer(samples, "samples", 1)
     s1 = 0.0
     s2 = 0.0
     for vals in blocks:

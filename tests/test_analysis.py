@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grasscode.analysis as analysis
 import grasscode.sympoly as sympoly
 from grasscode.analysis import (RelationPartition, _cluster_vectors,
                                 _relations, angle_classes, check_scheme, design_strength,
@@ -208,6 +209,24 @@ def test_twothree_audit_t1(mub5):
     assert rep.warnings == []
     doc = rep.to_json_dict()
     assert doc["t"] == 1 and doc["size"] == 30 and doc["dim_H_t"] == 25
+
+
+def test_twothree_audit_warns_when_one_predicate_fails(monkeypatch):
+    # the SIC in C^2 (a tetrahedron on the Bloch sphere) is a 1-distance set,
+    # a 2-design and of size dim H_1(1,2) = 4; a design test failed by the
+    # floats leaves two predicates true, which the audit flags
+    lines = [[1, 0]] + [[np.sqrt(1 / 3), np.exp(2j * np.pi * k / 3)
+                         * np.sqrt(2 / 3)] for k in range(3)]
+    S = Code(np.array(lines, dtype=complex)[:, :, None])
+    assert twothree_audit(S, 1).warnings == []
+    monkeypatch.setattr(analysis, "design_strength", lambda *a, **k: 1)
+    assert twothree_audit(S, 1).to_text() == (
+        "two-of-three audit at t=1:\n"
+        "  1-distance set: yes (found 1 values)\n"
+        "  2-design: no\n"
+        "  |S| = dim H_1: yes (4 vs 4)\n"
+        "  WARNING: two predicates hold but '2t-design' fails: inconsistent "
+        "with the two-of-three theorem (numerical health suspect)")
 
 
 def brute_force_closure(A, k):

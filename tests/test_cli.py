@@ -606,3 +606,35 @@ def test_bound_and_table_outputs_match_golden_bytes(tmp_path, capsys):
         assert (code, out, err) == (0, case["stdout"], ""), case["argv"]
         if "file" in case:
             assert (tmp_path / "x.csv").read_text() == case["file"]
+
+
+def test_bound_simplex_size_text(capsys):
+    assert run(capsys, "bound", "simplex", "--m", "1", "--n", "3",
+               "--k", "4") == (0, "N=4 in G(1,3): simplex alpha >= 1/9, "
+                               "orthoplex beta >= 1/3 (simplex regime)\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "pauli"], "construct pauli needs --k"),
+    (["construct", "extraspecial", "--p", "3", "--n", "2"],
+     "construct extraspecial needs --p --n --k"),
+    (["construct", "mub"], "construct mub needs --p"),
+    (["bound", "absolute", "--m", "1"], "bound needs --m and --n"),
+    (["bound", "one-distance", "--m", "1", "--n", "3"],
+     "one-distance bound needs --alpha"),
+    (["bound", "two-distance", "--m", "1", "--n", "3", "--alpha", "0"],
+     "two-distance bound needs --alpha and --beta"),
+    (["bound", "simplex", "--m", "1", "--n", "3"],
+     "bound simplex needs --alpha or --k (= N)"),
+    (["bound", "design", "--m", "1", "--n", "3"], "bound design needs --t"),
+    (["table", "--n", "4"], "table needs --m and --n"),
+])
+def test_missing_parameter_is_named(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
+
+
+def test_check_scheme_one_member(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    write_code(Code(np.eye(4, 2, dtype=complex)[None]), path)
+    assert run(capsys, "check-scheme", str(path)) == (
+        1, "", "error: need at least 2 members\n")

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from grasscode.dims import (check_degree, check_mn, dim_H, dim_Hk,
+from grasscode.dims import (check_integer, check_mn, dim_H, dim_Hk,
                             hom_dim_bound, q_binomial, weyl_dim)
 from grasscode.errors import OutOfRange
 
@@ -97,9 +97,9 @@ def test_bad_inputs():
             check_mn(m, n)
     for t in (-1, True, False, 1.0, Fraction(1), "1"):
         with pytest.raises(OutOfRange):
-            check_degree(t)
+            check_integer(t, "t")
     check_mn(np.int64(2), np.int64(5))
-    check_degree(np.int64(0))
+    assert check_integer(np.int64(0), "t") == 0
     assert dim_Hk(np.int64(2), np.int64(1), np.int64(4)) == dim_Hk(2, 1, 4)
     with pytest.raises(Exception):
         dim_H((1, 1, 1, 1, 1), 4)  # partition longer than n

@@ -1,0 +1,166 @@
+"""One table of malformed numbers: each is refused as a GrasscodeError
+subclass, never read as another value, never a bare TypeError or
+AssertionError.  Integer parameters pass dims.check_integer (OutOfRange);
+exact scalars pass sympoly._exact_coefficient (InexactCoefficient for a
+float, OutOfRange for a bool); tolerances pass core_linalg.check_tolerance
+(OutOfRange)."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from grasscode import analysis, bounds, constructions, dims, partitions, zonal
+from grasscode.core_linalg import haar_subspace
+from grasscode.errors import InexactCoefficient, OutOfRange
+from grasscode.sympoly import SymmetricPolynomial, ascending_product
+
+from conftest import random_code
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _relative(f_arg):
+    "a relative bound's f: the annihilator of {0} on G(1,3)"
+    return f_arg(zonal.annihilator_sympoly([0], 1))
+
+
+CASES = [
+    # bounds: exact scalars
+    ("one_distance alpha=0.1", InexactCoefficient,
+     lambda c: bounds.one_distance_bound(0.1, 1, 3)),
+    ("two_distance beta=0.2", InexactCoefficient,
+     lambda c: bounds.two_distance_bound(0, 0.2, 1, 5)),
+    ("two_distance alpha=0.5", InexactCoefficient,
+     lambda c: bounds.two_distance_bound(0.5, 0, 1, 5)),
+    ("size_from_simplex_alpha 0.1", InexactCoefficient,
+     lambda c: bounds.size_from_simplex_alpha(0.1, 1, 3)),
+    ("one_distance alpha=True", OutOfRange,
+     lambda c: bounds.one_distance_bound(True, 1, 3)),
+    # bounds: integers
+    ("_check_domain m=True", OutOfRange,
+     lambda c: bounds.one_distance_bound(0, True, 3)),
+    ("_check_domain m=1.0", OutOfRange,
+     lambda c: bounds.one_distance_bound(0, 1.0, 3)),
+    ("_check_domain n=3.0", OutOfRange,
+     lambda c: bounds.two_distance_bound(0, 0, 1, 3.0)),
+    ("simplex_orthoplex N=4.0", OutOfRange,
+     lambda c: bounds.simplex_orthoplex(4.0, 1, 3)),
+    ("relative_design_bound t=2.5", OutOfRange,
+     lambda c: _relative(lambda f: bounds.relative_design_bound(f, 2.5, 1, 3))),
+    ("relative_design_bound t=True", OutOfRange,
+     lambda c: _relative(lambda f: bounds.relative_design_bound(f, True, 1, 3))),
+    ("code_design_exact_size t=2.5", OutOfRange,
+     lambda c: _relative(lambda f: bounds.code_design_exact_size(f, 2.5, 1, 3))),
+    ("code_design_exact_size t=True", OutOfRange,
+     lambda c: _relative(lambda f: bounds.code_design_exact_size(f, True, 1, 3))),
+    # constructions
+    ("pauli_code k=True", OutOfRange, lambda c: constructions.pauli_code(True)),
+    ("mub_code p=5.0", OutOfRange, lambda c: constructions.mub_code(5.0)),
+    ("enumerate_isotropic p=3.0", OutOfRange,
+     lambda c: constructions.enumerate_isotropic(3.0, 1, 1)),
+    ("isotropic_count d=True", OutOfRange,
+     lambda c: constructions.isotropic_count(3, 2, True)),
+    ("isotropic_count n=2.0", OutOfRange,
+     lambda c: constructions.isotropic_count(3, 2.0, 1)),
+    ("enumerate_isotropic d=True", OutOfRange,
+     lambda c: constructions.enumerate_isotropic(3, 1, True)),
+    ("extraspecial_code k=True", OutOfRange,
+     lambda c: constructions.extraspecial_code(3, 2, True)),
+    ("extraspecial_code n=2.0", OutOfRange,
+     lambda c: constructions.extraspecial_code(3, 2.0, 1)),
+    ("extraspecial_size k=True", OutOfRange,
+     lambda c: constructions.extraspecial_size(3, 2, True)),
+    ("extraspecial_size n=2.0", OutOfRange,
+     lambda c: constructions.extraspecial_size(3, 2.0, 1)),
+    # core_linalg
+    ("haar_subspace m=True", OutOfRange, lambda c: haar_subspace(3, True)),
+    ("haar_subspace n=3.0", OutOfRange, lambda c: haar_subspace(3.0, 1)),
+    ("power_sums t=1.5", OutOfRange,
+     lambda c: c["mub5"].geometry.power_sums(1.5)),
+    ("power_sums t=True", OutOfRange,
+     lambda c: c["mub5"].geometry.power_sums(True)),
+    # zonal
+    ("mc_zonal_inner samples=True", OutOfRange,
+     lambda c: zonal.mc_zonal_inner((1,), (1,), 1, 3, samples=True)),
+    ("mc_zonal_inner samples=2.5", OutOfRange,
+     lambda c: zonal.mc_zonal_inner((1,), (1,), 1, 3, samples=2.5)),
+    ("annihilator_sympoly m=True", OutOfRange,
+     lambda c: zonal.annihilator_sympoly([0], True)),
+    # analysis
+    ("twothree_audit t='2'", OutOfRange,
+     lambda c: analysis.twothree_audit(c["mub5"], "2")),
+    ("scheme_idempotents t=True", OutOfRange,
+     lambda c: analysis.scheme_idempotents(
+         c["mub5"], analysis.angle_classes(c["mub5"]), t=True)),
+    # dims
+    ("weyl_dim [2.5, 0]", OutOfRange, lambda c: dims.weyl_dim([2.5, 0])),
+    ("q_binomial n=4.0", OutOfRange, lambda c: dims.q_binomial(4.0, 2, 3)),
+    ("q_binomial q=2.5", OutOfRange, lambda c: dims.q_binomial(4, 2, 2.5)),
+    ("q_binomial m=True", OutOfRange, lambda c: dims.q_binomial(4, True, 3)),
+    ("dim_H n=4.0", OutOfRange, lambda c: dims.dim_H((1,), 4.0)),
+    ("hom_dim_bound n=True", OutOfRange, lambda c: dims.hom_dim_bound(2, True)),
+    ("hom_dim_bound n=3.0", OutOfRange, lambda c: dims.hom_dim_bound(2, 3.0)),
+    # partitions
+    ("partitions_of k=True", OutOfRange,
+     lambda c: list(partitions.partitions_of(True))),
+    ("partitions_of k=2.0", OutOfRange,
+     lambda c: list(partitions.partitions_of(2.0))),
+    ("partitions_up_to t=True", OutOfRange,
+     lambda c: partitions.partitions_up_to(True)),
+    # sympoly
+    ("ascending_product a=0.5", InexactCoefficient,
+     lambda c: ascending_product(0.5, 2)),
+    ("ascending_product a=True", OutOfRange,
+     lambda c: ascending_product(True, 2)),
+    ("constant True", OutOfRange,
+     lambda c: SymmetricPolynomial.constant(True, 1)),
+    ("evaluate at True", OutOfRange,
+     lambda c: zonal.zonal_general((2,), 1, 5).evaluate([True])),
+    # tolerances
+    ("design_strength tol=nan", OutOfRange,
+     lambda c: analysis.design_strength(c["haar40"], t_max=4, tol=NAN)),
+    ("design_strength tol=inf", OutOfRange,
+     lambda c: analysis.design_strength(c["haar40"], t_max=4, tol=INF)),
+    ("angle_classes tol=nan", OutOfRange,
+     lambda c: analysis.angle_classes(c["haar40"], tol=NAN)),
+    ("angle_classes tol=-1.0", OutOfRange,
+     lambda c: analysis.angle_classes(c["haar40"], tol=-1.0)),
+    ("twothree_audit tol=nan", OutOfRange,
+     lambda c: analysis.twothree_audit(c["haar40"], 1, tol=NAN)),
+    ("is_one_design tol=nan", OutOfRange,
+     lambda c: analysis.is_one_design(c["haar40"], tol=NAN)),
+    ("is_two_design tol=inf", OutOfRange,
+     lambda c: analysis.is_two_design(c["haar40"], tol=INF)),
+    ("rational_representatives tol=inf", OutOfRange,
+     lambda c: analysis.rational_representatives(
+         analysis.angle_classes(c["mub5"]), tol=INF)),
+    ("orthonormality_defects tol=inf", OutOfRange,
+     lambda c: c["mub5"][0].validate(tol=INF)),
+]
+
+
+@pytest.fixture(scope="module")
+def codes(mub5):
+    # 40 Haar-random lines in C^5: 780 distinct pair angles
+    return {"mub5": mub5, "haar40": random_code(5, 1, 40, seed=1900)}
+
+
+@pytest.mark.parametrize("error, call", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_malformed_number_is_refused(codes, error, call):
+    with pytest.raises(error):
+        call(codes)
+
+
+def test_numpy_integers_and_strings_are_exact():
+    # numpy integers and exact strings are integers and exact scalars: an
+    # evaluation at a numpy integer point is exact, not a float
+    Z = zonal.zonal_general((2,), 1, 5)
+    val = Z.evaluate([np.int64(0)])
+    assert type(val) is Fraction and val == Z.evaluate([0]) == 2
+    assert dims.q_binomial(np.int64(4), np.int64(2), np.int64(3)) == 130
+    assert bounds.one_distance_bound("1/10", 1, 3).value == \
+        bounds.one_distance_bound(Fraction(1, 10), 1, 3).value
+    assert ascending_product(np.int64(3), np.int64(2)) == 12
+    assert dims.weyl_dim([np.int64(2), 0]) == 3

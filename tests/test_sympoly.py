@@ -205,10 +205,13 @@ def test_hypergeom_stays_exact():
     assert type(ascending_product(5, 0)) is int
     assert type(ascending_product(Fraction(5), 0)) is Fraction
     assert type(hypergeom_coeff(Fraction(7, 2), ())) is Fraction
-    # a float converts exactly, as written in binary, before any arithmetic
+    # a float is refused by the exact-scalar rule, never read as its binary
+    # value; the exact value of that float is accepted as a Fraction
     x = 0.1
-    assert hypergeom_coeff(x, (2, 1)) == (Fraction(x) * (Fraction(x) + 1)
-                                          * (Fraction(x) - 1))
+    with pytest.raises(InexactCoefficient):
+        hypergeom_coeff(x, (2, 1))
+    assert hypergeom_coeff(Fraction(x), (2, 1)) == (
+        Fraction(x) * (Fraction(x) + 1) * (Fraction(x) - 1))
     assert ascending_product(Fraction(-3, 2), 3) == Fraction(3, 8)
     assert hypergeom_coeff(9, (2, 1, 1)) == 9 * 10 * 8 * 7
 

@@ -11,7 +11,8 @@ from grasscode.core_linalg import (Subspace, haar_basis_batch, haar_subspace,
                                    principal_angles)
 from grasscode.dims import dim_H
 from grasscode.errors import (DimensionMismatch, NumericalHealthError,
-                              OutOfRange, VariableCountMismatch)
+                              OutOfRange, ValidationFailure,
+                              VariableCountMismatch)
 from grasscode.partitions import Partition, partitions_up_to
 from grasscode.sympoly import SymmetricPolynomial, _power_basis
 from grasscode.zonal import (aggregate_zonal, annihilator_sympoly,
@@ -576,3 +577,13 @@ def test_annihilator_one_distance():
         assert f.at_ones() == m - alpha
         y = [alpha / m] * m  # any point with coordinate sum alpha
         assert f.evaluate(y) == 0
+
+
+def test_expansion_remainder_raises_under_any_interpreter(monkeypatch):
+    # a basis missing Z_(1,1) cannot reach X*_(1,1): the remainder check is
+    # a raise, not an assert that python -O would delete
+    real = zonal.zonal_basis
+    monkeypatch.setattr(zonal, "zonal_basis",
+                        lambda m, n, t: [Z for Z in real(m, n, t) if Z.mu != P11])
+    with pytest.raises(ValidationFailure, match="remainder"):
+        expand_in_zonal(SymmetricPolynomial.x_star(P11, 2), 2, 5)
