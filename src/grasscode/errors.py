@@ -60,7 +60,8 @@ class DegenerateDenominator(ValidationError):
 
 
 class InexactCoefficient(ValidationError):
-    """A float or complex coefficient offered to the exact layer."""
+    """A float, a complex or text that is no rational offered to the exact
+    layer as a coefficient."""
 
 
 class FormatError(ValidationError):

@@ -7,6 +7,8 @@ as (2) before (1,1) and the full order starts (), (1), (2), (1,1), (3), ...
 
 from numbers import Integral
 
+from .errors import OutOfRange
+
 
 def is_integer(x):
     "is x an integer (any Integral type) and not a bool?"
@@ -14,22 +16,27 @@ def is_integer(x):
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integers (possibly empty)."""
+    """A weakly decreasing tuple of positive integers (possibly empty);
+    anything else is OutOfRange."""
 
     __slots__ = ("parts",)
 
     def __init__(self, *parts):
-        if len(parts) == 1 and not isinstance(parts[0], int):
-            parts = tuple(parts[0])
+        if len(parts) == 1 and not isinstance(parts[0], Integral):
+            try:
+                parts = tuple(parts[0])
+            except TypeError:
+                raise OutOfRange("a partition is a sequence of integers, "
+                                 "got %r" % (parts[0],)) from None
         if not all(map(is_integer, parts)):
-            raise ValueError("parts must be integers, got %r" % (parts,))
+            raise OutOfRange("parts must be integers, got %r" % (parts,))
         parts = tuple(int(p) for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if any(p < 0 for p in parts):
-            raise ValueError("negative part in %r" % (parts,))
+            raise OutOfRange("negative part in %r" % (parts,))
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts not weakly decreasing: %r" % (parts,))
+            raise OutOfRange("parts not weakly decreasing: %r" % (parts,))
         self.parts = parts
 
     @property
@@ -76,11 +83,7 @@ class Partition:
 
 def aspartition(mu):
     "coerce an int tuple/list/Partition to Partition"
-    if isinstance(mu, Partition):
-        return mu
-    if isinstance(mu, int):
-        return Partition(mu)
-    return Partition(tuple(mu))
+    return mu if isinstance(mu, Partition) else Partition(mu)
 
 
 def partitions_of(k, max_len=None, max_part=None):

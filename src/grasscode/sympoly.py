@@ -60,7 +60,7 @@ class SymmetricPolynomial:
     __slots__ = ("m", "coeffs", "_power")
 
     def __init__(self, m, coeffs):
-        self.m = int(m)
+        self.m = check_integer(m, "m", 1)
         clean = {}
         for sig, c in coeffs.items():
             sig = aspartition(sig)
@@ -356,13 +356,17 @@ _INEXACT = (float, complex, np.floating, np.complexfloating)
 
 def _exact_coefficient(c):
     """c as a Fraction, the one rule for every exact scalar: a float or
-    complex (rounded already) is refused, and so is a bool"""
+    complex (rounded already) is refused, and so is text that is no rational
+    (InexactCoefficient) and a bool (OutOfRange)"""
     if isinstance(c, _INEXACT):
         raise InexactCoefficient(
             "inexact coefficient %r: pass an int, Fraction or string" % (c,))
     if isinstance(c, (bool, np.bool_)):
         raise OutOfRange("a bool is not a number: %r" % (c,))
-    return Fraction(c)
+    try:
+        return Fraction(c)
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise InexactCoefficient("not an exact scalar: %r" % (c,)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ The Monte Carlo inner products draw Haar bases through
 core_linalg.haar_basis_batch (one Gaussian stream, batched CGS2 Gram-Schmidt,
 no QR) and read each sample's power sums of W^dagger W - I/2, formed by rows,
 through core_linalg.power_sums and its range check, as every float consumer
-that evaluates a polynomial does: no angle is formed.
+that evaluates a polynomial does: no angle is formed.  Samples are drawn,
+orthonormalized and evaluated in blocks of _MC_BLOCK = 2048, so that a
+block's Gaussian buffer and its Q (32 n m KiB each, 0.84 MiB on G(3,9)) stay
+in cache through the Gram-Schmidt sweeps instead of streaming from memory,
+and the sampler's memory does not grow with the sample count.  The blocks are
+cut from one seeded stream, so the partition is part of that stream: a seed
+gives one result, and a count up to 2048 is one block.
 """
 
 from fractions import Fraction
@@ -52,6 +58,7 @@ class ZonalPolynomial:
 
     def __init__(self, mu, m, n, poly, normalized=False):
         self.mu = aspartition(mu)
+        check_mn(m, n)
         self.m = int(m)
         self.n = int(n)
         self.poly = poly
@@ -266,7 +273,8 @@ def annihilator_sympoly(A, m):
 # ---------------------------------------------------------------------------
 # Monte-Carlo inner products over Haar-random subspaces
 
-_MC_BLOCK = 32768
+# samples per block: sized so that one block's arrays stay in cache
+_MC_BLOCK = 2048
 
 
 def _haar_blocks(n, m, samples, seed):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from grasscode.errors import OutOfRange
 from grasscode.partitions import (Partition, aspartition, partitions_of,
                                   partitions_up_to)
 
@@ -9,19 +10,21 @@ from zonal_oracle import subpartitions
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         Partition(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         Partition(-1)
     assert Partition(3, 1, 0, 0).parts == (3, 1)
     assert Partition(()).parts == ()
     # a non-integral or bool part is refused, not truncated to an int
-    for bad in [(2, 1.5), (2, 1.0), (True,), (2, False), ("2", "1")]:
-        with pytest.raises(ValueError):
+    for bad in [(2, 1.5), (2, 1.0), (True,), (2, False), ("2", "1"), 1.5,
+                None]:
+        with pytest.raises(OutOfRange):
             Partition(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         Partition(True)
     assert Partition((np.int64(2), 1)).parts == (2, 1)
+    assert Partition(np.int64(2)).parts == aspartition(np.int64(2)).parts == (2,)
 
 
 def test_canonical_order():

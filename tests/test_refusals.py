@@ -1,9 +1,10 @@
 """One table of malformed numbers: each is refused as a GrasscodeError
 subclass, never read as another value, never a bare TypeError or
 AssertionError.  Integer parameters pass dims.check_integer (OutOfRange);
-exact scalars pass sympoly._exact_coefficient (InexactCoefficient for a
-float, OutOfRange for a bool); tolerances pass core_linalg.check_tolerance
-(OutOfRange)."""
+partitions pass Partition (OutOfRange); exact scalars pass
+sympoly._exact_coefficient (InexactCoefficient for a float or for text that
+is no rational, OutOfRange for a bool); tolerances pass
+core_linalg.check_tolerance (OutOfRange)."""
 
 from fractions import Fraction
 
@@ -37,6 +38,12 @@ CASES = [
      lambda c: bounds.size_from_simplex_alpha(0.1, 1, 3)),
     ("one_distance alpha=True", OutOfRange,
      lambda c: bounds.one_distance_bound(True, 1, 3)),
+    ("one_distance alpha='x'", InexactCoefficient,
+     lambda c: bounds.one_distance_bound("x", 1, 3)),
+    ("one_distance alpha='1/0'", InexactCoefficient,
+     lambda c: bounds.one_distance_bound("1/0", 1, 3)),
+    ("two_distance beta=None", InexactCoefficient,
+     lambda c: bounds.two_distance_bound(0, None, 1, 5)),
     # bounds: integers
     ("_check_domain m=True", OutOfRange,
      lambda c: bounds.one_distance_bound(0, True, 3)),
@@ -87,6 +94,29 @@ CASES = [
      lambda c: zonal.mc_zonal_inner((1,), (1,), 1, 3, samples=2.5)),
     ("annihilator_sympoly m=True", OutOfRange,
      lambda c: zonal.annihilator_sympoly([0], True)),
+    ("annihilator_sympoly root='x'", InexactCoefficient,
+     lambda c: zonal.annihilator_sympoly(["x"], 1)),
+    ("mc_zonal_inner mu=(1.5,)", OutOfRange,
+     lambda c: zonal.mc_zonal_inner((1.5,), (), 3, 9, 10)),
+    ("mc_zonal_inner nu=1.5", OutOfRange,
+     lambda c: zonal.mc_zonal_inner((1,), 1.5, 3, 9, 10)),
+    ("zonal_general kappa=(2.5,)", OutOfRange,
+     lambda c: zonal.zonal_general((2.5,), 1, 5)),
+    ("zonal_general kappa=(True,)", OutOfRange,
+     lambda c: zonal.zonal_general((True,), 1, 5)),
+    ("zonal_general kappa=(1, 2)", OutOfRange,
+     lambda c: zonal.zonal_general((1, 2), 2, 5)),
+    ("zonal_general kappa=(-1,)", OutOfRange,
+     lambda c: zonal.zonal_general((-1,), 1, 5)),
+    ("zonal_general kappa='2'", OutOfRange,
+     lambda c: zonal.zonal_general("2", 1, 5)),
+    ("ZonalPolynomial m=2.5", OutOfRange,
+     lambda c: zonal.ZonalPolynomial((), 2.5, 5, SymmetricPolynomial(2, {}))),
+    ("ZonalPolynomial m=True", OutOfRange,
+     lambda c: zonal.ZonalPolynomial((), True, 5, SymmetricPolynomial(1, {}))),
+    ("ZonalExpansion.coeff mu=(0.5,)", OutOfRange,
+     lambda c: zonal.expand_in_zonal(
+         zonal.annihilator_sympoly([0], 1), 1, 5).coeff((0.5,))),
     # analysis
     ("twothree_audit t='2'", OutOfRange,
      lambda c: analysis.twothree_audit(c["mub5"], "2")),
@@ -99,6 +129,7 @@ CASES = [
     ("q_binomial q=2.5", OutOfRange, lambda c: dims.q_binomial(4, 2, 2.5)),
     ("q_binomial m=True", OutOfRange, lambda c: dims.q_binomial(4, True, 3)),
     ("dim_H n=4.0", OutOfRange, lambda c: dims.dim_H((1,), 4.0)),
+    ("dim_H mu=(2.5,)", OutOfRange, lambda c: dims.dim_H((2.5,), 5)),
     ("hom_dim_bound n=True", OutOfRange, lambda c: dims.hom_dim_bound(2, True)),
     ("hom_dim_bound n=3.0", OutOfRange, lambda c: dims.hom_dim_bound(2, 3.0)),
     # partitions
@@ -117,6 +148,18 @@ CASES = [
      lambda c: SymmetricPolynomial.constant(True, 1)),
     ("evaluate at True", OutOfRange,
      lambda c: zonal.zonal_general((2,), 1, 5).evaluate([True])),
+    ("constant '1/0'", InexactCoefficient,
+     lambda c: SymmetricPolynomial.constant("1/0", 1)),
+    ("SymmetricPolynomial m=2.5", OutOfRange,
+     lambda c: SymmetricPolynomial(2.5, {})),
+    ("SymmetricPolynomial m=True", OutOfRange,
+     lambda c: SymmetricPolynomial(True, {})),
+    ("SymmetricPolynomial m=0", OutOfRange,
+     lambda c: SymmetricPolynomial(0, {})),
+    ("SymmetricPolynomial coefficient 'x'", InexactCoefficient,
+     lambda c: SymmetricPolynomial(1, {(1,): "x"})),
+    ("SymmetricPolynomial shape (2.5,)", OutOfRange,
+     lambda c: SymmetricPolynomial(1, {(2.5,): 1})),
     # tolerances
     ("design_strength tol=nan", OutOfRange,
      lambda c: analysis.design_strength(c["haar40"], t_max=4, tol=NAN)),

@@ -302,19 +302,33 @@ def test_haar_sampling_runs_no_qr(monkeypatch):
 
 @pytest.mark.parametrize("m, n", [(1, 4), (2, 5), (3, 9)])
 def test_mc_estimates_match_the_qr_oracle_sampler(m, n, monkeypatch):
-    # the same seeds through the LAPACK QR sampler give the same estimates;
-    # 40000 samples span two _MC_BLOCK blocks of one seeded stream
+    # the same seeds through the LAPACK QR sampler give the same estimates
+    # over three full _MC_BLOCK blocks and a ragged last one, drawn in order
+    # from one seeded stream
+    samples = 3 * zonal._MC_BLOCK + 17
     K = aggregate_zonal(2, m, n)
     a, b = haar_subspace(n, m, seed=1), haar_subspace(n, m, seed=2)
 
-    def run():
-        return (mc_zonal_inner(P1, P2, m, n, 40_000, seed=7)
-                + mc_zonal_inner(P2, P2, m, n, 3000, seed=8)
-                + mc_function_inner(K, K, a, b, 3000, seed=9))
+    def run(sampler):
+        draws = []
 
-    new = run()
-    monkeypatch.setattr(zonal, "haar_basis_batch", haar_basis_batch_qr)
-    old = run()
+        def spy(n, m, count, rng):
+            draws.append((count, rng))
+            return sampler(n, m, count, rng)
+
+        monkeypatch.setattr(zonal, "haar_basis_batch", spy)
+        est = (mc_zonal_inner(P1, P2, m, n, samples, seed=7)
+               + mc_zonal_inner(P2, P2, m, n, samples, seed=8)
+               + mc_function_inner(K, K, a, b, samples, seed=9))
+        # each estimate: the sample range in order, in blocks of at most
+        # _MC_BLOCK, all drawn from one generator
+        assert [c for c, _ in draws] == ([zonal._MC_BLOCK] * 3 + [17]) * 3
+        for i in (0, 4, 8):
+            assert all(rng is draws[i][1] for _, rng in draws[i:i + 4])
+        return est
+
+    new = run(haar_basis_batch)
+    old = run(haar_basis_batch_qr)
     assert np.abs(np.subtract(new, old)).max() < 1e-12
 
 
