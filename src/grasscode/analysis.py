@@ -13,10 +13,15 @@ angles.  Once a scheme's relations close, its idempotents and design strength
 live in the k-dimensional Bose-Mesner algebra: scheme_idempotents works
 there exactly, on the integer intersection numbers and the rationalized
 class representatives, with no pair pass and no N x N product.
+
+Results are records (NamedTuples and RelationPartition) that nothing
+changes after they are returned; the command line (cli) renders them as
+text and JSON.
 """
 
 import math
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -213,41 +218,13 @@ def is_two_design(S, tol=1e-8):
     return res < tol, res
 
 
-class SchemeReport:
-    """Closure check of the relation-matrix algebra, its intersection numbers
-    (None unless closed) and, optionally, idempotent diagnostics."""
-
-    def __init__(self, is_scheme, n_classes, closure_residual, intersection_numbers):
-        self.is_scheme = is_scheme
-        self.n_classes = n_classes
-        self.closure_residual = closure_residual
-        self.intersection_numbers = intersection_numbers
-        self.idempotents = None
-
-    def to_json_dict(self):
-        doc = {
-            "is_scheme": bool(self.is_scheme),
-            "classes": int(self.n_classes),
-            "closure_residual": float(self.closure_residual),
-        }
-        if self.intersection_numbers is not None:
-            doc["intersection_numbers"] = self.intersection_numbers
-        if self.idempotents is not None:
-            doc["idempotents"] = self.idempotents.to_json_dict()
-        return doc
-
-    def to_text(self):
-        lines = [
-            "association scheme: %s" % ("yes" if self.is_scheme else "no"),
-            "classes (incl. identity): %d" % self.n_classes,
-            "closure residual: %.3e" % self.closure_residual,
-        ]
-        if self.idempotents is not None:
-            lines.append(self.idempotents.to_text())
-        elif not self.is_scheme:
-            lines.append("idempotents: not computed, the relations are not "
-                         "closed (verify-design tests the design strength)")
-        return "\n".join(lines)
+class SchemeReport(NamedTuple):
+    """Closure check of the relation-matrix algebra and its intersection
+    numbers (None unless closed)."""
+    is_scheme: bool
+    n_classes: int
+    closure_residual: float
+    intersection_numbers: Optional[list]
 
 
 def check_scheme(R):
@@ -280,60 +257,14 @@ def check_scheme(R):
     return SchemeReport(worst == 0.0, k, worst, None if worst else inums.tolist())
 
 
-class IdempotentReport:
+class IdempotentReport(NamedTuple):
     """Pairwise residuals of the candidate idempotents E_mu = Z_mu/|S| and
     the coarse eigen-relation residuals."""
-
-    def __init__(self, pair_residuals, required_design, strength,
-                 coarse_residuals, coarse_classes=None):
-        self.pair_residuals = pair_residuals      # {(mu,lam): float}
-        self.required_design = required_design    # {(mu,lam): int}
-        self.strength = strength                  # measured design strength
-        self.coarse_residuals = coarse_residuals  # {(class, degree): float}
-        self.coarse_classes = coarse_classes      # [fine classes of each]
-
-    def orthogonality_residual(self):
-        "max residual over mu != lam (guaranteed pairs only)"
-        vals = [r for (mu, lam), r in self.pair_residuals.items()
-                if mu != lam and self.required_design[(mu, lam)] <= self.strength]
-        return max(vals, default=0.0)
-
-    def max_certified_residual(self):
-        "max residual over pairs whose (|mu|+|lam|)-design requirement holds"
-        vals = [r for key, r in self.pair_residuals.items()
-                if self.required_design[key] <= self.strength]
-        return max(vals, default=0.0)
-
-    def to_json_dict(self):
-        return {
-            "strength": int(self.strength),
-            "pairs": [
-                {"mu": str(mu), "lam": str(lam),
-                 "residual": float(r),
-                 "required_design": int(self.required_design[(mu, lam)]),
-                 "certified": bool(self.required_design[(mu, lam)] <= self.strength)}
-                for (mu, lam), r in sorted(
-                    self.pair_residuals.items(),
-                    key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
-            ],
-            "coarse": [
-                {"class": int(c), "degree": int(i), "residual": float(r)}
-                for (c, i), r in sorted(self.coarse_residuals.items())
-            ],
-        }
-
-    def to_text(self):
-        lines = ["idempotents (measured design strength %d):" % self.strength]
-        for (mu, lam), r in sorted(self.pair_residuals.items(),
-                                   key=lambda kv: (kv[0][0].sort_key(),
-                                                   kv[0][1].sort_key())):
-            need = self.required_design[(mu, lam)]
-            tag = "certified" if need <= self.strength else ("needs %d-design" % need)
-            kind = "idem" if mu == lam else "orth"
-            lines.append("  E%s E%s (%s): %.3e  [%s]" % (mu, lam, kind, r, tag))
-        for (c, i), r in sorted(self.coarse_residuals.items()):
-            lines.append("  A'_%d E'_%d eigen-relation residual: %.3e" % (c, i, r))
-        return "\n".join(lines)
+    pair_residuals: dict      # {(mu, lam): float}
+    required_design: dict     # {(mu, lam): int}
+    strength: int             # measured design strength
+    coarse_residuals: dict    # {(class, degree): float}
+    coarse_classes: Optional[list] = None   # [fine classes of each]
 
 
 def rational_representatives(R, tol=1e-8):
@@ -437,47 +368,18 @@ def scheme_idempotents(S, R, t=2, tol=1e-8, scheme=None):
     return IdempotentReport(pair_res, required, strength, coarse, groups)
 
 
-class TwoThreeReport:
+class TwoThreeReport(NamedTuple):
     """The three linked predicates for a parameter t: |A| = t distances,
     2t-design, |S| = dim H_t(m,n).  Any two imply the third; a two-true /
     one-false combination is flagged as a consistency warning."""
-
-    def __init__(self, t, n_distances, size, dim_target, is_t_distance,
-                 is_2t_design, size_matches, warnings):
-        self.t = t
-        self.n_distances = n_distances
-        self.size = size
-        self.dim_target = dim_target
-        self.is_t_distance = is_t_distance
-        self.is_2t_design = is_2t_design
-        self.size_matches = size_matches
-        self.warnings = warnings
-
-    def to_json_dict(self):
-        return {
-            "t": self.t,
-            "distances": self.n_distances,
-            "size": self.size,
-            "dim_H_t": self.dim_target,
-            "t_distance_set": self.is_t_distance,
-            "design_2t": self.is_2t_design,
-            "size_matches_dim": self.size_matches,
-            "warnings": self.warnings,
-        }
-
-    def to_text(self):
-        lines = [
-            "two-of-three audit at t=%d:" % self.t,
-            "  %d-distance set: %s (found %d values)"
-            % (self.t, "yes" if self.is_t_distance else "no", self.n_distances),
-            "  %d-design: %s" % (2 * self.t, "yes" if self.is_2t_design else "no"),
-            "  |S| = dim H_%d: %s (%d vs %d)"
-            % (self.t, "yes" if self.size_matches else "no",
-               self.size, self.dim_target),
-        ]
-        for w in self.warnings:
-            lines.append("  WARNING: %s" % w)
-        return "\n".join(lines)
+    t: int
+    n_distances: int
+    size: int
+    dim_target: int
+    is_t_distance: bool
+    is_2t_design: bool
+    size_matches: bool
+    warnings: list
 
 
 def twothree_audit(S, t, tol=1e-8):

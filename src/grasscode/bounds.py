@@ -10,6 +10,9 @@ is refused), so results are bit-identical across runs.  The one float step is
 the optional check of a supplied code, which reads the code's shared pair
 geometry.  A bound that fails its regime conditions is still reported, with
 per-condition margins, and marked not applicable.
+
+Results are records (BoundResult, BoundTable's cells); the command line
+(cli) renders them as text, CSV and JSON.
 """
 
 from fractions import Fraction
@@ -41,20 +44,6 @@ class BoundResult(NamedTuple):
     applicable: bool
     conditions: tuple
     kind: str
-
-    def __str__(self):
-        val = "undefined" if self.value is None else str(self.value)
-        bits = ["%s: %s" % (self.kind, val),
-                "applicable" if self.applicable else "NOT applicable"]
-        for c in self.conditions:
-            mark = "ok" if c.holds else "VIOLATED"
-            if c.boundary:
-                mark += " (boundary)"
-            if c.margin is None:
-                bits.append("  %s: %s" % (c.text, mark))
-            else:
-                bits.append("  %s: %s, margin %s" % (c.text, mark, c.margin))
-        return "\n".join(bits)
 
 
 def _cond(text, margin, strict):
@@ -300,26 +289,6 @@ class BoundTable:
             ("relative |A|=2 condition",
              "", "alpha+beta - n alpha beta/m^2 < %s" % thr2b, ""),
         ]
-
-    def text(self):
-        table = [("kind", "value", "conditions", "note")] + self.rows()
-        widths = [max(len(row[i]) for row in table) for i in range(4)]
-        lines = ["bounds for G(%d,%d)" % (self.m, self.n)]
-        for row in table:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        return "\n".join(lines)
-
-    def csv(self):
-        import csv as _csv
-        import io as _io
-        buf = _io.StringIO()
-        r = self.rows()
-        _csv.writer(buf).writerows(
-            [("kind", "value", "applicable", "conditions")]
-            + [(kind, value, "true", note) for kind, value, _, note in r[:2]]
-            + [(r[2][0], r[2][1], "see conditions", r[2][2]),
-               (r[3][0], r[3][1], "see conditions", r[3][2] + "; " + r[4][2])])
-        return buf.getvalue()
 
 
 def make_annihilator(values, m):

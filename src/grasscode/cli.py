@@ -1,15 +1,23 @@
 """Command-line front end: construct codes, compute bounds and tables,
 verify designs and schemes, inspect code files.
 
+This is the one module that renders output: the library returns records
+(BoundResult, BoundTable's rows, SchemeReport, IdempotentReport), and the
+private renderers below turn each into text, CSV or JSON.
+
 Exit codes: 0 success, 1 validation/usage error, 2 numerical-health error,
-3 size limit.  Rational flags accept "p/q" or decimal strings; decimals are
-converted exactly as written.
+3 size limit.  verify-design reports its n^4 two-design witness as not
+computed beyond analysis.TWO_DESIGN_LIMIT rather than exit 3.  Rational
+flags accept "p/q" or decimal strings; decimals are converted exactly as
+written.
 """
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
+from io import StringIO
 
 import numpy as np
 
@@ -22,7 +30,8 @@ from .bounds import (BoundTable, absolute_code_bound, design_absolute_bound,
 from .constructions import extraspecial_code, mub_code, pauli_code
 from .core_linalg import check_tolerance, gram_matrix, orthonormality_defects
 from .dims import dim_H, dim_Hk
-from .errors import GrasscodeError, NumericalHealthError, OutOfRange
+from .errors import (GrasscodeError, NumericalHealthError, OutOfRange,
+                     SizeLimit)
 from .io import code_to_dict, read_code, write_code
 from .partitions import partitions_up_to
 
@@ -71,6 +80,22 @@ def _emit(args, text):
         print(text)
 
 
+def _bound_text(res):
+    "BoundResult -> its value, verdict and one line per condition"
+    val = "undefined" if res.value is None else str(res.value)
+    lines = ["%s: %s" % (res.kind, val),
+             "applicable" if res.applicable else "NOT applicable"]
+    for c in res.conditions:
+        mark = "ok" if c.holds else "VIOLATED"
+        if c.boundary:
+            mark += " (boundary)"
+        if c.margin is None:
+            lines.append("  %s: %s" % (c.text, mark))
+        else:
+            lines.append("  %s: %s, margin %s" % (c.text, mark, c.margin))
+    return "\n".join(lines)
+
+
 def _json_result(res):
     "BoundResult -> plain dict"
     return {
@@ -85,6 +110,83 @@ def _json_result(res):
             for c in res.conditions
         ],
     }
+
+
+def _table_text(tab):
+    "BoundTable -> its rows under a header, in columns"
+    table = [("kind", "value", "conditions", "note")] + tab.rows()
+    widths = [max(len(row[i]) for row in table) for i in range(4)]
+    lines = ["bounds for G(%d,%d)" % (tab.m, tab.n)]
+    for row in table:
+        lines.append("  ".join(cell.ljust(w)
+                               for cell, w in zip(row, widths)).rstrip())
+    return "\n".join(lines)
+
+
+def _table_csv(tab):
+    "BoundTable -> CSV, the two relative |A|=2 condition rows joined"
+    buf = StringIO()
+    r = tab.rows()
+    csv.writer(buf).writerows(
+        [("kind", "value", "applicable", "conditions")]
+        + [(kind, value, "true", note) for kind, value, _, note in r[:2]]
+        + [(r[2][0], r[2][1], "see conditions", r[2][2]),
+           (r[3][0], r[3][1], "see conditions", r[3][2] + "; " + r[4][2])])
+    return buf.getvalue()
+
+
+def _idempotent_pairs(idem):
+    "((mu, lam), residual, required design) in canonical order"
+    return [(key, r, idem.required_design[key])
+            for key, r in sorted(idem.pair_residuals.items(),
+                                 key=lambda kv: (kv[0][0].sort_key(),
+                                                 kv[0][1].sort_key()))]
+
+
+def _scheme_text(rep, idem):
+    "SchemeReport and its IdempotentReport (None when not computed) -> text"
+    lines = [
+        "association scheme: %s" % ("yes" if rep.is_scheme else "no"),
+        "classes (incl. identity): %d" % rep.n_classes,
+        "closure residual: %.3e" % rep.closure_residual,
+    ]
+    if idem is not None:
+        lines.append("idempotents (measured design strength %d):"
+                     % idem.strength)
+        for (mu, lam), r, need in _idempotent_pairs(idem):
+            tag = ("certified" if need <= idem.strength
+                   else "needs %d-design" % need)
+            kind = "idem" if mu == lam else "orth"
+            lines.append("  E%s E%s (%s): %.3e  [%s]" % (mu, lam, kind, r, tag))
+        for (c, i), r in sorted(idem.coarse_residuals.items()):
+            lines.append("  A'_%d E'_%d eigen-relation residual: %.3e"
+                         % (c, i, r))
+    elif not rep.is_scheme:
+        lines.append("idempotents: not computed, the relations are not "
+                     "closed (verify-design tests the design strength)")
+    return "\n".join(lines)
+
+
+def _scheme_json(rep, idem):
+    "SchemeReport and its IdempotentReport (None when not computed) -> dict"
+    doc = {
+        "is_scheme": bool(rep.is_scheme),
+        "classes": int(rep.n_classes),
+        "closure_residual": float(rep.closure_residual),
+    }
+    if rep.intersection_numbers is not None:
+        doc["intersection_numbers"] = rep.intersection_numbers
+    if idem is not None:
+        doc["idempotents"] = {
+            "strength": int(idem.strength),
+            "pairs": [{"mu": str(mu), "lam": str(lam), "residual": float(r),
+                       "required_design": int(need),
+                       "certified": bool(need <= idem.strength)}
+                      for (mu, lam), r, need in _idempotent_pairs(idem)],
+            "coarse": [{"class": int(c), "degree": int(i), "residual": float(r)}
+                       for (c, i), r in sorted(idem.coarse_residuals.items())],
+        }
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +310,7 @@ def _cmd_bound(args):
     if args.json:
         _emit(args, json.dumps(_json_result(res), sort_keys=True))
     else:
-        _emit(args, str(res))
+        _emit(args, _bound_text(res))
     return 0
 
 
@@ -221,9 +323,9 @@ def _cmd_table(args):
                 for r in tab.rows()]
         _emit(args, json.dumps({"m": args.m, "n": args.n, "rows": rows}))
     elif args.output and args.output.endswith(".csv"):
-        _emit(args, tab.csv())
+        _emit(args, _table_csv(tab))
     else:
-        _emit(args, tab.text())
+        _emit(args, _table_text(tab))
     return 0
 
 
@@ -260,7 +362,12 @@ def _cmd_verify_design(args):
     t = 2 if args.t is None else args.t
     strength = design_strength(S, t_max=t, tol=args.tol)
     res1 = is_one_design(S, tol=args.tol)[1]
-    res2 = is_two_design(S, tol=args.tol)[1] if t >= 2 else None
+    res2 = refused = None
+    if t >= 2:   # the n^4 witness is not computed beyond its size limit
+        try:
+            res2 = is_two_design(S, tol=args.tol)[1]
+        except SizeLimit as exc:
+            refused = exc
     if args.json:
         doc = {"members": len(S), "m": S.m, "n": S.n, "t_max": t,
                "strength": strength,
@@ -277,6 +384,8 @@ def _cmd_verify_design(args):
     lines.append("mean-projector residual: %.3e" % res1)
     if res2 is not None:
         lines.append("mean P(x)P residual: %.3e" % res2)
+    if refused is not None:
+        lines.append("mean P(x)P residual: not computed, %s" % refused)
     _emit(args, "\n".join(lines))
     return 0
 
@@ -286,13 +395,13 @@ def _cmd_check_scheme(args):
     t = 2 if args.t is None else args.t
     R = angle_classes(S, tol=args.tol)
     rep = check_scheme(R)
-    if rep.is_scheme:   # the idempotents live in the closed algebra
-        rep.idempotents = scheme_idempotents(S, R, t=t, tol=args.tol,
-                                             scheme=rep)
+    # the idempotents live in the closed algebra
+    idem = (scheme_idempotents(S, R, t=t, tol=args.tol, scheme=rep)
+            if rep.is_scheme else None)
     if args.json:
-        _emit(args, json.dumps(rep.to_json_dict(), sort_keys=True))
+        _emit(args, json.dumps(_scheme_json(rep, idem), sort_keys=True))
     else:
-        _emit(args, rep.to_text())
+        _emit(args, _scheme_text(rep, idem))
     return 0
 
 

@@ -392,19 +392,28 @@ def gram_matrix(S):
 
 def haar_subspace(n, m, seed=0):
     "one Haar-distributed m-dimensional subspace of C^n"
-    check_integer(m, "m", 1)
-    check_integer(n, "n", m)
     return Subspace(haar_basis_batch(n, m, 1, seed)[0])
+
+
+def seeded_generator(seed):
+    """the numpy Generator of `seed`: an integer >= 0 (check_integer), or a
+    Generator itself, which is then drawn from in place"""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(check_integer(seed, "seed"))
 
 
 def haar_basis_batch(n, m, samples, seed=0):
     """Orthonormal bases of Haar samples, a (samples, n, m) view of a
-    batch-last array; `seed` may be a numpy Generator, drawn from in place.
+    batch-last array; `seed` as seeded_generator takes it.
     Haar is the Q of a complex Gaussian G whose R has a positive diagonal
     (Mezzadri 2007), as Gram-Schmidt run twice per column (CGS2) gives it
     while cond(G) eps << 1 (Giraud, Langou, Rozloznik, Smoktunowicz 2005)."""
+    m = check_integer(m, "m", 1)
+    n = check_integer(n, "n", m)
+    samples = check_integer(samples, "samples")
     g = np.empty((2, samples, n, m))
-    np.random.default_rng(seed).standard_normal(out=g)
+    seeded_generator(seed).standard_normal(out=g)
     q = np.empty((m, n, samples), dtype=complex)
     q.real, q.imag = g[0].T, g[1].T
     for j in range(m):

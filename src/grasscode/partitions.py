@@ -73,7 +73,7 @@ class Partition:
     def pad(self, length):
         "parts as a list padded with zeros to the given length"
         if length < len(self.parts):
-            raise ValueError("cannot pad %r to length %d" % (self, length))
+            raise OutOfRange("cannot pad %r to length %r" % (self, length))
         return list(self.parts) + [0] * (length - len(self.parts))
 
     def sort_key(self):

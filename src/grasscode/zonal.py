@@ -39,7 +39,8 @@ from math import comb, lcm
 
 import numpy as np
 
-from .core_linalg import haar_basis_batch, power_sums, squared_overlaps
+from .core_linalg import (haar_basis_batch, power_sums, seeded_generator,
+                          squared_overlaps)
 from .dims import check_integer, check_mn, dim_H
 from .errors import (DegenerateAtOnes, DimensionMismatch,
                      LengthExceedsVariables, OutOfRange, UnsupportedPartition,
@@ -279,7 +280,7 @@ _MC_BLOCK = 2048
 
 def _haar_blocks(n, m, samples, seed):
     "Haar bases (b, n, m), at most _MC_BLOCK per block, from one seeded stream"
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed)
     for lo in range(0, samples, _MC_BLOCK):
         yield haar_basis_batch(n, m, min(_MC_BLOCK, samples - lo), rng)
 

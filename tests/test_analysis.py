@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 import grasscode.analysis as analysis
 import grasscode.sympoly as sympoly
-from grasscode.analysis import (RelationPartition, _cluster_vectors,
-                                _relations, angle_classes, check_scheme, design_strength,
+from grasscode.analysis import (RelationPartition, TwoThreeReport,
+                                _cluster_vectors, _relations, angle_classes,
+                                check_scheme, design_strength,
                                 inner_product_classes, inner_product_set,
                                 is_one_design, is_two_design,
                                 pair_angle_matrix, scheme_idempotents,
                                 swap_operator, twothree_audit)
+from grasscode.cli import _scheme_json, _scheme_text
 from grasscode.core_linalg import Code, Subspace
 from grasscode.errors import ClusterAmbiguity, NumericalHealthError, SizeLimit
 from grasscode.partitions import Partition
@@ -164,9 +166,11 @@ def test_scheme_idempotents_pauli(pauli2):
     for (mu, lam), r in idem.pair_residuals.items():
         if mu != lam:
             assert r < 1e-8, (mu, lam, r)
-    # diagonal blocks certified by the design strength are idempotent
-    assert idem.max_certified_residual() < 1e-8
-    assert idem.orthogonality_residual() < 1e-8
+    # every pair the design strength certifies, diagonal blocks included,
+    # is idempotent or orthogonal
+    certified = [r for key, r in idem.pair_residuals.items()
+                 if idem.required_design[key] <= idem.strength]
+    assert certified and max(certified) < 1e-8
     # degree-4 requirements are not certified at strength 3, and these two
     # are genuinely non-idempotent: E^2 = (28/3) E and E^2 = 4 E
     assert idem.required_design[(P2, P2)] == 4
@@ -179,11 +183,13 @@ def test_scheme_idempotents_pauli(pauli2):
 def test_scheme_report_serialization(pauli2):
     R = angle_classes(pauli2)
     rep = check_scheme(R)
-    rep.idempotents = scheme_idempotents(pauli2, R)
-    text = rep.to_text()
+    idem = scheme_idempotents(pauli2, R, scheme=rep)
+    # the reports are immutable records, and cli renders them side by side
+    assert isinstance(rep, tuple) and "idempotents" not in rep._fields
+    text = _scheme_text(rep, idem)
     assert "association scheme: yes" in text
     assert "closure residual" in text
-    doc = json.loads(json.dumps(rep.to_json_dict()))
+    doc = json.loads(json.dumps(_scheme_json(rep, idem)))
     assert doc["is_scheme"] is True
     assert doc["classes"] == 4
     assert len(doc["idempotents"]["pairs"]) == 16
@@ -196,9 +202,7 @@ def test_twothree_audit_mub(mub5):
     assert not rep.size_matches
     assert rep.dim_target == 225
     assert rep.warnings == []
-    text = rep.to_text()
-    assert "2-distance set: yes" in text
-    assert "4-design: no" in text
+    assert rep.t == 2 and rep.n_distances == 2
 
 
 def test_twothree_audit_t1(mub5):
@@ -207,8 +211,7 @@ def test_twothree_audit_t1(mub5):
     assert rep.is_2t_design is True   # decidable at 2t = 2
     assert not rep.size_matches       # 30 != 25
     assert rep.warnings == []
-    doc = rep.to_json_dict()
-    assert doc["t"] == 1 and doc["size"] == 30 and doc["dim_H_t"] == 25
+    assert rep.t == 1 and rep.size == 30 and rep.dim_target == 25
 
 
 def test_twothree_audit_warns_when_one_predicate_fails(monkeypatch):
@@ -220,13 +223,11 @@ def test_twothree_audit_warns_when_one_predicate_fails(monkeypatch):
     S = Code(np.array(lines, dtype=complex)[:, :, None])
     assert twothree_audit(S, 1).warnings == []
     monkeypatch.setattr(analysis, "design_strength", lambda *a, **k: 1)
-    assert twothree_audit(S, 1).to_text() == (
-        "two-of-three audit at t=1:\n"
-        "  1-distance set: yes (found 1 values)\n"
-        "  2-design: no\n"
-        "  |S| = dim H_1: yes (4 vs 4)\n"
-        "  WARNING: two predicates hold but '2t-design' fails: inconsistent "
-        "with the two-of-three theorem (numerical health suspect)")
+    assert twothree_audit(S, 1) == TwoThreeReport(
+        t=1, n_distances=1, size=4, dim_target=4, is_t_distance=True,
+        is_2t_design=False, size_matches=True,
+        warnings=["two predicates hold but '2t-design' fails: inconsistent "
+                  "with the two-of-three theorem (numerical health suspect)"])
 
 
 def brute_force_closure(A, k):

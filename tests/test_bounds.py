@@ -11,6 +11,7 @@ from grasscode.bounds import (BoundTable, absolute_code_bound,
                               relative_code_bound, relative_design_bound,
                               simplex_orthoplex, size_from_simplex_alpha,
                               two_distance_bound)
+from grasscode.cli import _table_csv, _table_text
 from grasscode.core_linalg import Code
 from grasscode.dims import dim_Hk
 from grasscode.errors import DegenerateDenominator, DimensionMismatch, OutOfRange
@@ -367,7 +368,7 @@ def test_make_annihilator():
 def test_bound_table_contents_sweep():
     for n in range(2, 9):
         for m in range(1, n // 2 + 1):
-            text = BoundTable(m, n).text()
+            text = _table_text(BoundTable(m, n))
             assert "absolute |A|=1" in text
             assert "absolute |A|=2" in text
             assert "relative |A|=1" in text
@@ -390,7 +391,7 @@ def test_bound_table_cells():
 
 
 def test_table_csv():
-    csv_text = BoundTable(2, 5).csv()
+    csv_text = _table_csv(BoundTable(2, 5))
     lines = csv_text.strip().splitlines()
     assert lines[0] == "kind,value,applicable,conditions"
     assert len(lines) >= 5

@@ -608,6 +608,49 @@ def test_bound_and_table_outputs_match_golden_bytes(tmp_path, capsys):
             assert (tmp_path / "x.csv").read_text() == case["file"]
 
 
+def test_check_scheme_outputs_match_golden_bytes(tmp_path, capsys):
+    # tests/golden_check_scheme.json holds the exact stdout of check-scheme,
+    # text and --json, on five codes.  Every value but one comes from exact
+    # arithmetic; es(3,2,0)'s closure_residual is a float norm whose last
+    # bits may depend on the BLAS, so it alone is compared to 1e-12 relative
+    with open(Path(__file__).with_name("golden_check_scheme.json")) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 10
+    path = str(tmp_path / "code.json")
+    for case in golden:
+        run(capsys, "construct", *case["construct"], "-o", path)
+        code, out, err = run(capsys, "check-scheme", path, *case["argv"])
+        assert (code, err) == (0, ""), case["argv"]
+        want = case["stdout"]
+        if "--json" in case["argv"]:
+            got_r = json.loads(out)["closure_residual"]
+            want_r = json.loads(want)["closure_residual"]
+            assert got_r == pytest.approx(want_r, rel=1e-12, abs=0)
+            want = want.replace(json.dumps(want_r), json.dumps(got_r))
+        assert out == want, (case["construct"], case["argv"])
+
+
+def test_verify_design_reports_the_two_design_witness_beyond_its_limit(
+        tmp_path, capsys):
+    # n^2 = 4225 > TWO_DESIGN_LIMIT: the n^4 witness is not computed, as
+    # check-scheme's idempotents are not on an open scheme, and the strength
+    # is still reported with exit 0
+    path = tmp_path / "c65.json"
+    write_code(Code(np.eye(65, dtype=complex)[:4, :, None]), str(path))
+    code, out, err = run(capsys, "verify-design", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == ("4 subspaces in G(1,65): design strength 0 "
+                        "(tested to t=2)")
+    assert lines[-1] == ("mean P(x)P residual: not computed, n^2 = 4225 "
+                         "exceeds the limit 4096")
+    code, out, err = run(capsys, "verify-design", str(path), "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["strength"] == 0 and doc["design"] == {"1": False, "2": False}
+    assert "one_design_residual" in doc and "two_design_residual" not in doc
+
+
 def test_bound_simplex_size_text(capsys):
     assert run(capsys, "bound", "simplex", "--m", "1", "--n", "3",
                "--k", "4") == (0, "N=4 in G(1,3): simplex alpha >= 1/9, "

@@ -50,7 +50,7 @@ def test_contains_and_pad():
     assert k.contains(Partition(()))
     assert not k.contains(Partition(1, 1, 1))
     assert k.pad(4) == [3, 2, 0, 0]
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         k.pad(1)
 
 

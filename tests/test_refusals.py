@@ -4,7 +4,8 @@ AssertionError.  Integer parameters pass dims.check_integer (OutOfRange);
 partitions pass Partition (OutOfRange); exact scalars pass
 sympoly._exact_coefficient (InexactCoefficient for a float or for text that
 is no rational, OutOfRange for a bool); tolerances pass
-core_linalg.check_tolerance (OutOfRange)."""
+core_linalg.check_tolerance (OutOfRange); a Haar seed that is no numpy
+Generator passes check_integer on its way to numpy."""
 
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from grasscode import analysis, bounds, constructions, dims, partitions, zonal
-from grasscode.core_linalg import haar_subspace
+from grasscode.core_linalg import haar_basis_batch, haar_subspace
 from grasscode.errors import InexactCoefficient, OutOfRange
 from grasscode.sympoly import SymmetricPolynomial, ascending_product
 
@@ -83,6 +84,22 @@ CASES = [
     # core_linalg
     ("haar_subspace m=True", OutOfRange, lambda c: haar_subspace(3, True)),
     ("haar_subspace n=3.0", OutOfRange, lambda c: haar_subspace(3.0, 1)),
+    ("haar_subspace seed=-3", OutOfRange,
+     lambda c: haar_subspace(5, 2, seed=-3)),
+    ("haar_basis_batch samples=-1", OutOfRange,
+     lambda c: haar_basis_batch(5, 2, -1)),
+    ("haar_basis_batch samples=2.5", OutOfRange,
+     lambda c: haar_basis_batch(5, 2, 2.5)),
+    ("haar_basis_batch n=5.0", OutOfRange,
+     lambda c: haar_basis_batch(5.0, 2, 3)),
+    ("haar_basis_batch m=True", OutOfRange,
+     lambda c: haar_basis_batch(5, True, 3)),
+    ("haar_basis_batch n < m", OutOfRange,
+     lambda c: haar_basis_batch(1, 2, 3)),
+    ("haar_basis_batch seed=-1", OutOfRange,
+     lambda c: haar_basis_batch(5, 2, 3, seed=-1)),
+    ("haar_basis_batch seed=1.5", OutOfRange,
+     lambda c: haar_basis_batch(5, 2, 3, seed=1.5)),
     ("power_sums t=1.5", OutOfRange,
      lambda c: c["mub5"].geometry.power_sums(1.5)),
     ("power_sums t=True", OutOfRange,
@@ -92,6 +109,17 @@ CASES = [
      lambda c: zonal.mc_zonal_inner((1,), (1,), 1, 3, samples=True)),
     ("mc_zonal_inner samples=2.5", OutOfRange,
      lambda c: zonal.mc_zonal_inner((1,), (1,), 1, 3, samples=2.5)),
+    ("mc_zonal_inner seed=-1", OutOfRange,
+     lambda c: zonal.mc_zonal_inner((1,), (1,), 1, 3, 10, seed=-1)),
+    ("mc_zonal_inner seed=1.5", OutOfRange,
+     lambda c: zonal.mc_zonal_inner((1,), (1,), 1, 3, 10, seed=1.5)),
+    ("mc_zonal_inner seed=True", OutOfRange,
+     lambda c: zonal.mc_zonal_inner((1,), (1,), 1, 3, 10, seed=True)),
+    ("mc_function_inner seed=-1", OutOfRange,
+     lambda c: zonal.mc_function_inner(
+         zonal.aggregate_zonal(1, 1, 3), zonal.aggregate_zonal(1, 1, 3),
+         haar_subspace(3, 1, seed=1), haar_subspace(3, 1, seed=2), 10,
+         seed=-1)),
     ("annihilator_sympoly m=True", OutOfRange,
      lambda c: zonal.annihilator_sympoly([0], True)),
     ("annihilator_sympoly root='x'", InexactCoefficient,
@@ -108,6 +136,8 @@ CASES = [
      lambda c: zonal.zonal_general((1, 2), 2, 5)),
     ("zonal_general kappa=(-1,)", OutOfRange,
      lambda c: zonal.zonal_general((-1,), 1, 5)),
+    ("Partition.pad length=1", OutOfRange,
+     lambda c: partitions.Partition(2, 1).pad(1)),
     ("zonal_general kappa='2'", OutOfRange,
      lambda c: zonal.zonal_general("2", 1, 5)),
     ("ZonalPolynomial m=2.5", OutOfRange,
@@ -194,6 +224,17 @@ def codes(mub5):
 def test_malformed_number_is_refused(codes, error, call):
     with pytest.raises(error):
         call(codes)
+
+
+def test_checked_seeds_keep_their_streams():
+    # checking a seed changes no draw: an int, a numpy integer and the
+    # Generator they seed give the same samples and the same estimate
+    want = haar_basis_batch(5, 2, 3, seed=7)
+    for seed in (np.int64(7), np.random.default_rng(7)):
+        assert np.array_equal(haar_basis_batch(5, 2, 3, seed=seed), want)
+    est = zonal.mc_zonal_inner((1,), (2,), 2, 4, 3000, seed=5)
+    for seed in (np.int64(5), np.random.default_rng(5)):
+        assert zonal.mc_zonal_inner((1,), (2,), 2, 4, 3000, seed=seed) == est
 
 
 def test_numpy_integers_and_strings_are_exact():

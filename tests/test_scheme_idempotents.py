@@ -13,6 +13,7 @@ from grasscode.analysis import (REP_DENOMINATOR_LIMIT, RelationPartition,
                                 _cluster_vectors, angle_classes, check_scheme,
                                 design_strength, inner_product_classes,
                                 rational_representatives, scheme_idempotents)
+from grasscode.cli import _scheme_json, _scheme_text
 from grasscode.constructions import (EXTRASPECIAL_LIMIT, MUB_LIMIT,
                                      PAULI_LIMIT, extraspecial_code, mub_code,
                                      pauli_code)
@@ -101,8 +102,8 @@ def test_closure_failure_is_refused(es320):
     assert not rep.is_scheme
     with pytest.raises(OutOfRange, match="not closed"):
         scheme_idempotents(es320, R, scheme=rep)
-    assert "idempotents: not computed" in rep.to_text()
-    assert "idempotents" not in rep.to_json_dict()
+    assert "idempotents: not computed" in _scheme_text(rep, None)
+    assert "idempotents" not in _scheme_json(rep, None)
 
 
 def test_denominator_limit_covers_every_construction():
