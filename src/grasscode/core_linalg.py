@@ -13,7 +13,10 @@ range-checked by a batched Cholesky factorization; only clustering reads
 the angles, from the same G (squared_cosines, checked_cosines).
 principal_angles keeps its own SVD as the per-pair oracle.  haar_basis_batch
 draws one Gaussian stream and runs batched Gram-Schmidt twice (CGS2), not
-LAPACK QR: the same phase-fixed Q.
+LAPACK QR: the same phase-fixed Q.  haar_overlap_batch draws only a Haar
+basis's top m x m block, the overlap with I[:, :m], from an m x m Gaussian
+stacked over the Bartlett factor of the other n - m rows, through the same
+CGS2 (_cgs2), so its cost does not grow with n.
 """
 
 from math import inf
@@ -407,8 +410,8 @@ def haar_basis_batch(n, m, samples, seed=0):
     """Orthonormal bases of Haar samples, a (samples, n, m) view of a
     batch-last array; `seed` as seeded_generator takes it.
     Haar is the Q of a complex Gaussian G whose R has a positive diagonal
-    (Mezzadri 2007), as Gram-Schmidt run twice per column (CGS2) gives it
-    while cond(G) eps << 1 (Giraud, Langou, Rozloznik, Smoktunowicz 2005)."""
+    (Mezzadri 2007), as _cgs2 gives it.  The stream is one standard_normal
+    buffer (2, samples, n, m): real parts, then imaginary parts."""
     m = check_integer(m, "m", 1)
     n = check_integer(n, "n", m)
     samples = check_integer(samples, "samples")
@@ -416,9 +419,48 @@ def haar_basis_batch(n, m, samples, seed=0):
     seeded_generator(seed).standard_normal(out=g)
     q = np.empty((m, n, samples), dtype=complex)
     q.real, q.imag = g[0].T, g[1].T
-    for j in range(m):
+    return _cgs2(q).transpose(2, 1, 0)
+
+
+def haar_overlap_batch(n, m, samples, seed=0):
+    """The top m x m blocks W of Haar bases of G(m, n), their overlaps with
+    I[:, :m]: a (samples, m, m) view of a batch-last array; `seed` as
+    seeded_generator takes it.  For a complex Gaussian G = [G1; G2], W =
+    G1 R^-1 with R^dagger R = G1^dagger G1 + G2^dagger G2, and the Wishart
+    G2^dagger G2 has the law of T^dagger T for its Bartlett factor T
+    (Bartlett 1933; complex case Goodman 1963): min(n - m, m) rows, upper
+    trapezoidal, |T_ii|^2 = 2 Gamma(n - m - i), complex normals right of the
+    diagonal.  So W is the top of the Q of the stack [G1; T], as _cgs2 gives
+    it, at a cost that does not grow with n.  The stream is one
+    standard_normal buffer (2, samples, m m + f): real parts, then imaginary
+    parts, each sample's G1 and then T's f free entries, both row by row;
+    then standard_gamma(n - m - i, samples) for each row i of T."""
+    m = check_integer(m, "m", 1)
+    n = check_integer(n, "n", m)
+    samples = check_integer(samples, "samples")
+    rng = seeded_generator(seed)
+    d = min(n - m, m)
+    i, j = np.triu_indices(d, 1, m)             # T's free entries, row by row
+    g = np.empty((2, samples, m * m + len(i)))
+    rng.standard_normal(out=g)
+    q = np.zeros((m, m + d, samples), dtype=complex)
+    for part, x in zip((q.real, q.imag), g):
+        part[:, :m] = x[:, :m * m].reshape(samples, m, m).T
+        part[j, m + i] = x[:, m * m:].T
+    for k in range(d):
+        q.real[k, m + k] = np.sqrt(2 * rng.standard_gamma(n - m - k, samples))
+    return _cgs2(q).transpose(2, 1, 0)[:, :m]
+
+
+def _cgs2(q):
+    """Orthonormalize the columns of each sample of a batch-last stack q
+    (m, rows, samples) in place and return q: classical Gram-Schmidt run
+    twice per column (CGS2), the Q of LAPACK QR with R's diagonal made
+    positive while cond(G) eps << 1 (Giraud, Langou, Rozloznik, Smoktunowicz
+    2005), with no QR call."""
+    for j in range(len(q)):
         for _ in range(2 if j else 0):   # classical Gram-Schmidt, twice
             r = [(q[k].conj() * q[j]).sum(0) for k in range(j)]
             q[j] -= sum(q[k] * r[k] for k in range(j))
         q[j] /= np.sqrt((q[j].real ** 2 + q[j].imag ** 2).sum(0))
-    return q.transpose(2, 1, 0)
+    return q

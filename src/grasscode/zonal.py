@@ -20,14 +20,19 @@ so changing a returned zonal changes nothing else.  The reproducing kernel
 and ZonalExpansion.reconstruct sum their zonals in integers over one common
 denominator, with one Fraction per shape.
 
-The Monte Carlo inner products draw Haar bases through
-core_linalg.haar_basis_batch (one Gaussian stream, batched CGS2 Gram-Schmidt,
-no QR) and read each sample's power sums of W^dagger W - I/2, formed by rows,
-through core_linalg.power_sums and its range check, as every float consumer
-that evaluates a polynomial does: no angle is formed.  Samples are drawn,
-orthonormalized and evaluated in blocks of _MC_BLOCK = 2048, so that a
-block's Gaussian buffer and its Q (32 n m KiB each, 0.84 MiB on G(3,9)) stay
-in cache through the Gram-Schmidt sweeps instead of streaming from memory,
+mc_zonal_inner reads only each Haar subspace's overlap W with the fixed
+subspace I[:, :m], and draws it alone through core_linalg.haar_overlap_batch:
+an m x m Gaussian over the Bartlett factor (min(n - m, m) rows) of the other
+n - m rows, orthonormalized by batched CGS2 Gram-Schmidt, no QR, at a cost
+that does not grow with n.  mc_function_inner pairs two subspaces, so it
+draws whole bases through core_linalg.haar_basis_batch, the same CGS2 on n
+rows.  Both read each sample's power sums of W^dagger W - I/2, formed by
+rows, through core_linalg.power_sums and its range check, as every float
+consumer that evaluates a polynomial does: no angle is formed.  Samples are
+drawn, orthonormalized and evaluated in blocks of _MC_BLOCK = 2048, so that
+a block's Gaussian buffer and its complex stack of r rows (at most 32 r m
+KiB each; r = m + min(n - m, m) for mc_zonal_inner, 0.56 MiB on G(3,9), and
+r = n for mc_function_inner) stay in cache through the Gram-Schmidt sweeps,
 and the sampler's memory does not grow with the sample count.  The blocks are
 cut from one seeded stream, so the partition is part of that stream: a seed
 gives one result, and a count up to 2048 is one block.
@@ -39,8 +44,8 @@ from math import comb, lcm
 
 import numpy as np
 
-from .core_linalg import (haar_basis_batch, power_sums, seeded_generator,
-                          squared_overlaps)
+from .core_linalg import (haar_basis_batch, haar_overlap_batch, power_sums,
+                          seeded_generator, squared_overlaps)
 from .dims import check_integer, check_mn, dim_H
 from .errors import (DegenerateAtOnes, DimensionMismatch,
                      LengthExceedsVariables, OutOfRange, UnsupportedPartition,
@@ -278,21 +283,22 @@ def annihilator_sympoly(A, m):
 _MC_BLOCK = 2048
 
 
-def _haar_blocks(n, m, samples, seed):
-    "Haar bases (b, n, m), at most _MC_BLOCK per block, from one seeded stream"
+def _haar_blocks(sampler, n, m, samples, seed):
+    """sampler(n, m, b, rng) for blocks of b <= _MC_BLOCK samples, in order,
+    from one seeded stream"""
     rng = seeded_generator(seed)
     for lo in range(0, samples, _MC_BLOCK):
-        yield haar_basis_batch(n, m, min(_MC_BLOCK, samples - lo), rng)
+        yield sampler(n, m, min(_MC_BLOCK, samples - lo), rng)
 
 
 def _angle_batch(n, m, samples, seed, t):
     """Yield blocks (b, min(t, m)): the power sums of the squared cosines of
     the principal angles between the first-m-coordinates subspace and
     Haar-random subspaces, up to degree t."""
-    for q in _haar_blocks(n, m, samples, seed):
-        # basis of the fixed subspace is I[:, :m], so the overlap matrix
-        # is just the first m rows of each sample
-        yield power_sums(squared_overlaps(q[:, :m, :]), t)
+    # the fixed subspace's basis is I[:, :m], so each overlap is the top
+    # m x m block of a Haar basis, which haar_overlap_batch draws alone
+    for w in _haar_blocks(haar_overlap_batch, n, m, samples, seed):
+        yield power_sums(squared_overlaps(w), t)
 
 
 def _mean_stderr(blocks, samples):
@@ -346,7 +352,7 @@ def mc_function_inner(f, g, a, b, samples, seed=0):
     t = max(f.degree, g.degree, 1)
 
     def products():
-        for q in _haar_blocks(a.n, a.m, samples, seed):
+        for q in _haar_blocks(haar_basis_batch, a.n, a.m, samples, seed):
             with np.errstate(invalid="ignore"):   # power_sums reports NaN
                 wa, wb = Ba @ q, Bb @ q
             yield (f.eval_power_sums(power_sums(squared_overlaps(wa), t))

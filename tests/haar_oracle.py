@@ -1,7 +1,8 @@
-"""The reference Haar sampler: Mezzadri's recipe (How to generate random
+"""The reference Haar samplers: Mezzadri's recipe (How to generate random
 matrices from the classical compact groups, Notices AMS 2007), one LAPACK QR
 per sample and a phase fix that makes R's diagonal positive and real, on the
-same seeded Gaussian stream as core_linalg.haar_basis_batch.
+same seeded streams as core_linalg.haar_basis_batch and
+core_linalg.haar_overlap_batch, drawn here by hand.
 """
 
 import numpy as np
@@ -15,9 +16,38 @@ def gaussian_batch(n, m, samples, seed=0):
             + 1j * rng.standard_normal((samples, n, m)))
 
 
-def haar_basis_batch_qr(n, m, samples, seed=0):
-    "the Q factors of gaussian_batch, phases fixed so that R's diagonal is > 0"
-    q, r = np.linalg.qr(gaussian_batch(n, m, samples, seed), mode="reduced")
+def _phase_fixed_q(g):
+    "the Q factors of a stack g, phases fixed so that R's diagonal is > 0"
+    q, r = np.linalg.qr(g, mode="reduced")
     d = np.diagonal(r, axis1=1, axis2=2).copy()
     d = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
     return q * d[:, None, :]
+
+
+def haar_basis_batch_qr(n, m, samples, seed=0):
+    "the Q factors of gaussian_batch, phases fixed so that R's diagonal is > 0"
+    return _phase_fixed_q(gaussian_batch(n, m, samples, seed))
+
+
+def haar_overlap_batch_qr(n, m, samples, seed=0):
+    """the top m x m blocks of the phase-fixed Q factors of the stacks
+    [G1; T] (samples, m + d, m), d = min(n - m, m): the overlaps with
+    I[:, :m] of Haar bases of G(m, n).  The stacks are filled one entry at a
+    time from one normal buffer (real parts, then imaginary parts; per
+    sample G1 row by row, then T's entries right of its diagonal row by
+    row), then T's diagonal, row i from sqrt(2 Gamma(n - m - i))."""
+    rng = np.random.default_rng(seed)
+    d = min(n - m, m)
+    free = [(i, j) for i in range(d) for j in range(i + 1, m)]
+    g = rng.standard_normal((2, samples, m * m + len(free)))
+    z = g[0] + 1j * g[1]
+    stack = np.zeros((samples, m + d, m), dtype=complex)
+    for s in range(samples):
+        for i in range(m):
+            for j in range(m):
+                stack[s, i, j] = z[s, i * m + j]
+        for k, (i, j) in enumerate(free):
+            stack[s, m + i, j] = z[s, m * m + k]
+    for i in range(d):
+        stack[:, m + i, i] = np.sqrt(2 * rng.standard_gamma(n - m - i, samples))
+    return _phase_fixed_q(stack)[:, :m]

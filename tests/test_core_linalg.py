@@ -7,17 +7,19 @@ from grasscode.constructions import extraspecial_code, mub_code, pauli_code
 from grasscode.core_linalg import (Code, Subspace, _overlap_pass,
                                    canonical_pair, chordal_distance,
                                    gram_matrix, haar_basis_batch,
-                                   haar_subspace, power_sums,
-                                   principal_angles, squared_cosines,
-                                   squared_overlaps, subspace_from_basis,
-                                   trace_inner_product)
+                                   haar_overlap_batch, haar_subspace,
+                                   power_sums, principal_angles,
+                                   squared_cosines, squared_overlaps,
+                                   subspace_from_basis, trace_inner_product)
 from grasscode.errors import (DimensionMismatch, DuplicateMember,
                               NumericalHealthError, OutOfRange, RankDeficient,
                               RankTooLarge)
 from grasscode.io import read_code, write_code
 
 from conftest import counting_kernel, random_code, random_subspace_pair
-from haar_oracle import gaussian_batch, haar_basis_batch_qr
+from haar_law import law_z
+from haar_oracle import (gaussian_batch, haar_basis_batch_qr,
+                         haar_overlap_batch_qr)
 
 
 def test_trace_equals_angle_sum():
@@ -212,6 +214,35 @@ def test_haar_sampler_matches_the_qr_oracle(n, m):
     assert np.abs(np.tril(R, -1)).max() < 1e-12 * scale
     d = np.diagonal(R, axis1=1, axis2=2)
     assert d.real.min() > 0 and np.abs(d.imag).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("n, m", HAAR_SHAPES + [(2, 1), (3, 2), (4, 3)])
+def test_overlap_sampler_matches_the_qr_oracle(n, m):
+    # Gram-Schmidt on the Bartlett stack [G1; T] gives the top m x m block of
+    # the oracle's phase-fixed Q factor of the same hand-drawn stack
+    W = haar_overlap_batch(n, m, 400, seed=n * m)
+    assert W.shape == (400, m, m)
+    assert np.abs(W - haar_overlap_batch_qr(n, m, 400, seed=n * m)
+                  ).max() < 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 4), (2, 5), (3, 9),
+                                  (6, 13)])
+def test_overlap_sampler_has_the_haar_law(m, n):
+    # the first two moments of every power sum of W^dagger W - I/2 agree with
+    # those of the QR oracle's full Haar bases, cut to their top m x m block,
+    # for n - m < m, n - m = m and n - m > m; 50,000 samples per side
+    z = law_z(n, m, 50_000, seed=m * 100 + n)
+    assert np.abs(z).max() < 5, z
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_overlap_sampler_is_unitary_at_n_equal_m(m):
+    # at n = m the stack is G1 alone and W is unitary: every squared cosine
+    # is 1, so p_k = m / 2^k
+    W = haar_overlap_batch(m, m, 1000, seed=m)
+    p = power_sums(squared_overlaps(W), m)
+    assert np.abs(p - m / 2.0 ** np.arange(1, m + 1)).max() < 1e-12
 
 
 def test_non_finite_basis_fails_the_tolerance_checks():

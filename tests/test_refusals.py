@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from grasscode import analysis, bounds, constructions, dims, partitions, zonal
-from grasscode.core_linalg import haar_basis_batch, haar_subspace
+from grasscode.core_linalg import (haar_basis_batch, haar_overlap_batch,
+                                   haar_subspace)
 from grasscode.errors import InexactCoefficient, OutOfRange
 from grasscode.sympoly import SymmetricPolynomial, ascending_product
 
@@ -100,6 +101,16 @@ CASES = [
      lambda c: haar_basis_batch(5, 2, 3, seed=-1)),
     ("haar_basis_batch seed=1.5", OutOfRange,
      lambda c: haar_basis_batch(5, 2, 3, seed=1.5)),
+    ("haar_overlap_batch samples=2.5", OutOfRange,
+     lambda c: haar_overlap_batch(5, 2, 2.5)),
+    ("haar_overlap_batch n=5.0", OutOfRange,
+     lambda c: haar_overlap_batch(5.0, 2, 3)),
+    ("haar_overlap_batch m=0", OutOfRange,
+     lambda c: haar_overlap_batch(5, 0, 3)),
+    ("haar_overlap_batch n < m", OutOfRange,
+     lambda c: haar_overlap_batch(1, 2, 3)),
+    ("haar_overlap_batch seed=True", OutOfRange,
+     lambda c: haar_overlap_batch(5, 2, 3, seed=True)),
     ("power_sums t=1.5", OutOfRange,
      lambda c: c["mub5"].geometry.power_sums(1.5)),
     ("power_sums t=True", OutOfRange,

@@ -7,7 +7,8 @@ import pytest
 
 import grasscode.sympoly as sympoly
 import grasscode.zonal as zonal
-from grasscode.core_linalg import (Subspace, haar_basis_batch, haar_subspace,
+from grasscode.core_linalg import (Subspace, haar_basis_batch,
+                                   haar_overlap_batch, haar_subspace,
                                    principal_angles)
 from grasscode.dims import dim_H
 from grasscode.errors import (DimensionMismatch, NumericalHealthError,
@@ -21,7 +22,7 @@ from grasscode.zonal import (aggregate_zonal, annihilator_sympoly,
                              zonal_general)
 
 from conftest import random_subspace_pair
-from haar_oracle import haar_basis_batch_qr
+from haar_oracle import haar_basis_batch_qr, haar_overlap_batch_qr
 from monomial_oracle import from_monomial
 from zonal_oracle import zonal_explicit, zonal_recursion
 
@@ -167,14 +168,12 @@ def test_mc_determinism():
 
 
 def test_mc_draws_follow_the_seeded_svd_route():
-    # the same Haar stream as drawing and factoring by hand, and the
+    # the same overlap stream as drawing and factoring by hand, and the
     # centered power sums of the same squared cosines as the SVD of each
     # overlap
     n, m, samples = 6, 2, 500
-    rng = np.random.default_rng(31)
-    g = (rng.standard_normal((samples, n, m))
-         + 1j * rng.standard_normal((samples, n, m)))
-    sv = np.linalg.svd(np.linalg.qr(g)[0][:, :m, :], compute_uv=False)
+    w = haar_overlap_batch_qr(n, m, samples, seed=31)
+    sv = np.linalg.svd(w, compute_uv=False)
     p = np.concatenate(list(zonal._angle_batch(n, m, samples, 31, 4)))
     assert p.shape == (samples, m)
     y = sv * sv - 0.5
@@ -217,21 +216,31 @@ def test_mc_function_inner_refuses_mismatched_inputs(n_b, m_b, m_f, m_g,
         mc_function_inner(f, g, a, b, 100, seed=3)
 
 
+def _plant(monkeypatch, which, basis):
+    """make the first sample of every block `basis`, an n x m matrix: the
+    whole Haar basis for mc_function_inner, its top m x m block (the overlap
+    with I[:, :m]) for mc_zonal_inner"""
+    name = "haar_overlap_batch" if which == "zonal" else "haar_basis_batch"
+    real = getattr(zonal, name)
+    member = basis[:basis.shape[1]] if which == "zonal" else basis
+
+    def planted(n, m, samples, seed):
+        q = real(n, m, samples, seed)
+        q[0] = member
+        return q
+
+    monkeypatch.setattr(zonal, name, planted)
+
+
 @pytest.mark.parametrize("which", ["zonal", "function"])
 def test_mc_out_of_range_block_raises(which, monkeypatch):
     # one Haar member planted on the fixed subspace, scaled by 1 + 1e-6:
     # its squared cosines are 1 + 2e-6, past the slack, so they must raise
-    # instead of being clipped
+    # instead of being clipped; mc_zonal_inner draws only the overlap with
+    # the fixed subspace, so there the planted overlap is I_m (1 + 1e-6)
     m, n = 2, 4
     a = Subspace(np.eye(n, m, dtype=complex))   # mc_zonal_inner's fixed a
-    real = zonal.haar_basis_batch
-
-    def planted(n, m, samples, seed):
-        q = real(n, m, samples, seed)
-        q[0] = a.basis * (1 + 1e-6)
-        return q
-
-    monkeypatch.setattr(zonal, "haar_basis_batch", planted)
+    _plant(monkeypatch, which, a.basis * (1 + 1e-6))
     K = aggregate_zonal(1, m, n)
     with pytest.raises(NumericalHealthError):
         if which == "zonal":
@@ -250,15 +259,8 @@ def test_mc_planted_member_range_check(which, scale, m, monkeypatch):
     # slack and passes
     n = 2 * m + 1
     a = Subspace(np.eye(n, m, dtype=complex))
-    real = zonal.haar_basis_batch
-
-    def planted(n, m, samples, seed):
-        q = real(n, m, samples, seed)
-        with np.errstate(invalid="ignore"):
-            q[0] = a.basis * scale
-        return q
-
-    monkeypatch.setattr(zonal, "haar_basis_batch", planted)
+    with np.errstate(invalid="ignore"):
+        _plant(monkeypatch, which, a.basis * scale)
     K = aggregate_zonal(2, m, n)
 
     def run():
@@ -309,14 +311,17 @@ def test_mc_estimates_match_the_qr_oracle_sampler(m, n, monkeypatch):
     K = aggregate_zonal(2, m, n)
     a, b = haar_subspace(n, m, seed=1), haar_subspace(n, m, seed=2)
 
-    def run(sampler):
+    def run(overlaps, bases):
         draws = []
 
-        def spy(n, m, count, rng):
-            draws.append((count, rng))
-            return sampler(n, m, count, rng)
+        def spy(sampler):
+            def drawn(n, m, count, rng):
+                draws.append((count, rng))
+                return sampler(n, m, count, rng)
+            return drawn
 
-        monkeypatch.setattr(zonal, "haar_basis_batch", spy)
+        monkeypatch.setattr(zonal, "haar_overlap_batch", spy(overlaps))
+        monkeypatch.setattr(zonal, "haar_basis_batch", spy(bases))
         est = (mc_zonal_inner(P1, P2, m, n, samples, seed=7)
                + mc_zonal_inner(P2, P2, m, n, samples, seed=8)
                + mc_function_inner(K, K, a, b, samples, seed=9))
@@ -327,8 +332,8 @@ def test_mc_estimates_match_the_qr_oracle_sampler(m, n, monkeypatch):
             assert all(rng is draws[i][1] for _, rng in draws[i:i + 4])
         return est
 
-    new = run(haar_basis_batch)
-    old = run(haar_basis_batch_qr)
+    new = run(haar_overlap_batch, haar_basis_batch)
+    old = run(haar_overlap_batch_qr, haar_basis_batch_qr)
     assert np.abs(np.subtract(new, old)).max() < 1e-12
 
 
