@@ -27,7 +27,8 @@ import numpy as np
 
 from .core_linalg import check_tolerance, gram_matrix
 from .dims import check_integer, dim_Hk
-from .errors import ClusterAmbiguity, OutOfRange, SizeLimit
+from .errors import (ClusterAmbiguity, NumericalHealthError, OutOfRange,
+                     SizeLimit)
 from .partitions import Partition
 from .zonal import normalize_zonal, zonal_basis
 
@@ -188,8 +189,17 @@ def design_strength(S, t_max=2, tol=1e-8):
 def is_one_design(S, tol=1e-8):
     "flag + residual: max-entry distance of the average projector from (m/n)I"
     check_tolerance(tol)
-    avg = np.einsum("ink,imk->nm", S.bases, S.bases.conj()) / len(S)
-    res = float(np.abs(avg - (S.m / S.n) * np.eye(S.n)).max())
+    with np.errstate(invalid="ignore", over="ignore"):   # checked below
+        avg = np.einsum("ink,imk->nm", S.bases, S.bases.conj()) / len(S)
+        return _flag(avg - (S.m / S.n) * np.eye(S.n), tol)
+
+
+def _flag(diff, tol):
+    """(max |diff| < tol, max |diff|); a residual that is not finite raises
+    NumericalHealthError"""
+    res = float(np.abs(diff).max())
+    if not math.isfinite(res):
+        raise NumericalHealthError("design residual is not finite: %r" % res)
     return res < tol, res
 
 
@@ -209,13 +219,13 @@ def is_two_design(S, tol=1e-8):
     if n * n > TWO_DESIGN_LIMIT:
         raise SizeLimit("n^2 = %d exceeds the limit %d" % (n * n, TWO_DESIGN_LIMIT))
     B = S.bases
-    V = np.einsum("ink,imk->inm", B, B.conj()).reshape(len(S), n * n)
-    avg = (V.T @ V).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(
-        n * n, n * n) / len(S)
     target = (m / (n * (n * n - 1))) * ((n * m - 1) * np.eye(n * n)
                                         + (n - m) * swap_operator(n))
-    res = float(np.abs(avg - target).max())
-    return res < tol, res
+    with np.errstate(invalid="ignore", over="ignore"):   # checked by _flag
+        V = np.einsum("ink,imk->inm", B, B.conj()).reshape(len(S), n * n)
+        avg = (V.T @ V).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(
+            n * n, n * n) / len(S)
+        return _flag(avg - target, tol)
 
 
 class SchemeReport(NamedTuple):

@@ -11,12 +11,14 @@ a symmetric polynomial of the angles -- a code's PairGeometry, the Monte
 Carlo sampler -- reads the power sums tr(G^k) from power_sums,
 range-checked by a batched Cholesky factorization; only clustering reads
 the angles, from the same G (squared_cosines, checked_cosines).
-principal_angles keeps its own SVD as the per-pair oracle.  haar_basis_batch
-draws one Gaussian stream and runs batched Gram-Schmidt twice (CGS2), not
-LAPACK QR: the same phase-fixed Q.  haar_overlap_batch draws only a Haar
-basis's top m x m block, the overlap with I[:, :m], from an m x m Gaussian
-stacked over the Bartlett factor of the other n - m rows, through the same
-CGS2 (_cgs2), so its cost does not grow with n.
+principal_angles keeps its own SVD as the per-pair oracle; a pair function
+refuses a non-finite member or result as NumericalHealthError.  One function
+draws Haar samples: haar_overlap_batch gives a Haar basis's top r x m block,
+the overlap with I[:, :r], from one Gaussian stream, an r x m Gaussian
+stacked over the Bartlett factor of the other n - r rows, orthonormalized by
+batched Gram-Schmidt run twice (CGS2, _cgs2), not LAPACK QR: the same
+phase-fixed Q.  r = m gives the overlaps Monte Carlo reads, at a cost that
+does not grow with n; haar_basis_batch is r = n, whole bases.
 """
 
 from math import inf
@@ -100,7 +102,9 @@ def subspace_from_basis(raw):
     n, m = raw.shape
     if not 1 <= m <= n:
         raise DimensionMismatch("need 1 <= m <= n, got n=%d m=%d" % (n, m))
-    sv = np.linalg.svd(raw, compute_uv=False)
+    if not np.isfinite(raw).all():
+        raise OutOfRange("basis entries must be finite")
+    sv = _svd(raw, compute_uv=False)
     if sv[-1] <= RANK_SLACK:
         raise RankDeficient("column rank < m (smallest singular value %.3e)"
                             % sv[-1])
@@ -113,16 +117,37 @@ def subspace_from_basis(raw):
     return Subspace(q * d)
 
 
-def trace_inner_product(a, b):
-    "tr(P_a P_b) = squared Frobenius norm of the overlap matrix"
+def _overlap(a, b):
+    "the overlap W = basis_a^dagger basis_b of subspaces of one C^n, unchecked"
     if a.n != b.n:
         raise DimensionMismatch("ambient dimensions differ: %d vs %d" % (a.n, b.n))
-    w = a.basis.conj().T @ b.basis
-    return float(np.sum(np.abs(w) ** 2))
+    with np.errstate(invalid="ignore", over="ignore"):   # checked by callers
+        return a.basis.conj().T @ b.basis
+
+
+def _svd(x, **kwargs):
+    "np.linalg.svd; a non-finite x or a failed SVD raises NumericalHealthError"
+    if not np.isfinite(x).all():
+        raise NumericalHealthError("SVD of a matrix that is not finite")
+    try:
+        return np.linalg.svd(x, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalHealthError("SVD not computable: %s" % exc) from None
+
+
+def trace_inner_product(a, b):
+    """tr(P_a P_b) = squared Frobenius norm of the overlap matrix; a
+    non-finite value raises NumericalHealthError"""
+    with np.errstate(invalid="ignore", over="ignore"):
+        tr = float(np.sum(np.abs(_overlap(a, b)) ** 2))
+    if not np.isfinite(tr):
+        raise NumericalHealthError("tr(P_a P_b) is not finite: %r" % tr)
+    return tr
 
 
 def chordal_distance(a, b):
-    "sqrt(m - tr(P_a P_b)) for subspaces of equal dimension"
+    """sqrt(m - tr(P_a P_b)) for subspaces of equal dimension; a non-finite
+    value raises NumericalHealthError"""
     if a.m != b.m:
         raise DimensionMismatch("subspace dimensions differ: %d vs %d" % (a.m, b.m))
     return float(np.sqrt(max(a.m - trace_inner_product(a, b), 0.0)))
@@ -130,10 +155,7 @@ def chordal_distance(a, b):
 
 def principal_angles(a, b):
     "squared cosines of the principal angles, descending, range-checked"
-    if a.n != b.n:
-        raise DimensionMismatch("ambient dimensions differ: %d vs %d" % (a.n, b.n))
-    w = a.basis.conj().T @ b.basis
-    sv = np.linalg.svd(w, compute_uv=False)
+    sv = _svd(_overlap(a, b), compute_uv=False)
     return checked_cosines(sv * sv)
 
 
@@ -218,15 +240,13 @@ def canonical_pair(a, b):
     """Rotate a pair into canonical position: returns (A, B) with A = (I_m; 0)
     and B = diag(cos theta) stacked over diag(sin theta) over zeros, both the
     images of the original bases under one ambient unitary."""
-    if a.n != b.n:
-        raise DimensionMismatch("ambient dimensions differ: %d vs %d" % (a.n, b.n))
     if a.m != b.m:
         raise DimensionMismatch("subspace dimensions differ: %d vs %d" % (a.m, b.m))
+    w = _overlap(a, b)
     n, m = a.n, a.m
     if 2 * m > n:
         raise RankTooLarge("canonical form needs 2m <= n, got m=%d n=%d" % (m, n))
-    w = a.basis.conj().T @ b.basis
-    u, _, vh = np.linalg.svd(w)
+    u, _, vh = _svd(w)
     ma = a.basis @ u
     mb = b.basis @ vh.conj().T
     # orthonormal basis of the complement of span(a)
@@ -407,49 +427,43 @@ def seeded_generator(seed):
 
 
 def haar_basis_batch(n, m, samples, seed=0):
-    """Orthonormal bases of Haar samples, a (samples, n, m) view of a
-    batch-last array; `seed` as seeded_generator takes it.
-    Haar is the Q of a complex Gaussian G whose R has a positive diagonal
-    (Mezzadri 2007), as _cgs2 gives it.  The stream is one standard_normal
-    buffer (2, samples, n, m): real parts, then imaginary parts."""
+    """Orthonormal bases of Haar samples, (samples, n, m): haar_overlap_batch
+    at rows = n, with no Bartlett row, so its stream is (2, samples, n, m)."""
+    return haar_overlap_batch(n, m, samples, seed, rows=n)
+
+
+def haar_overlap_batch(n, m, samples, seed=0, rows=None):
+    """The top r x m blocks W of Haar bases of G(m, n), r = rows (m by
+    default), their overlaps with I[:, :r]: a (samples, r, m) view of a
+    batch-last array; `seed` as seeded_generator takes it.  Haar is the Q of
+    a complex Gaussian G = [G1; G2] (G1 r x m) whose R has a positive
+    diagonal (Mezzadri 2007), so W = G1 R^-1, R^dagger R = G1^dagger G1 +
+    G2^dagger G2, and the Wishart G2^dagger G2 has the law of T^dagger T for
+    its Bartlett factor T (Bartlett 1933; complex case Goodman 1963):
+    min(n - r, m) rows, upper trapezoidal, |T_ii|^2 = 2 Gamma(n - r - i),
+    complex normals right of the diagonal.  So W is the top of the Q of
+    [G1; T], as _cgs2 gives it.  The stream is one standard_normal buffer
+    (2, samples, r m + f), real then imaginary parts, per sample G1 and then
+    T's f free entries, row by row; then standard_gamma(n - r - i, samples)
+    for each row i of T."""
     m = check_integer(m, "m", 1)
     n = check_integer(n, "n", m)
     samples = check_integer(samples, "samples")
-    g = np.empty((2, samples, n, m))
-    seeded_generator(seed).standard_normal(out=g)
-    q = np.empty((m, n, samples), dtype=complex)
-    q.real, q.imag = g[0].T, g[1].T
-    return _cgs2(q).transpose(2, 1, 0)
-
-
-def haar_overlap_batch(n, m, samples, seed=0):
-    """The top m x m blocks W of Haar bases of G(m, n), their overlaps with
-    I[:, :m]: a (samples, m, m) view of a batch-last array; `seed` as
-    seeded_generator takes it.  For a complex Gaussian G = [G1; G2], W =
-    G1 R^-1 with R^dagger R = G1^dagger G1 + G2^dagger G2, and the Wishart
-    G2^dagger G2 has the law of T^dagger T for its Bartlett factor T
-    (Bartlett 1933; complex case Goodman 1963): min(n - m, m) rows, upper
-    trapezoidal, |T_ii|^2 = 2 Gamma(n - m - i), complex normals right of the
-    diagonal.  So W is the top of the Q of the stack [G1; T], as _cgs2 gives
-    it, at a cost that does not grow with n.  The stream is one
-    standard_normal buffer (2, samples, m m + f): real parts, then imaginary
-    parts, each sample's G1 and then T's f free entries, both row by row;
-    then standard_gamma(n - m - i, samples) for each row i of T."""
-    m = check_integer(m, "m", 1)
-    n = check_integer(n, "n", m)
-    samples = check_integer(samples, "samples")
+    r = check_integer(m if rows is None else rows, "rows", m)
+    if r > n:
+        raise OutOfRange("rows must be <= n = %d, got %d" % (n, r))
     rng = seeded_generator(seed)
-    d = min(n - m, m)
+    d = min(n - r, m)
     i, j = np.triu_indices(d, 1, m)             # T's free entries, row by row
-    g = np.empty((2, samples, m * m + len(i)))
+    g = np.empty((2, samples, r * m + len(i)))
     rng.standard_normal(out=g)
-    q = np.zeros((m, m + d, samples), dtype=complex)
+    q = np.zeros((m, r + d, samples), dtype=complex)
     for part, x in zip((q.real, q.imag), g):
-        part[:, :m] = x[:, :m * m].reshape(samples, m, m).T
-        part[j, m + i] = x[:, m * m:].T
+        part[:, :r] = x[:, :r * m].reshape(samples, r, m).T
+        part[j, r + i] = x[:, r * m:].T
     for k in range(d):
-        q.real[k, m + k] = np.sqrt(2 * rng.standard_gamma(n - m - k, samples))
-    return _cgs2(q).transpose(2, 1, 0)[:, :m]
+        q.real[k, r + k] = np.sqrt(2 * rng.standard_gamma(n - r - k, samples))
+    return _cgs2(q).transpose(2, 1, 0)[:, :r]
 
 
 def _cgs2(q):

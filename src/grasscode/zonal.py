@@ -20,22 +20,21 @@ so changing a returned zonal changes nothing else.  The reproducing kernel
 and ZonalExpansion.reconstruct sum their zonals in integers over one common
 denominator, with one Fraction per shape.
 
-mc_zonal_inner reads only each Haar subspace's overlap W with the fixed
-subspace I[:, :m], and draws it alone through core_linalg.haar_overlap_batch:
-an m x m Gaussian over the Bartlett factor (min(n - m, m) rows) of the other
-n - m rows, orthonormalized by batched CGS2 Gram-Schmidt, no QR, at a cost
-that does not grow with n.  mc_function_inner pairs two subspaces, so it
-draws whole bases through core_linalg.haar_basis_batch, the same CGS2 on n
-rows.  Both read each sample's power sums of W^dagger W - I/2, formed by
-rows, through core_linalg.power_sums and its range check, as every float
-consumer that evaluates a polynomial does: no angle is formed.  Samples are
-drawn, orthonormalized and evaluated in blocks of _MC_BLOCK = 2048, so that
-a block's Gaussian buffer and its complex stack of r rows (at most 32 r m
-KiB each; r = m + min(n - m, m) for mc_zonal_inner, 0.56 MiB on G(3,9), and
-r = n for mc_function_inner) stay in cache through the Gram-Schmidt sweeps,
-and the sampler's memory does not grow with the sample count.  The blocks are
-cut from one seeded stream, so the partition is part of that stream: a seed
-gives one result, and a count up to 2048 is one block.
+Monte Carlo has one sampler, core_linalg.haar_overlap_batch, and one block
+loop, _angle_batch, which reads a Haar subspace c only through its overlaps
+with fixed subspaces: mc_zonal_inner fixes I[:, :m] and draws the top m x m
+block of c alone; mc_function_inner fixes a and b and draws U^dagger c for
+a frame U of span(a, b), the min(n, 2m) left singular vectors of [a b].  So
+a sample's CGS2 (no QR) runs over at most 3m rows, however large n is.  Each
+sample's power sums of W^dagger W - I/2, formed by rows, pass
+core_linalg.power_sums and its range check, as for every float consumer
+that evaluates a polynomial: no angle is formed.  Blocks of _MC_BLOCK = 2048
+samples keep a block's Gaussian buffer and complex stack of r + min(n - r,
+m) rows (at most 32 (r + m) m KiB each; 0.56 MiB for mc_zonal_inner on
+G(3,9)) in cache through the Gram-Schmidt sweeps, and the memory flat in the
+sample count.  The blocks are cut from one seeded stream, so the partition
+is part of that stream: a seed gives one result, and a count up to 2048 is
+one block.
 """
 
 from fractions import Fraction
@@ -44,7 +43,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .core_linalg import (haar_basis_batch, haar_overlap_batch, power_sums,
+from .core_linalg import (_svd, haar_overlap_batch, power_sums,
                           seeded_generator, squared_overlaps)
 from .dims import check_integer, check_mn, dim_H
 from .errors import (DegenerateAtOnes, DimensionMismatch,
@@ -283,21 +282,21 @@ def annihilator_sympoly(A, m):
 _MC_BLOCK = 2048
 
 
-def _haar_blocks(sampler, n, m, samples, seed):
-    """sampler(n, m, b, rng) for blocks of b <= _MC_BLOCK samples, in order,
-    from one seeded stream"""
+def _angle_batch(n, m, samples, seed, t, frames=None):
+    """Yield blocks of at most _MC_BLOCK samples, from one seeded stream, of
+    the power sums up to degree t of the squared cosines between Haar-random
+    c and fixed subspaces.  Without `frames` the fixed subspace is
+    I[:, :m], and a block is (b, min(t, m)).  `frames` (j, m, k) holds
+    a^dagger U for j fixed subspaces a in the span of an orthonormal U
+    (n x k): a^dagger c = a^dagger U U^dagger c, U^dagger c is the overlap
+    with I[:, :k], and a block is (b, j, min(t, m))."""
     rng = seeded_generator(seed)
+    rows = m if frames is None else frames.shape[-1]
     for lo in range(0, samples, _MC_BLOCK):
-        yield sampler(n, m, min(_MC_BLOCK, samples - lo), rng)
-
-
-def _angle_batch(n, m, samples, seed, t):
-    """Yield blocks (b, min(t, m)): the power sums of the squared cosines of
-    the principal angles between the first-m-coordinates subspace and
-    Haar-random subspaces, up to degree t."""
-    # the fixed subspace's basis is I[:, :m], so each overlap is the top
-    # m x m block of a Haar basis, which haar_overlap_batch draws alone
-    for w in _haar_blocks(haar_overlap_batch, n, m, samples, seed):
+        w = haar_overlap_batch(n, m, min(_MC_BLOCK, samples - lo), rng, rows)
+        if frames is not None:
+            with np.errstate(invalid="ignore"):   # power_sums reports NaN
+                w = frames @ w[:, None]
         yield power_sums(squared_overlaps(w), t)
 
 
@@ -347,15 +346,13 @@ def mc_function_inner(f, g, a, b, samples, seed=0):
     if (f.m, g.m) != (a.m, a.m):
         raise VariableCountMismatch("%d- and %d-variable polynomials on G(%d,%d)"
                                     % (f.m, g.m, a.m, a.n))
-    Ba = a.basis.conj().T
-    Bb = b.basis.conj().T
+    # min(n, 2m) orthonormal columns whose span holds a and b, at any rank
+    U = _svd(np.hstack([a.basis, b.basis]), full_matrices=False)[0]
+    frames = np.stack([a.basis, b.basis]).conj().swapaxes(1, 2) @ U
     t = max(f.degree, g.degree, 1)
 
     def products():
-        for q in _haar_blocks(haar_basis_batch, a.n, a.m, samples, seed):
-            with np.errstate(invalid="ignore"):   # power_sums reports NaN
-                wa, wb = Ba @ q, Bb @ q
-            yield (f.eval_power_sums(power_sums(squared_overlaps(wa), t))
-                   * g.eval_power_sums(power_sums(squared_overlaps(wb), t)))
+        for p in _angle_batch(a.n, a.m, samples, seed, t, frames):
+            yield f.eval_power_sums(p[:, 0]) * g.eval_power_sums(p[:, 1])
 
     return _mean_stderr(products(), samples)

@@ -29,25 +29,27 @@ def haar_basis_batch_qr(n, m, samples, seed=0):
     return _phase_fixed_q(gaussian_batch(n, m, samples, seed))
 
 
-def haar_overlap_batch_qr(n, m, samples, seed=0):
-    """the top m x m blocks of the phase-fixed Q factors of the stacks
-    [G1; T] (samples, m + d, m), d = min(n - m, m): the overlaps with
-    I[:, :m] of Haar bases of G(m, n).  The stacks are filled one entry at a
-    time from one normal buffer (real parts, then imaginary parts; per
-    sample G1 row by row, then T's entries right of its diagonal row by
-    row), then T's diagonal, row i from sqrt(2 Gamma(n - m - i))."""
+def haar_overlap_batch_qr(n, m, samples, seed=0, rows=None):
+    """the top r x m blocks, r = rows (m by default), of the phase-fixed Q
+    factors of the stacks [G1; T] (samples, r + d, m), d = min(n - r, m):
+    the overlaps with I[:, :r] of Haar bases of G(m, n).  The stacks are
+    filled one entry at a time from one normal buffer (real parts, then
+    imaginary parts; per sample G1 row by row, then T's entries right of its
+    diagonal row by row), then T's diagonal, row i from
+    sqrt(2 Gamma(n - r - i))."""
     rng = np.random.default_rng(seed)
-    d = min(n - m, m)
+    r = m if rows is None else rows
+    d = min(n - r, m)
     free = [(i, j) for i in range(d) for j in range(i + 1, m)]
-    g = rng.standard_normal((2, samples, m * m + len(free)))
+    g = rng.standard_normal((2, samples, r * m + len(free)))
     z = g[0] + 1j * g[1]
-    stack = np.zeros((samples, m + d, m), dtype=complex)
+    stack = np.zeros((samples, r + d, m), dtype=complex)
     for s in range(samples):
-        for i in range(m):
+        for i in range(r):
             for j in range(m):
                 stack[s, i, j] = z[s, i * m + j]
         for k, (i, j) in enumerate(free):
-            stack[s, m + i, j] = z[s, m * m + k]
+            stack[s, r + i, j] = z[s, r * m + k]
     for i in range(d):
-        stack[:, m + i, i] = np.sqrt(2 * rng.standard_gamma(n - m - i, samples))
-    return _phase_fixed_q(stack)[:, :m]
+        stack[:, r + i, i] = np.sqrt(2 * rng.standard_gamma(n - r - i, samples))
+    return _phase_fixed_q(stack)[:, :r]

@@ -100,6 +100,19 @@ def test_design_flags_agree_with_strength(pauli2, mub5, es320):
             assert one  # tensor identity partial-traces to the mean projector
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["mub5", "pauli2"])
+def test_design_flags_refuse_a_non_finite_member(name, value, request):
+    # as design_strength does on the same code, not (False, nan)
+    S = request.getfixturevalue(name)
+    bases = np.array(S.bases)
+    bases[1, 0, 0] = value
+    T = Code(bases, check_duplicates=False)
+    for flag in (is_one_design, is_two_design, design_strength):
+        with pytest.raises(NumericalHealthError):
+            flag(T)
+
+
 def test_two_design_size_limit():
     S = random_code(65, 1, 2, seed=603)   # n^2 = 4225 > 4096
     with pytest.raises(SizeLimit):

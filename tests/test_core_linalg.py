@@ -226,6 +226,31 @@ def test_overlap_sampler_matches_the_qr_oracle(n, m):
                   ).max() < 1e-12
 
 
+@pytest.mark.parametrize("n, m", HAAR_SHAPES)
+def test_basis_sampler_is_the_overlap_sampler_at_rows_n(n, m):
+    # a whole basis is the overlap with I[:, :n]: same stream, same bits
+    assert np.array_equal(haar_basis_batch(n, m, 300, seed=n + m),
+                          haar_overlap_batch(n, m, 300, seed=n + m, rows=n))
+
+
+@pytest.mark.parametrize("n, m, rows", [(4, 1, 2), (5, 2, 3), (9, 2, 4),
+                                        (9, 3, 6), (13, 6, 12)])
+def test_frame_overlaps_match_the_qr_oracle(n, m, rows):
+    # the top rows x m block: an r x m Gaussian over min(n - r, m) Bartlett
+    # rows, against the oracle's hand-drawn stack
+    W = haar_overlap_batch(n, m, 400, seed=n * m, rows=rows)
+    assert W.shape == (400, rows, m)
+    assert np.abs(W - haar_overlap_batch_qr(n, m, 400, seed=n * m, rows=rows)
+                  ).max() < 1e-12
+
+
+def test_frame_overlaps_have_the_haar_law():
+    # the 4 x 2 overlaps mc_function_inner draws on G(2, 9), against the top
+    # 4 x 2 block of the QR oracle's full bases; 50,000 samples per side
+    z = law_z(9, 2, 50_000, seed=209, rows=4)
+    assert np.abs(z).max() < 5, z
+
+
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 4), (2, 5), (3, 9),
                                   (6, 13)])
 def test_overlap_sampler_has_the_haar_law(m, n):
@@ -243,6 +268,21 @@ def test_overlap_sampler_is_unitary_at_n_equal_m(m):
     W = haar_overlap_batch(m, m, 1000, seed=m)
     p = power_sums(squared_overlaps(W), m)
     assert np.abs(p - m / 2.0 ** np.arange(1, m + 1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_member_fails_the_pair_functions(value):
+    # a NaN or inf entry is refused as NumericalHealthError, never a bare
+    # LinAlgError from the SVD, nor a nan result
+    a, b = random_subspace_pair(5, 2, np.random.default_rng(113))
+    basis = a.basis.copy()
+    basis[0, 0] = value
+    bad = Subspace(basis)
+    for call in (principal_angles, canonical_pair, chordal_distance,
+                 trace_inner_product):
+        for pair in ((bad, b), (b, bad)):
+            with pytest.raises(NumericalHealthError):
+                call(*pair)
 
 
 def test_non_finite_basis_fails_the_tolerance_checks():

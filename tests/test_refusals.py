@@ -5,7 +5,8 @@ partitions pass Partition (OutOfRange); exact scalars pass
 sympoly._exact_coefficient (InexactCoefficient for a float or for text that
 is no rational, OutOfRange for a bool); tolerances pass
 core_linalg.check_tolerance (OutOfRange); a Haar seed that is no numpy
-Generator passes check_integer on its way to numpy."""
+Generator passes check_integer on its way to numpy; a basis entry that is
+not finite is OutOfRange."""
 
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 
 from grasscode import analysis, bounds, constructions, dims, partitions, zonal
 from grasscode.core_linalg import (haar_basis_batch, haar_overlap_batch,
-                                   haar_subspace)
+                                   haar_subspace, subspace_from_basis)
 from grasscode.errors import InexactCoefficient, OutOfRange
 from grasscode.sympoly import SymmetricPolynomial, ascending_product
 
@@ -111,6 +112,19 @@ CASES = [
      lambda c: haar_overlap_batch(1, 2, 3)),
     ("haar_overlap_batch seed=True", OutOfRange,
      lambda c: haar_overlap_batch(5, 2, 3, seed=True)),
+    ("haar_overlap_batch rows < m", OutOfRange,
+     lambda c: haar_overlap_batch(5, 2, 3, rows=1)),
+    ("haar_overlap_batch rows > n", OutOfRange,
+     lambda c: haar_overlap_batch(5, 2, 3, rows=6)),
+    ("haar_overlap_batch rows=True", OutOfRange,
+     lambda c: haar_overlap_batch(5, 1, 3, rows=True)),
+    ("haar_overlap_batch rows=3.0", OutOfRange,
+     lambda c: haar_overlap_batch(5, 2, 3, rows=3.0)),
+    # basis entries
+    ("subspace_from_basis nan entry", OutOfRange,
+     lambda c: subspace_from_basis([[NAN], [1.0]])),
+    ("subspace_from_basis inf entry", OutOfRange,
+     lambda c: subspace_from_basis([[INF], [1.0]])),
     ("power_sums t=1.5", OutOfRange,
      lambda c: c["mub5"].geometry.power_sums(1.5)),
     ("power_sums t=True", OutOfRange,

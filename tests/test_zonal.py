@@ -209,27 +209,33 @@ def test_mc_function_inner_refuses_mismatched_inputs(n_b, m_b, m_f, m_g,
     def refuse(*args, **kwargs):
         raise AssertionError("a Haar sample was drawn")
 
-    monkeypatch.setattr(zonal, "haar_basis_batch", refuse)
+    monkeypatch.setattr(zonal, "haar_overlap_batch", refuse)
     a, b = haar_subspace(9, 3, seed=1), haar_subspace(n_b, m_b, seed=2)
     f, g = aggregate_zonal(2, m_f, 9), aggregate_zonal(2, m_g, 9)
     with pytest.raises(error):
         mc_function_inner(f, g, a, b, 100, seed=3)
 
 
-def _plant(monkeypatch, which, basis):
-    """make the first sample of every block `basis`, an n x m matrix: the
-    whole Haar basis for mc_function_inner, its top m x m block (the overlap
-    with I[:, :m]) for mc_zonal_inner"""
-    name = "haar_overlap_batch" if which == "zonal" else "haar_basis_batch"
-    real = getattr(zonal, name)
-    member = basis[:basis.shape[1]] if which == "zonal" else basis
+def _plant(monkeypatch, basis, pair=None):
+    """make the first sample of every block the Haar member `basis`, an
+    n x m matrix, as the sampler draws it: its top m x m block (the overlap
+    with I[:, :m]) for mc_zonal_inner, and for mc_function_inner on the
+    subspaces `pair` its overlap U^dagger basis with their frame U, the
+    left singular vectors of [a b]"""
+    if pair is None:
+        member = basis[:basis.shape[1]]
+    else:
+        U = np.linalg.svd(np.hstack([s.basis for s in pair]),
+                          full_matrices=False)[0]
+        member = U.conj().T @ basis
+    real = zonal.haar_overlap_batch
 
-    def planted(n, m, samples, seed):
-        q = real(n, m, samples, seed)
+    def planted(n, m, samples, seed, rows=None):
+        q = real(n, m, samples, seed, rows)
         q[0] = member
         return q
 
-    monkeypatch.setattr(zonal, name, planted)
+    monkeypatch.setattr(zonal, "haar_overlap_batch", planted)
 
 
 @pytest.mark.parametrize("which", ["zonal", "function"])
@@ -240,14 +246,15 @@ def test_mc_out_of_range_block_raises(which, monkeypatch):
     # the fixed subspace, so there the planted overlap is I_m (1 + 1e-6)
     m, n = 2, 4
     a = Subspace(np.eye(n, m, dtype=complex))   # mc_zonal_inner's fixed a
-    _plant(monkeypatch, which, a.basis * (1 + 1e-6))
+    b = haar_subspace(n, m, seed=2)
+    _plant(monkeypatch, a.basis * (1 + 1e-6),
+           None if which == "zonal" else (a, b))
     K = aggregate_zonal(1, m, n)
     with pytest.raises(NumericalHealthError):
         if which == "zonal":
             mc_zonal_inner(P1, P2, m, n, 100, seed=1)
         else:
-            mc_function_inner(K, K, a, haar_subspace(n, m, seed=2), 100,
-                              seed=1)
+            mc_function_inner(K, K, a, b, 100, seed=1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -260,7 +267,8 @@ def test_mc_planted_member_range_check(which, scale, m, monkeypatch):
     n = 2 * m + 1
     a = Subspace(np.eye(n, m, dtype=complex))
     with np.errstate(invalid="ignore"):
-        _plant(monkeypatch, which, a.basis * scale)
+        _plant(monkeypatch, a.basis * scale,
+               None if which == "zonal" else (a, a))
     K = aggregate_zonal(2, m, n)
 
     def run():
@@ -311,30 +319,51 @@ def test_mc_estimates_match_the_qr_oracle_sampler(m, n, monkeypatch):
     K = aggregate_zonal(2, m, n)
     a, b = haar_subspace(n, m, seed=1), haar_subspace(n, m, seed=2)
 
-    def run(overlaps, bases):
+    def run(sampler):
         draws = []
 
-        def spy(sampler):
-            def drawn(n, m, count, rng):
-                draws.append((count, rng))
-                return sampler(n, m, count, rng)
-            return drawn
+        def drawn(n, m, count, rng, rows=None):
+            draws.append((count, rng, rows))
+            return sampler(n, m, count, rng, rows)
 
-        monkeypatch.setattr(zonal, "haar_overlap_batch", spy(overlaps))
-        monkeypatch.setattr(zonal, "haar_basis_batch", spy(bases))
+        monkeypatch.setattr(zonal, "haar_overlap_batch", drawn)
         est = (mc_zonal_inner(P1, P2, m, n, samples, seed=7)
                + mc_zonal_inner(P2, P2, m, n, samples, seed=8)
                + mc_function_inner(K, K, a, b, samples, seed=9))
         # each estimate: the sample range in order, in blocks of at most
-        # _MC_BLOCK, all drawn from one generator
-        assert [c for c, _ in draws] == ([zonal._MC_BLOCK] * 3 + [17]) * 3
+        # _MC_BLOCK, all drawn from one generator; mc_function_inner draws
+        # the overlaps with the min(n, 2m) columns of its frame
+        assert [c for c, _, _ in draws] == ([zonal._MC_BLOCK] * 3 + [17]) * 3
         for i in (0, 4, 8):
-            assert all(rng is draws[i][1] for _, rng in draws[i:i + 4])
+            assert all(rng is draws[i][1] for _, rng, _ in draws[i:i + 4])
+        assert [r for _, _, r in draws] == [m] * 8 + [min(n, 2 * m)] * 4
         return est
 
-    new = run(haar_overlap_batch, haar_basis_batch)
-    old = run(haar_overlap_batch_qr, haar_basis_batch_qr)
+    new = run(haar_overlap_batch)
+    old = run(haar_overlap_batch_qr)
     assert np.abs(np.subtract(new, old)).max() < 1e-12
+
+
+@pytest.mark.parametrize("same", [False, True])
+def test_mc_function_inner_has_the_full_basis_law(same):
+    # G(2, 9) has n > 3m: each block draws the 4 x 2 overlaps with the frame
+    # of span(a, b) from a stack of 6 rows, not whole 9 x 2 bases.  Its
+    # estimates agree with full phase-fixed QR bases c read through the SVDs
+    # of a^dagger c and b^dagger c, for a != b and for a = b; two-sample
+    # |z| < 5 at 50,000 samples a side
+    m, n, samples = 2, 9, 50_000
+    a = haar_subspace(n, m, seed=41)
+    b = a if same else haar_subspace(n, m, seed=42)
+    C = haar_basis_batch_qr(n, m, samples, seed=43)
+    ya, yb = (np.linalg.svd(s.basis.conj().T @ C, compute_uv=False) ** 2
+              for s in (a, b))
+    Z1, Z2, Z11 = (zonal_general(mu, m, n) for mu in (P1, P2, P11))
+    K = aggregate_zonal(2, m, n)
+    for f, g in [(Z1, Z1), (Z2, Z11), (Z2, Z2), (K, Z2)]:
+        est, se = mc_function_inner(f, g, a, b, samples, seed=44)
+        v = f.eval_batch(ya) * g.eval_batch(yb)
+        z = (est - v.mean()) / np.hypot(se, v.std(ddof=1) / samples ** 0.5)
+        assert abs(z) < 5, (f, g, est, v.mean(), z)
 
 
 # pinned rational points per (m, n), dense near y = 1 where the power-sum
