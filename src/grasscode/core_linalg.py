@@ -12,13 +12,16 @@ Carlo sampler -- reads the power sums tr(G^k) from power_sums,
 range-checked by a batched Cholesky factorization; only clustering reads
 the angles, from the same G (squared_cosines, checked_cosines).
 principal_angles keeps its own SVD as the per-pair oracle; a pair function
-refuses a non-finite member or result as NumericalHealthError.  One function
-draws Haar samples: haar_overlap_batch gives a Haar basis's top r x m block,
-the overlap with I[:, :r], from one Gaussian stream, an r x m Gaussian
-stacked over the Bartlett factor of the other n - r rows, orthonormalized by
-batched Gram-Schmidt run twice (CGS2, _cgs2), not LAPACK QR: the same
-phase-fixed Q.  r = m gives the overlaps Monte Carlo reads, at a cost that
-does not grow with n; haar_basis_batch is r = n, whole bases.
+refuses a non-finite member or result as NumericalHealthError.  Two
+functions draw Haar samples.  haar_overlap_batch gives a Haar basis's top
+r x m block, the overlap with I[:, :r], from one Gaussian stream, an r x m
+Gaussian stacked over the Bartlett factor of the other n - r rows,
+orthonormalized by batched Gram-Schmidt run twice (CGS2, _cgs2), not LAPACK
+QR: the same phase-fixed Q.  haar_basis_batch is r = n, whole bases, and a
+frame of r < n rows serves overlaps with two fixed subspaces.  Where only
+the squared cosines with one fixed m-plane are read, haar_cosine_batch draws
+them alone, as the eigenvalues of a real tridiagonal T from the beta = 2
+Jacobi matrix model: 2 min(m, n - m) - 1 Beta variables per sample.
 """
 
 from math import inf
@@ -94,7 +97,9 @@ def subspace_from_basis(raw):
 
     An already-orthonormal input is kept verbatim; otherwise the columns are
     orthonormalized (QR with a positive-diagonal phase convention), which
-    preserves the span.
+    preserves the span.  An entry above 2 in modulus rules out the first, and
+    such a matrix is scaled by a power of two (exact) to entries below 1
+    first, so that no Gram entry overflows.
     """
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2:
@@ -108,6 +113,9 @@ def subspace_from_basis(raw):
     if sv[-1] <= RANK_SLACK:
         raise RankDeficient("column rank < m (smallest singular value %.3e)"
                             % sv[-1])
+    big = np.abs(raw).max()
+    if big > 2:
+        raw = raw * 2.0 ** -np.frexp(big)[1]
     g = raw.conj().T @ raw
     if np.abs(g - np.eye(m)).max() <= 1e-12:
         return Subspace(raw)
@@ -156,7 +164,9 @@ def chordal_distance(a, b):
 def principal_angles(a, b):
     "squared cosines of the principal angles, descending, range-checked"
     sv = _svd(_overlap(a, b), compute_uv=False)
-    return checked_cosines(sv * sv)
+    with np.errstate(over="ignore"):   # an inf fails checked_cosines
+        y = sv * sv
+    return checked_cosines(y)
 
 
 def squared_overlaps(W):
@@ -196,14 +206,15 @@ def checked_cosines(y, record=None):
 
 def power_sums(H, t, record=None):
     """Centered power sums tr(H^k) = sum_i (y_i - CENTER)^k, k = 1..min(t, m),
-    t >= 1, of a stack of W^dagger W (..., m, m) from squared_overlaps,
-    centered in place to H.  tr(H^(a+b)) is the real inner product of H^a
-    and H^b, so k <= 4 takes one product H^2.  Range check, as
-    checked_cosines': W^dagger W is positive semidefinite, and its
-    eigenvalues are below 1 + ANGLE_SLACK iff (1 + ANGLE_SLACK - CENTER) I -
-    H has a Cholesky factor.  Samuelson's bound (mean + sqrt(m - 1) standard
-    deviations) clears most pairs first; the factorization passes NaN, so the
-    sums must be finite.  Failures are worded by checked_cosines."""
+    t >= 1, of a stack of W^dagger W (..., m, m) from squared_overlaps (or
+    a real T from haar_cosine_batch), centered in place to H.  tr(H^(a+b))
+    is the real inner product of H^a and H^b, so k <= 4 takes one product
+    H^2.  Range check, as checked_cosines': W^dagger W is positive
+    semidefinite, and its eigenvalues are below 1 + ANGLE_SLACK iff (1 +
+    ANGLE_SLACK - CENTER) I - H has a Cholesky factor.  Samuelson's bound
+    (mean + sqrt(m - 1) standard deviations) clears most pairs first; the
+    factorization passes NaN, so the sums must be finite.  Failures are
+    worded by checked_cosines."""
     m, top = H.shape[-1], 1 - float(CENTER) + ANGLE_SLACK
     with np.errstate(invalid="ignore", over="ignore"):
         H[..., range(m), range(m)] -= float(CENTER)
@@ -464,6 +475,41 @@ def haar_overlap_batch(n, m, samples, seed=0, rows=None):
     for k in range(d):
         q.real[k, r + k] = np.sqrt(2 * rng.standard_gamma(n - r - k, samples))
     return _cgs2(q).transpose(2, 1, 0)[:, :r]
+
+
+def haar_cosine_batch(n, m, samples, seed=0):
+    """A real (samples, m, m) tridiagonal stack T whose eigenvalues have the
+    law of the squared cosines between a Haar m-plane of C^n and a fixed
+    one; `seed` as seeded_generator takes it.  k = min(m, n - m) cosines
+    below 1 have the beta = 2 Jacobi density prod (1 - y_i)^(n - 2k)
+    Delta(y)^2, as the squared singular values of the k x k upper bidiagonal
+    B of the Jacobi matrix model (Edelman & Sutton 2008; Killip & Nenciu
+    2004): diagonal (c_k, c_(k-1) s'_(k-1), ..., c_1 s'_1), superdiagonal
+    (s_k c'_(k-1), ..., s_2 c'_1), c_i^2 ~ Beta(i, n - 2k + i), c'_i^2 ~
+    Beta(i, n - 2k + 1 + i), s^2 = 1 - c^2.  T = I_(m-k) + B^T B, so T_rr =
+    d_r^2 + e_(r-1)^2 and T_(r,r+1) = d_r e_r for B's diagonal d and
+    superdiagonal e; the m - k cosines 1 are the intersection when n < 2m.
+    The stream is one standard_gamma draw of `samples` per Beta's X, for
+    c_k .. c_1 and c'_(k-1) .. c'_1, then per Y: the Beta is X/(X + Y)."""
+    m = check_integer(m, "m", 1)
+    n = check_integer(n, "n", m)
+    samples = check_integer(samples, "samples")
+    rng = seeded_generator(seed)
+    k = min(m, n - m)
+    i = np.r_[k:0:-1, k - 1:0:-1]       # c_k .. c_1, then c'_(k-1) .. c'_1
+    g = np.empty((2, len(i), samples))
+    for row, shape in zip(g.reshape(-1, samples),
+                          np.r_[i, i + n - 2 * k + (np.arange(len(i)) >= k)]):
+        rng.standard_gamma(shape, out=row)
+    c2, s2 = g / g.sum(0)
+    d2 = c2[:k] * np.vstack([np.ones(samples), s2[k:]])   # B's diagonal^2
+    e2 = s2[:k - 1] * c2[k:]                               # superdiagonal^2
+    T = np.zeros((samples, m, m))
+    T[:, range(m - k), range(m - k)] = 1
+    j = np.arange(m - k, m)
+    T[:, j, j] = (d2 + np.vstack([np.zeros(samples), e2])).T
+    T[:, j[1:], j[:-1]] = T[:, j[:-1], j[1:]] = np.sqrt(d2[:-1] * e2).T
+    return T
 
 
 def _cgs2(q):

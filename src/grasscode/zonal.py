@@ -20,21 +20,23 @@ so changing a returned zonal changes nothing else.  The reproducing kernel
 and ZonalExpansion.reconstruct sum their zonals in integers over one common
 denominator, with one Fraction per shape.
 
-Monte Carlo has one sampler, core_linalg.haar_overlap_batch, and one block
-loop, _angle_batch, which reads a Haar subspace c only through its overlaps
-with fixed subspaces: mc_zonal_inner fixes I[:, :m] and draws the top m x m
-block of c alone; mc_function_inner fixes a and b and draws U^dagger c for
-a frame U of span(a, b), the min(n, 2m) left singular vectors of [a b].  So
-a sample's CGS2 (no QR) runs over at most 3m rows, however large n is.  Each
-sample's power sums of W^dagger W - I/2, formed by rows, pass
+Monte Carlo has one block loop, _angle_batch, and two draws.  mc_zonal_inner
+fixes one m-plane and reads a Haar subspace c only through the squared
+cosines with it, so core_linalg.haar_cosine_batch draws those alone: the
+spectrum of a real m x m tridiagonal T from the beta = 2 Jacobi matrix
+model, 2 min(m, n - m) - 1 Beta variables per sample, with no Gaussian basis
+and no Gram-Schmidt.  mc_function_inner fixes a and b and needs c's joint
+overlaps with both, so core_linalg.haar_overlap_batch draws U^dagger c for a
+frame U of span(a, b), the min(n, 2m) left singular vectors of [a b]: its
+CGS2 (no QR) runs over at most 3m rows, however large n is.  Each sample's
+power sums of T - I/2, or of W^dagger W - I/2 formed by rows, pass
 core_linalg.power_sums and its range check, as for every float consumer
 that evaluates a polynomial: no angle is formed.  Blocks of _MC_BLOCK = 2048
-samples keep a block's Gaussian buffer and complex stack of r + min(n - r,
-m) rows (at most 32 (r + m) m KiB each; 0.56 MiB for mc_zonal_inner on
-G(3,9)) in cache through the Gram-Schmidt sweeps, and the memory flat in the
-sample count.  The blocks are cut from one seeded stream, so the partition
-is part of that stream: a seed gives one result, and a count up to 2048 is
-one block.
+samples keep a block's arrays in cache -- a T stack of 16 m^2 KiB (144 KiB
+on G(3,9)), a frame draw's complex stack of r + min(n - r, m) rows at most
+32 (r + m) m KiB -- and the memory flat in the sample count.  The blocks
+are cut from one seeded stream, so the partition is part of that stream: a
+seed gives one result, and a count up to 2048 is one block.
 """
 
 from fractions import Fraction
@@ -43,8 +45,8 @@ from math import comb, lcm
 
 import numpy as np
 
-from .core_linalg import (_svd, haar_overlap_batch, power_sums,
-                          seeded_generator, squared_overlaps)
+from .core_linalg import (_svd, haar_cosine_batch, haar_overlap_batch,
+                          power_sums, seeded_generator, squared_overlaps)
 from .dims import check_integer, check_mn, dim_H
 from .errors import (DegenerateAtOnes, DimensionMismatch,
                      LengthExceedsVariables, OutOfRange, UnsupportedPartition,
@@ -285,19 +287,22 @@ _MC_BLOCK = 2048
 def _angle_batch(n, m, samples, seed, t, frames=None):
     """Yield blocks of at most _MC_BLOCK samples, from one seeded stream, of
     the power sums up to degree t of the squared cosines between Haar-random
-    c and fixed subspaces.  Without `frames` the fixed subspace is
-    I[:, :m], and a block is (b, min(t, m)).  `frames` (j, m, k) holds
-    a^dagger U for j fixed subspaces a in the span of an orthonormal U
-    (n x k): a^dagger c = a^dagger U U^dagger c, U^dagger c is the overlap
-    with I[:, :k], and a block is (b, j, min(t, m))."""
+    c and fixed subspaces.  Without `frames` the fixed subspace is one
+    m-plane, whose cosines alone are drawn (haar_cosine_batch), and a block
+    is (b, min(t, m)).  `frames` (j, m, k) holds a^dagger U for j fixed
+    subspaces a in the span of an orthonormal U (n x k): a^dagger c =
+    a^dagger U U^dagger c, U^dagger c is the overlap with I[:, :k], and a
+    block is (b, j, min(t, m))."""
     rng = seeded_generator(seed)
-    rows = m if frames is None else frames.shape[-1]
     for lo in range(0, samples, _MC_BLOCK):
-        w = haar_overlap_batch(n, m, min(_MC_BLOCK, samples - lo), rng, rows)
-        if frames is not None:
+        count = min(_MC_BLOCK, samples - lo)
+        if frames is None:
+            G = haar_cosine_batch(n, m, count, rng)
+        else:
+            w = haar_overlap_batch(n, m, count, rng, frames.shape[-1])
             with np.errstate(invalid="ignore"):   # power_sums reports NaN
-                w = frames @ w[:, None]
-        yield power_sums(squared_overlaps(w), t)
+                G = squared_overlaps(frames @ w[:, None])
+        yield power_sums(G, t)
 
 
 def _mean_stderr(blocks, samples):

@@ -7,7 +7,8 @@ from grasscode.constructions import extraspecial_code, mub_code, pauli_code
 from grasscode.core_linalg import (Code, Subspace, _overlap_pass,
                                    canonical_pair, chordal_distance,
                                    gram_matrix, haar_basis_batch,
-                                   haar_overlap_batch, haar_subspace,
+                                   haar_cosine_batch, haar_overlap_batch,
+                                   haar_subspace,
                                    power_sums, principal_angles,
                                    squared_cosines, squared_overlaps,
                                    subspace_from_basis, trace_inner_product)
@@ -17,9 +18,9 @@ from grasscode.errors import (DimensionMismatch, DuplicateMember,
 from grasscode.io import read_code, write_code
 
 from conftest import counting_kernel, random_code, random_subspace_pair
-from haar_law import law_z
+from haar_law import cosine_grams, law_z
 from haar_oracle import (gaussian_batch, haar_basis_batch_qr,
-                         haar_overlap_batch_qr)
+                         haar_cosine_batch_bidiagonal, haar_overlap_batch_qr)
 
 
 def test_trace_equals_angle_sum():
@@ -268,6 +269,44 @@ def test_overlap_sampler_is_unitary_at_n_equal_m(m):
     W = haar_overlap_batch(m, m, 1000, seed=m)
     p = power_sums(squared_overlaps(W), m)
     assert np.abs(p - m / 2.0 ** np.arange(1, m + 1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, m", HAAR_SHAPES + [(2, 1), (3, 2), (4, 3),
+                                  (7, 5)])
+def test_cosine_sampler_matches_the_bidiagonal_oracle(n, m):
+    # the tridiagonal T is I_(m-k) + B^T B for the oracle's bidiagonal B,
+    # built one sample at a time from the same hand-drawn Beta variables
+    T = haar_cosine_batch(n, m, 400, seed=n * m)
+    assert T.shape == (400, m, m) and T.dtype == float
+    assert np.abs(T - haar_cosine_batch_bidiagonal(n, m, 400, seed=n * m)
+                  ).max() < 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 4), (2, 5), (3, 9),
+                                  (6, 13)])
+def test_cosine_sampler_has_the_haar_law(m, n):
+    # the first two moments of every power sum of T - I/2 agree with those of
+    # W^dagger W - I/2 for the QR oracle's full Haar bases, cut to their top
+    # m x m block, for n - m < m, n - m = m and n - m > m; 50,000 samples
+    # per side
+    z = law_z(n, m, 50_000, seed=m * 100 + n, grams=cosine_grams)
+    assert np.abs(z).max() < 5, z
+
+
+def test_cosine_law_check_detects_the_wrong_dimension():
+    # power: the cosines of G(3, 10) against the oracle's G(3, 9) bases
+    def one_dimension_up(n, m, samples, rng, rows):
+        return haar_cosine_batch(n + 1, m, samples, rng)
+
+    z = law_z(9, 3, 50_000, seed=309, grams=one_dimension_up)
+    assert np.abs(z).max() >= 5, z
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_cosine_sampler_is_the_identity_at_n_equal_m(m):
+    # at n = m the Haar m-plane is all of C^m: every T is I_m
+    T = haar_cosine_batch(m, m, 1000, seed=m)
+    assert np.array_equal(T, np.broadcast_to(np.eye(m), T.shape))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -6,7 +6,8 @@ sympoly._exact_coefficient (InexactCoefficient for a float or for text that
 is no rational, OutOfRange for a bool); tolerances pass
 core_linalg.check_tolerance (OutOfRange); a Haar seed that is no numpy
 Generator passes check_integer on its way to numpy; a basis entry that is
-not finite is OutOfRange."""
+not finite is OutOfRange, and a finite one so large that a squared cosine
+overflows is NumericalHealthError."""
 
 from fractions import Fraction
 
@@ -14,9 +15,12 @@ import numpy as np
 import pytest
 
 from grasscode import analysis, bounds, constructions, dims, partitions, zonal
-from grasscode.core_linalg import (haar_basis_batch, haar_overlap_batch,
-                                   haar_subspace, subspace_from_basis)
-from grasscode.errors import InexactCoefficient, OutOfRange
+from grasscode.core_linalg import (Subspace, haar_basis_batch,
+                                   haar_cosine_batch, haar_overlap_batch,
+                                   haar_subspace, principal_angles,
+                                   subspace_from_basis)
+from grasscode.errors import (InexactCoefficient, NumericalHealthError,
+                              OutOfRange)
 from grasscode.sympoly import SymmetricPolynomial, ascending_product
 
 from conftest import random_code
@@ -120,7 +124,20 @@ CASES = [
      lambda c: haar_overlap_batch(5, 1, 3, rows=True)),
     ("haar_overlap_batch rows=3.0", OutOfRange,
      lambda c: haar_overlap_batch(5, 2, 3, rows=3.0)),
+    ("haar_cosine_batch samples=2.5", OutOfRange,
+     lambda c: haar_cosine_batch(5, 2, 2.5)),
+    ("haar_cosine_batch n=5.0", OutOfRange,
+     lambda c: haar_cosine_batch(5.0, 2, 3)),
+    ("haar_cosine_batch m=0", OutOfRange,
+     lambda c: haar_cosine_batch(5, 0, 3)),
+    ("haar_cosine_batch n < m", OutOfRange,
+     lambda c: haar_cosine_batch(1, 2, 3)),
+    ("haar_cosine_batch seed=True", OutOfRange,
+     lambda c: haar_cosine_batch(5, 2, 3, seed=True)),
     # basis entries
+    ("principal_angles 1e200 entry", NumericalHealthError,
+     lambda c: principal_angles(Subspace([[1e200], [0.0]]),
+                                Subspace([[1.0], [0.0]]))),
     ("subspace_from_basis nan entry", OutOfRange,
      lambda c: subspace_from_basis([[NAN], [1.0]])),
     ("subspace_from_basis inf entry", OutOfRange,
@@ -260,6 +277,17 @@ def test_checked_seeds_keep_their_streams():
     est = zonal.mc_zonal_inner((1,), (2,), 2, 4, 3000, seed=5)
     for seed in (np.int64(5), np.random.default_rng(5)):
         assert zonal.mc_zonal_inner((1,), (2,), 2, 4, 3000, seed=seed) == est
+
+
+def test_huge_finite_basis_entries_keep_their_span():
+    # entries near 1e200 would overflow the Gram check; the span is kept,
+    # orthonormalized as for the same matrix scaled down
+    raw = np.array([[3.0, 1.0], [1.0, -2.0], [0.5, 4.0]])
+    want = subspace_from_basis(raw).projection()
+    for scale in (1e200, 1e300):
+        got = subspace_from_basis(raw * scale)
+        assert np.abs(got.basis.conj().T @ got.basis - np.eye(2)).max() < 1e-12
+        assert np.abs(got.projection() - want).max() < 1e-12
 
 
 def test_numpy_integers_and_strings_are_exact():

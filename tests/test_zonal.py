@@ -8,7 +8,8 @@ import pytest
 import grasscode.sympoly as sympoly
 import grasscode.zonal as zonal
 from grasscode.core_linalg import (Subspace, haar_basis_batch,
-                                   haar_overlap_batch, haar_subspace,
+                                   haar_cosine_batch, haar_overlap_batch,
+                                   haar_subspace, power_sums,
                                    principal_angles)
 from grasscode.dims import dim_H
 from grasscode.errors import (DimensionMismatch, NumericalHealthError,
@@ -22,7 +23,8 @@ from grasscode.zonal import (aggregate_zonal, annihilator_sympoly,
                              zonal_general)
 
 from conftest import random_subspace_pair
-from haar_oracle import haar_basis_batch_qr, haar_overlap_batch_qr
+from haar_oracle import (haar_basis_batch_qr, haar_cosine_batch_bidiagonal,
+                         haar_overlap_batch_qr)
 from monomial_oracle import from_monomial
 from zonal_oracle import zonal_explicit, zonal_recursion
 
@@ -168,15 +170,16 @@ def test_mc_determinism():
 
 
 def test_mc_draws_follow_the_seeded_svd_route():
-    # the same overlap stream as drawing and factoring by hand, and the
-    # centered power sums of the same squared cosines as the SVD of each
-    # overlap
+    # the same stream as haar_cosine_batch on the same seed, and the centered
+    # power sums of the same squared cosines as the SVD of each T (positive
+    # semidefinite, so its singular values are its eigenvalues)
     n, m, samples = 6, 2, 500
-    w = haar_overlap_batch_qr(n, m, samples, seed=31)
-    sv = np.linalg.svd(w, compute_uv=False)
+    T = haar_cosine_batch(n, m, samples, seed=31)
+    sv = np.linalg.svd(T, compute_uv=False)
     p = np.concatenate(list(zonal._angle_batch(n, m, samples, 31, 4)))
     assert p.shape == (samples, m)
-    y = sv * sv - 0.5
+    assert np.array_equal(p, power_sums(T.copy(), 4))
+    y = sv - 0.5
     assert np.abs(p - np.stack([(y ** k).sum(-1) for k in (1, 2)], -1)
                   ).max() < 1e-12
 
@@ -218,32 +221,38 @@ def test_mc_function_inner_refuses_mismatched_inputs(n_b, m_b, m_f, m_g,
 
 def _plant(monkeypatch, basis, pair=None):
     """make the first sample of every block the Haar member `basis`, an
-    n x m matrix, as the sampler draws it: its top m x m block (the overlap
-    with I[:, :m]) for mc_zonal_inner, and for mc_function_inner on the
-    subspaces `pair` its overlap U^dagger basis with their frame U, the
-    left singular vectors of [a b]"""
+    n x m matrix, as the sampler draws it: for mc_zonal_inner the real
+    W^dagger W of its top m x m block W (the overlap with I[:, :m]) in place
+    of haar_cosine_batch's T, and for mc_function_inner on the subspaces
+    `pair` its overlap U^dagger basis with their frame U, the left singular
+    vectors of [a b]"""
     if pair is None:
-        member = basis[:basis.shape[1]]
+        name = "haar_cosine_batch"
+        w = basis[:basis.shape[1]]
+        with np.errstate(invalid="ignore"):   # a NaN or inf member
+            member = (w.conj().T @ w).real
     else:
+        name = "haar_overlap_batch"
         U = np.linalg.svd(np.hstack([s.basis for s in pair]),
                           full_matrices=False)[0]
         member = U.conj().T @ basis
-    real = zonal.haar_overlap_batch
+    real = getattr(zonal, name)
 
-    def planted(n, m, samples, seed, rows=None):
-        q = real(n, m, samples, seed, rows)
+    def planted(*args, **kwargs):
+        q = real(*args, **kwargs)
         q[0] = member
         return q
 
-    monkeypatch.setattr(zonal, "haar_overlap_batch", planted)
+    monkeypatch.setattr(zonal, name, planted)
 
 
 @pytest.mark.parametrize("which", ["zonal", "function"])
 def test_mc_out_of_range_block_raises(which, monkeypatch):
     # one Haar member planted on the fixed subspace, scaled by 1 + 1e-6:
     # its squared cosines are 1 + 2e-6, past the slack, so they must raise
-    # instead of being clipped; mc_zonal_inner draws only the overlap with
-    # the fixed subspace, so there the planted overlap is I_m (1 + 1e-6)
+    # instead of being clipped; mc_zonal_inner draws only the squared
+    # cosines with the fixed subspace, so there the planted T is
+    # I_m (1 + 1e-6)^2
     m, n = 2, 4
     a = Subspace(np.eye(n, m, dtype=complex))   # mc_zonal_inner's fixed a
     b = haar_subspace(n, m, seed=2)
@@ -312,35 +321,42 @@ def test_haar_sampling_runs_no_qr(monkeypatch):
 
 @pytest.mark.parametrize("m, n", [(1, 4), (2, 5), (3, 9)])
 def test_mc_estimates_match_the_qr_oracle_sampler(m, n, monkeypatch):
-    # the same seeds through the LAPACK QR sampler give the same estimates
-    # over three full _MC_BLOCK blocks and a ragged last one, drawn in order
-    # from one seeded stream
+    # the same seeds through the oracle samplers -- the bidiagonal built by
+    # hand for mc_zonal_inner, the LAPACK QR for mc_function_inner -- give
+    # the same estimates over three full _MC_BLOCK blocks and a ragged last
+    # one, drawn in order from one seeded stream
     samples = 3 * zonal._MC_BLOCK + 17
     K = aggregate_zonal(2, m, n)
     a, b = haar_subspace(n, m, seed=1), haar_subspace(n, m, seed=2)
 
-    def run(sampler):
+    def run(cosines, overlaps):
         draws = []
 
-        def drawn(n, m, count, rng, rows=None):
-            draws.append((count, rng, rows))
-            return sampler(n, m, count, rng, rows)
+        def drawn_cosines(n, m, count, rng):
+            draws.append((count, rng, None))
+            return cosines(n, m, count, rng)
 
-        monkeypatch.setattr(zonal, "haar_overlap_batch", drawn)
+        def drawn_overlaps(n, m, count, rng, rows=None):
+            draws.append((count, rng, rows))
+            return overlaps(n, m, count, rng, rows)
+
+        monkeypatch.setattr(zonal, "haar_cosine_batch", drawn_cosines)
+        monkeypatch.setattr(zonal, "haar_overlap_batch", drawn_overlaps)
         est = (mc_zonal_inner(P1, P2, m, n, samples, seed=7)
                + mc_zonal_inner(P2, P2, m, n, samples, seed=8)
                + mc_function_inner(K, K, a, b, samples, seed=9))
         # each estimate: the sample range in order, in blocks of at most
-        # _MC_BLOCK, all drawn from one generator; mc_function_inner draws
-        # the overlaps with the min(n, 2m) columns of its frame
+        # _MC_BLOCK, all drawn from one generator; mc_zonal_inner draws the
+        # cosines alone, mc_function_inner the overlaps with the min(n, 2m)
+        # columns of its frame
         assert [c for c, _, _ in draws] == ([zonal._MC_BLOCK] * 3 + [17]) * 3
         for i in (0, 4, 8):
             assert all(rng is draws[i][1] for _, rng, _ in draws[i:i + 4])
-        assert [r for _, _, r in draws] == [m] * 8 + [min(n, 2 * m)] * 4
+        assert [r for _, _, r in draws] == [None] * 8 + [min(n, 2 * m)] * 4
         return est
 
-    new = run(haar_overlap_batch)
-    old = run(haar_overlap_batch_qr)
+    new = run(haar_cosine_batch, haar_overlap_batch)
+    old = run(haar_cosine_batch_bidiagonal, haar_overlap_batch_qr)
     assert np.abs(np.subtract(new, old)).max() < 1e-12
 
 
