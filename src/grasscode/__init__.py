@@ -26,8 +26,8 @@ from .io import code_from_dict, code_to_dict, read_code, write_code
 from .partitions import Partition, partitions_of, partitions_up_to
 from .sympoly import SymmetricPolynomial
 from .zonal import (ZonalExpansion, ZonalPolynomial, aggregate_zonal,
-                    expand_in_zonal, mc_zonal_inner, normalize_zonal,
-                    zonal_basis, zonal_general)
+                    expand_in_zonal, kernel_pairing, mc_zonal_inner,
+                    normalize_zonal, zonal_basis, zonal_general)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,8 @@ __all__ = [
     "expand_in_zonal", "extraspecial_code", "extraspecial_size",
     "gram_matrix", "haar_subspace", "hom_dim_bound",
     "inner_product_classes", "inner_product_set", "is_one_design",
-    "is_two_design", "isotropic_count", "make_annihilator", "mc_zonal_inner",
+    "is_two_design", "isotropic_count", "kernel_pairing", "make_annihilator",
+    "mc_zonal_inner",
     "mub_code", "normalize_zonal", "one_distance_bound", "pair_angle_matrix",
     "partitions_of", "partitions_up_to", "pauli_code", "principal_angles",
     "q_binomial", "read_code", "relative_code_bound", "relative_design_bound",

@@ -13,15 +13,12 @@ range-checked by a batched Cholesky factorization; only clustering reads
 the angles, from the same G (squared_cosines, checked_cosines).
 principal_angles keeps its own SVD as the per-pair oracle; a pair function
 refuses a non-finite member or result as NumericalHealthError.  Two
-functions draw Haar samples.  haar_overlap_batch gives a Haar basis's top
-r x m block, the overlap with I[:, :r], from one Gaussian stream, an r x m
-Gaussian stacked over the Bartlett factor of the other n - r rows,
-orthonormalized by batched Gram-Schmidt run twice (CGS2, _cgs2), not LAPACK
-QR: the same phase-fixed Q.  haar_basis_batch is r = n, whole bases, and a
-frame of r < n rows serves overlaps with two fixed subspaces.  Where only
-the squared cosines with one fixed m-plane are read, haar_cosine_batch draws
-them alone, as the eigenvalues of a real tridiagonal T from the beta = 2
-Jacobi matrix model: 2 min(m, n - m) - 1 Beta variables per sample.
+functions draw Haar samples.  haar_basis_batch gives whole bases from one
+Gaussian stream, orthonormalized by batched Gram-Schmidt run twice (CGS2,
+_cgs2), not LAPACK QR: the same phase-fixed Q.  Where only the squared
+cosines with one fixed m-plane are read, haar_cosine_batch draws them alone,
+as the eigenvalues of a real tridiagonal T from the beta = 2 Jacobi matrix
+model: 2 min(m, n - m) - 1 Beta variables per sample.
 """
 
 from math import inf
@@ -438,43 +435,19 @@ def seeded_generator(seed):
 
 
 def haar_basis_batch(n, m, samples, seed=0):
-    """Orthonormal bases of Haar samples, (samples, n, m): haar_overlap_batch
-    at rows = n, with no Bartlett row, so its stream is (2, samples, n, m)."""
-    return haar_overlap_batch(n, m, samples, seed, rows=n)
-
-
-def haar_overlap_batch(n, m, samples, seed=0, rows=None):
-    """The top r x m blocks W of Haar bases of G(m, n), r = rows (m by
-    default), their overlaps with I[:, :r]: a (samples, r, m) view of a
+    """Orthonormal bases of Haar samples, (samples, n, m), a view of a
     batch-last array; `seed` as seeded_generator takes it.  Haar is the Q of
-    a complex Gaussian G = [G1; G2] (G1 r x m) whose R has a positive
-    diagonal (Mezzadri 2007), so W = G1 R^-1, R^dagger R = G1^dagger G1 +
-    G2^dagger G2, and the Wishart G2^dagger G2 has the law of T^dagger T for
-    its Bartlett factor T (Bartlett 1933; complex case Goodman 1963):
-    min(n - r, m) rows, upper trapezoidal, |T_ii|^2 = 2 Gamma(n - r - i),
-    complex normals right of the diagonal.  So W is the top of the Q of
-    [G1; T], as _cgs2 gives it.  The stream is one standard_normal buffer
-    (2, samples, r m + f), real then imaginary parts, per sample G1 and then
-    T's f free entries, row by row; then standard_gamma(n - r - i, samples)
-    for each row i of T."""
+    a complex Gaussian whose R has a positive diagonal (Mezzadri 2007), as
+    _cgs2 gives it.  The stream is one standard_normal buffer
+    (2, samples, n, m), real then imaginary parts."""
     m = check_integer(m, "m", 1)
     n = check_integer(n, "n", m)
     samples = check_integer(samples, "samples")
-    r = check_integer(m if rows is None else rows, "rows", m)
-    if r > n:
-        raise OutOfRange("rows must be <= n = %d, got %d" % (n, r))
-    rng = seeded_generator(seed)
-    d = min(n - r, m)
-    i, j = np.triu_indices(d, 1, m)             # T's free entries, row by row
-    g = np.empty((2, samples, r * m + len(i)))
-    rng.standard_normal(out=g)
-    q = np.zeros((m, r + d, samples), dtype=complex)
-    for part, x in zip((q.real, q.imag), g):
-        part[:, :r] = x[:, :r * m].reshape(samples, r, m).T
-        part[j, r + i] = x[:, r * m:].T
-    for k in range(d):
-        q.real[k, r + k] = np.sqrt(2 * rng.standard_gamma(n - r - k, samples))
-    return _cgs2(q).transpose(2, 1, 0)[:, :r]
+    g = np.empty((2, samples, n, m))
+    seeded_generator(seed).standard_normal(out=g)
+    q = np.empty((m, n, samples), dtype=complex)
+    q.real, q.imag = g[0].T, g[1].T
+    return _cgs2(q).transpose(2, 1, 0)
 
 
 def haar_cosine_batch(n, m, samples, seed=0):
@@ -498,7 +471,7 @@ def haar_cosine_batch(n, m, samples, seed=0):
     k = min(m, n - m)
     i = np.r_[k:0:-1, k - 1:0:-1]       # c_k .. c_1, then c'_(k-1) .. c'_1
     g = np.empty((2, len(i), samples))
-    for row, shape in zip(g.reshape(-1, samples),
+    for row, shape in zip(g.reshape(2 * len(i), samples),
                           np.r_[i, i + n - 2 * k + (np.arange(len(i)) >= k)]):
         rng.standard_gamma(shape, out=row)
     c2, s2 = g / g.sum(0)

@@ -20,37 +20,35 @@ so changing a returned zonal changes nothing else.  The reproducing kernel
 and ZonalExpansion.reconstruct sum their zonals in integers over one common
 denominator, with one Fraction per shape.
 
-Monte Carlo has one block loop, _angle_batch, and two draws.  mc_zonal_inner
-fixes one m-plane and reads a Haar subspace c only through the squared
-cosines with it, so core_linalg.haar_cosine_batch draws those alone: the
-spectrum of a real m x m tridiagonal T from the beta = 2 Jacobi matrix
-model, 2 min(m, n - m) - 1 Beta variables per sample, with no Gaussian basis
-and no Gram-Schmidt.  mc_function_inner fixes a and b and needs c's joint
-overlaps with both, so core_linalg.haar_overlap_batch draws U^dagger c for a
-frame U of span(a, b), the min(n, 2m) left singular vectors of [a b]: its
-CGS2 (no QR) runs over at most 3m rows, however large n is.  Each sample's
-power sums of T - I/2, or of W^dagger W - I/2 formed by rows, pass
-core_linalg.power_sums and its range check, as for every float consumer
-that evaluates a polynomial: no angle is formed.  Blocks of _MC_BLOCK = 2048
-samples keep a block's arrays in cache -- a T stack of 16 m^2 KiB (144 KiB
-on G(3,9)), a frame draw's complex stack of r + min(n - r, m) rows at most
-32 (r + m) m KiB -- and the memory flat in the sample count.  The blocks
-are cut from one seeded stream, so the partition is part of that stream: a
-seed gives one result, and a count up to 2048 is one block.
+The Haar pairing of two functions of the angles is exact, with no
+sampling: the normalized zonals are the reproducing kernels of the H_mu, so
+integrating f(y(a, c)) g(y(c, b)) over Haar-random c leaves a polynomial in
+y(a, b), kernel_pairing, read off the two Z-basis expansions.  The inner
+product <f, g> is its value at (1, ..., 1).
+
+Monte Carlo keeps one estimate, mc_zonal_inner, the independent witness of
+the Haar side, and one block loop, _angle_batch.  It fixes one m-plane and
+reads a Haar subspace c only through the squared cosines with it, so
+core_linalg.haar_cosine_batch draws those alone: the spectrum of a real
+m x m tridiagonal T from the beta = 2 Jacobi matrix model, 2 min(m, n - m) - 1
+Beta variables per sample, with no Gaussian basis and no Gram-Schmidt.  Each
+sample's power sums of T - I/2 pass core_linalg.power_sums and its range
+check, as for every float consumer that evaluates a polynomial: no angle is
+formed.  Blocks of _MC_BLOCK = 2048 samples keep a block's T stack, 16 m^2
+KiB (144 KiB on G(3,9)), in cache and the memory flat in the sample count.
+The blocks are cut from one seeded stream, so the partition is part of that
+stream: a seed gives one result, and a count up to 2048 is one block.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
 
-import numpy as np
-
-from .core_linalg import (_svd, haar_cosine_batch, haar_overlap_batch,
-                          power_sums, seeded_generator, squared_overlaps)
+from .core_linalg import haar_cosine_batch, power_sums, seeded_generator
 from .dims import check_integer, check_mn, dim_H
-from .errors import (DegenerateAtOnes, DimensionMismatch,
-                     LengthExceedsVariables, OutOfRange, UnsupportedPartition,
-                     ValidationFailure, VariableCountMismatch)
+from .errors import (DegenerateAtOnes, LengthExceedsVariables, OutOfRange,
+                     UnsupportedPartition, ValidationFailure,
+                     VariableCountMismatch)
 from .partitions import Partition, aspartition, partitions_up_to
 from .sympoly import (SymmetricPolynomial, _accumulate, _exact_coefficient,
                       _place, _shape, _times_p, hypergeom_coeff, schur_norm)
@@ -263,6 +261,25 @@ def expand_in_zonal(f, m, n, experimental=None):
     return ZonalExpansion(m, n, coeffs, deg)
 
 
+def kernel_pairing(f, g, m, n):
+    """The Haar pairing of f and g on G(m, n), exact: the K with K(y(a, b))
+    the integral of f(y(a, c)) g(y(c, b)) over Haar-random c.  The
+    normalized zonals reproduce on H_mu, so with f = sum c_mu(f) Z_mu,
+
+        K = sum c_mu(f) c_mu(g) Z_mu(1) / dim H_mu Z_mu,
+
+    over |mu| <= min(deg f, deg g).  The inner product <f, g> is
+    K.at_ones()."""
+    check_mn(m, n)
+    if (f.m, g.m) != (m, m):
+        raise VariableCountMismatch("%d- and %d-variable polynomials on "
+                                    "G(%d,%d)" % (f.m, g.m, m, n))
+    cf, cg = expand_in_zonal(f, m, n), expand_in_zonal(g, m, n)
+    basis = zonal_basis(m, n, min(cf.degree, cg.degree))
+    return _zonal_sum(m, [(c / _normalizing_scale(Z), Z) for Z in basis
+                          if (c := cf.coeff(Z.mu) * cg.coeff(Z.mu)) != 0])
+
+
 def annihilator_sympoly(A, m):
     "product of (sum_i y_i - alpha) over alpha in A, exact"
     check_integer(m, "m", 1)
@@ -284,25 +301,18 @@ def annihilator_sympoly(A, m):
 _MC_BLOCK = 2048
 
 
-def _angle_batch(n, m, samples, seed, t, frames=None):
+def _angle_batch(n, m, samples, seed, t):
     """Yield blocks of at most _MC_BLOCK samples, from one seeded stream, of
-    the power sums up to degree t of the squared cosines between Haar-random
-    c and fixed subspaces.  Without `frames` the fixed subspace is one
-    m-plane, whose cosines alone are drawn (haar_cosine_batch), and a block
-    is (b, min(t, m)).  `frames` (j, m, k) holds a^dagger U for j fixed
-    subspaces a in the span of an orthonormal U (n x k): a^dagger c =
-    a^dagger U U^dagger c, U^dagger c is the overlap with I[:, :k], and a
-    block is (b, j, min(t, m))."""
+    the power sums (b, min(t, m)) up to degree t of the squared cosines
+    between a Haar-random c and one fixed m-plane, drawn alone
+    (haar_cosine_batch)."""
     rng = seeded_generator(seed)
     for lo in range(0, samples, _MC_BLOCK):
         count = min(_MC_BLOCK, samples - lo)
-        if frames is None:
-            G = haar_cosine_batch(n, m, count, rng)
-        else:
-            w = haar_overlap_batch(n, m, count, rng, frames.shape[-1])
-            with np.errstate(invalid="ignore"):   # power_sums reports NaN
-                G = squared_overlaps(frames @ w[:, None])
-        yield power_sums(G, t)
+        # T stays bound while the block is consumed: freed before the yield,
+        # it lets malloc trim the heap and fault the pages back in per block
+        T = haar_cosine_batch(n, m, count, rng)
+        yield power_sums(T, t)
 
 
 def _mean_stderr(blocks, samples):
@@ -337,27 +347,5 @@ def mc_zonal_inner(mu, nu, m, n, samples, seed=0):
         for p in _angle_batch(n, m, samples, seed, t):
             vals = Zm.eval_power_sums(p)
             yield vals * (vals if mu == nu else Zn.eval_power_sums(p))
-
-    return _mean_stderr(products(), samples)
-
-
-def mc_function_inner(f, g, a, b, samples, seed=0):
-    """Monte-Carlo estimate (and standard error) of the kernel pairing: the
-    Haar integral of f(y(a,c)) * g(y(b,c)) over random c for fixed
-    subspaces a, b of one G(m, n), with f and g in m variables."""
-    if (a.n, a.m) != (b.n, b.m):
-        raise DimensionMismatch("subspaces in G(%d,%d) and G(%d,%d)"
-                                % (a.m, a.n, b.m, b.n))
-    if (f.m, g.m) != (a.m, a.m):
-        raise VariableCountMismatch("%d- and %d-variable polynomials on G(%d,%d)"
-                                    % (f.m, g.m, a.m, a.n))
-    # min(n, 2m) orthonormal columns whose span holds a and b, at any rank
-    U = _svd(np.hstack([a.basis, b.basis]), full_matrices=False)[0]
-    frames = np.stack([a.basis, b.basis]).conj().swapaxes(1, 2) @ U
-    t = max(f.degree, g.degree, 1)
-
-    def products():
-        for p in _angle_batch(a.n, a.m, samples, seed, t, frames):
-            yield f.eval_power_sums(p[:, 0]) * g.eval_power_sums(p[:, 1])
 
     return _mean_stderr(products(), samples)

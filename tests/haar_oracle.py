@@ -1,58 +1,28 @@
 """The reference Haar samplers: Mezzadri's recipe (How to generate random
 matrices from the classical compact groups, Notices AMS 2007), one LAPACK QR
 per sample and a phase fix that makes R's diagonal positive and real, on the
-same seeded streams as core_linalg.haar_basis_batch and
-core_linalg.haar_overlap_batch, drawn here by hand.
+same seeded stream as core_linalg.haar_basis_batch; and the Jacobi matrix
+model's tridiagonal, built one sample at a time on the same seeded stream
+as core_linalg.haar_cosine_batch.
 """
 
 import numpy as np
 
 
 def gaussian_batch(n, m, samples, seed=0):
-    """the complex Gaussians (samples, n, m) that both samplers factor: all
-    real parts, then all imaginary parts, from one seeded stream"""
+    """the complex Gaussians (samples, n, m) that both basis samplers factor:
+    all real parts, then all imaginary parts, from one seeded stream"""
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((samples, n, m))
             + 1j * rng.standard_normal((samples, n, m)))
 
 
-def _phase_fixed_q(g):
-    "the Q factors of a stack g, phases fixed so that R's diagonal is > 0"
-    q, r = np.linalg.qr(g, mode="reduced")
+def haar_basis_batch_qr(n, m, samples, seed=0):
+    "the Q factors of gaussian_batch, phases fixed so that R's diagonal is > 0"
+    q, r = np.linalg.qr(gaussian_batch(n, m, samples, seed), mode="reduced")
     d = np.diagonal(r, axis1=1, axis2=2).copy()
     d = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
     return q * d[:, None, :]
-
-
-def haar_basis_batch_qr(n, m, samples, seed=0):
-    "the Q factors of gaussian_batch, phases fixed so that R's diagonal is > 0"
-    return _phase_fixed_q(gaussian_batch(n, m, samples, seed))
-
-
-def haar_overlap_batch_qr(n, m, samples, seed=0, rows=None):
-    """the top r x m blocks, r = rows (m by default), of the phase-fixed Q
-    factors of the stacks [G1; T] (samples, r + d, m), d = min(n - r, m):
-    the overlaps with I[:, :r] of Haar bases of G(m, n).  The stacks are
-    filled one entry at a time from one normal buffer (real parts, then
-    imaginary parts; per sample G1 row by row, then T's entries right of its
-    diagonal row by row), then T's diagonal, row i from
-    sqrt(2 Gamma(n - r - i))."""
-    rng = np.random.default_rng(seed)
-    r = m if rows is None else rows
-    d = min(n - r, m)
-    free = [(i, j) for i in range(d) for j in range(i + 1, m)]
-    g = rng.standard_normal((2, samples, r * m + len(free)))
-    z = g[0] + 1j * g[1]
-    stack = np.zeros((samples, r + d, m), dtype=complex)
-    for s in range(samples):
-        for i in range(r):
-            for j in range(m):
-                stack[s, i, j] = z[s, i * m + j]
-        for k, (i, j) in enumerate(free):
-            stack[s, r + i, j] = z[s, r * m + k]
-    for i in range(d):
-        stack[:, r + i, i] = np.sqrt(2 * rng.standard_gamma(n - r - i, samples))
-    return _phase_fixed_q(stack)[:, :r]
 
 
 def haar_cosine_batch_bidiagonal(n, m, samples, seed=0):

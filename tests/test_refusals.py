@@ -16,11 +16,10 @@ import pytest
 
 from grasscode import analysis, bounds, constructions, dims, partitions, zonal
 from grasscode.core_linalg import (Subspace, haar_basis_batch,
-                                   haar_cosine_batch, haar_overlap_batch,
-                                   haar_subspace, principal_angles,
-                                   subspace_from_basis)
+                                   haar_cosine_batch, haar_subspace,
+                                   principal_angles, subspace_from_basis)
 from grasscode.errors import (InexactCoefficient, NumericalHealthError,
-                              OutOfRange)
+                              OutOfRange, VariableCountMismatch)
 from grasscode.sympoly import SymmetricPolynomial, ascending_product
 
 from conftest import random_code
@@ -106,24 +105,6 @@ CASES = [
      lambda c: haar_basis_batch(5, 2, 3, seed=-1)),
     ("haar_basis_batch seed=1.5", OutOfRange,
      lambda c: haar_basis_batch(5, 2, 3, seed=1.5)),
-    ("haar_overlap_batch samples=2.5", OutOfRange,
-     lambda c: haar_overlap_batch(5, 2, 2.5)),
-    ("haar_overlap_batch n=5.0", OutOfRange,
-     lambda c: haar_overlap_batch(5.0, 2, 3)),
-    ("haar_overlap_batch m=0", OutOfRange,
-     lambda c: haar_overlap_batch(5, 0, 3)),
-    ("haar_overlap_batch n < m", OutOfRange,
-     lambda c: haar_overlap_batch(1, 2, 3)),
-    ("haar_overlap_batch seed=True", OutOfRange,
-     lambda c: haar_overlap_batch(5, 2, 3, seed=True)),
-    ("haar_overlap_batch rows < m", OutOfRange,
-     lambda c: haar_overlap_batch(5, 2, 3, rows=1)),
-    ("haar_overlap_batch rows > n", OutOfRange,
-     lambda c: haar_overlap_batch(5, 2, 3, rows=6)),
-    ("haar_overlap_batch rows=True", OutOfRange,
-     lambda c: haar_overlap_batch(5, 1, 3, rows=True)),
-    ("haar_overlap_batch rows=3.0", OutOfRange,
-     lambda c: haar_overlap_batch(5, 2, 3, rows=3.0)),
     ("haar_cosine_batch samples=2.5", OutOfRange,
      lambda c: haar_cosine_batch(5, 2, 2.5)),
     ("haar_cosine_batch n=5.0", OutOfRange,
@@ -157,11 +138,6 @@ CASES = [
      lambda c: zonal.mc_zonal_inner((1,), (1,), 1, 3, 10, seed=1.5)),
     ("mc_zonal_inner seed=True", OutOfRange,
      lambda c: zonal.mc_zonal_inner((1,), (1,), 1, 3, 10, seed=True)),
-    ("mc_function_inner seed=-1", OutOfRange,
-     lambda c: zonal.mc_function_inner(
-         zonal.aggregate_zonal(1, 1, 3), zonal.aggregate_zonal(1, 1, 3),
-         haar_subspace(3, 1, seed=1), haar_subspace(3, 1, seed=2), 10,
-         seed=-1)),
     ("annihilator_sympoly m=True", OutOfRange,
      lambda c: zonal.annihilator_sympoly([0], True)),
     ("annihilator_sympoly root='x'", InexactCoefficient,
@@ -266,6 +242,39 @@ def codes(mub5):
 def test_malformed_number_is_refused(codes, error, call):
     with pytest.raises(error):
         call(codes)
+
+
+def _annihilator(m):
+    "the annihilator of {0} in m variables, a degree-1 f with no expansion"
+    return zonal.annihilator_sympoly([0], m)
+
+
+# kernel_pairing's inputs out of range: refused before any expansion
+PAIRING = [
+    ("kernel_pairing f in 2 variables on G(1,3)", VariableCountMismatch,
+     lambda: zonal.kernel_pairing(_annihilator(2), _annihilator(1), 1, 3)),
+    ("kernel_pairing g in 1 variable on G(2,5)", VariableCountMismatch,
+     lambda: zonal.kernel_pairing(_annihilator(2), _annihilator(1), 2, 5)),
+    ("kernel_pairing 2m > n", OutOfRange,
+     lambda: zonal.kernel_pairing(_annihilator(3), _annihilator(3), 3, 5)),
+    ("kernel_pairing m=0", OutOfRange,
+     lambda: zonal.kernel_pairing(_annihilator(1), _annihilator(1), 0, 5)),
+    ("kernel_pairing n=5.0", OutOfRange,
+     lambda: zonal.kernel_pairing(_annihilator(2), _annihilator(2), 2, 5.0)),
+]
+
+
+@pytest.mark.parametrize("error, call", [c[1:] for c in PAIRING],
+                         ids=[c[0] for c in PAIRING])
+def test_kernel_pairing_refuses_before_any_expansion(error, call,
+                                                     monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an expansion was started")
+
+    monkeypatch.setattr(zonal, "expand_in_zonal", refuse)
+    monkeypatch.setattr(zonal, "zonal_basis", refuse)
+    with pytest.raises(error):
+        call()
 
 
 def test_checked_seeds_keep_their_streams():

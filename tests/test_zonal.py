@@ -7,24 +7,20 @@ import pytest
 
 import grasscode.sympoly as sympoly
 import grasscode.zonal as zonal
-from grasscode.core_linalg import (Subspace, haar_basis_batch,
-                                   haar_cosine_batch, haar_overlap_batch,
+from grasscode.core_linalg import (haar_basis_batch, haar_cosine_batch,
                                    haar_subspace, power_sums,
                                    principal_angles)
 from grasscode.dims import dim_H
-from grasscode.errors import (DimensionMismatch, NumericalHealthError,
-                              OutOfRange, ValidationFailure,
-                              VariableCountMismatch)
+from grasscode.errors import (NumericalHealthError, OutOfRange,
+                              ValidationFailure)
 from grasscode.partitions import Partition, partitions_up_to
 from grasscode.sympoly import SymmetricPolynomial, _power_basis
 from grasscode.zonal import (aggregate_zonal, annihilator_sympoly,
-                             expand_in_zonal, mc_function_inner,
-                             mc_zonal_inner, normalize_zonal, zonal_basis,
-                             zonal_general)
+                             expand_in_zonal, kernel_pairing, mc_zonal_inner,
+                             normalize_zonal, zonal_basis, zonal_general)
 
 from conftest import random_subspace_pair
-from haar_oracle import (haar_basis_batch_qr, haar_cosine_batch_bidiagonal,
-                         haar_overlap_batch_qr)
+from haar_oracle import haar_basis_batch_qr, haar_cosine_batch_bidiagonal
 from monomial_oracle import from_monomial
 from zonal_oracle import zonal_explicit, zonal_recursion
 
@@ -32,6 +28,10 @@ E = Partition(())
 P1 = Partition(1)
 P2 = Partition(2)
 P11 = Partition(1, 1)
+
+# the nine G(m, n) of the benchmark's degree-6 exact sweep
+SWEEP = [(1, 5), (2, 4), (2, 7), (3, 7), (3, 9), (4, 9), (4, 11), (5, 11),
+         (6, 13)]
 
 
 def test_explicit_coefficients():
@@ -186,110 +186,59 @@ def test_mc_draws_follow_the_seeded_svd_route():
 
 def test_mc_sample_counts():
     m, n = 2, 4
-    a, b = haar_subspace(n, m, seed=1), haar_subspace(n, m, seed=2)
-    K = aggregate_zonal(1, m, n)
-    for est, se in (mc_zonal_inner(P1, P2, m, n, 1, seed=3),
-                    mc_function_inner(K, K, a, b, 1, seed=3)):
-        assert np.isfinite(est) and se == float("inf")
+    est, se = mc_zonal_inner(P1, P2, m, n, 1, seed=3)
+    assert np.isfinite(est) and se == float("inf")
     for samples in (0, -1):
         with pytest.raises(OutOfRange):
             mc_zonal_inner(P1, P2, m, n, samples)
-        with pytest.raises(OutOfRange):
-            mc_function_inner(K, K, a, b, samples)
 
 
-@pytest.mark.parametrize("n_b, m_b, m_f, m_g, error", [
-    (8, 3, 3, 3, DimensionMismatch),       # b in C^8, a in C^9
-    (9, 2, 3, 3, DimensionMismatch),       # b in G(2,9), a in G(3,9)
-    (9, 3, 2, 3, VariableCountMismatch),   # f in 2 variables on G(3,9)
-    (9, 3, 3, 2, VariableCountMismatch),   # g in 2 variables on G(3,9)
-])
-def test_mc_function_inner_refuses_mismatched_inputs(n_b, m_b, m_f, m_g,
-                                                     error, monkeypatch):
-    # refused before any sample is drawn; the parent returned a finite
-    # estimate for a 2-variable g on G(3,9) and raised numpy's ValueError
-    # for b in C^8
-    def refuse(*args, **kwargs):
-        raise AssertionError("a Haar sample was drawn")
-
-    monkeypatch.setattr(zonal, "haar_overlap_batch", refuse)
-    a, b = haar_subspace(9, 3, seed=1), haar_subspace(n_b, m_b, seed=2)
-    f, g = aggregate_zonal(2, m_f, 9), aggregate_zonal(2, m_g, 9)
-    with pytest.raises(error):
-        mc_function_inner(f, g, a, b, 100, seed=3)
-
-
-def _plant(monkeypatch, basis, pair=None):
+def _plant(monkeypatch, basis):
     """make the first sample of every block the Haar member `basis`, an
-    n x m matrix, as the sampler draws it: for mc_zonal_inner the real
-    W^dagger W of its top m x m block W (the overlap with I[:, :m]) in place
-    of haar_cosine_batch's T, and for mc_function_inner on the subspaces
-    `pair` its overlap U^dagger basis with their frame U, the left singular
-    vectors of [a b]"""
-    if pair is None:
-        name = "haar_cosine_batch"
-        w = basis[:basis.shape[1]]
-        with np.errstate(invalid="ignore"):   # a NaN or inf member
-            member = (w.conj().T @ w).real
-    else:
-        name = "haar_overlap_batch"
-        U = np.linalg.svd(np.hstack([s.basis for s in pair]),
-                          full_matrices=False)[0]
-        member = U.conj().T @ basis
-    real = getattr(zonal, name)
+    n x m matrix, as mc_zonal_inner's sampler draws it: the real W^dagger W
+    of its top m x m block W (the overlap with I[:, :m]) in place of
+    haar_cosine_batch's T"""
+    w = basis[:basis.shape[1]]
+    with np.errstate(invalid="ignore"):   # a NaN or inf member
+        member = (w.conj().T @ w).real
+    real = zonal.haar_cosine_batch
 
     def planted(*args, **kwargs):
         q = real(*args, **kwargs)
         q[0] = member
         return q
 
-    monkeypatch.setattr(zonal, name, planted)
+    monkeypatch.setattr(zonal, "haar_cosine_batch", planted)
 
 
-@pytest.mark.parametrize("which", ["zonal", "function"])
+# `which` names the Monte Carlo estimate checked in the test ids: mc_zonal_inner
+@pytest.mark.parametrize("which", ["zonal"])
 def test_mc_out_of_range_block_raises(which, monkeypatch):
     # one Haar member planted on the fixed subspace, scaled by 1 + 1e-6:
     # its squared cosines are 1 + 2e-6, past the slack, so they must raise
     # instead of being clipped; mc_zonal_inner draws only the squared
-    # cosines with the fixed subspace, so there the planted T is
-    # I_m (1 + 1e-6)^2
+    # cosines with the fixed subspace, so the planted T is I_m (1 + 1e-6)^2
     m, n = 2, 4
-    a = Subspace(np.eye(n, m, dtype=complex))   # mc_zonal_inner's fixed a
-    b = haar_subspace(n, m, seed=2)
-    _plant(monkeypatch, a.basis * (1 + 1e-6),
-           None if which == "zonal" else (a, b))
-    K = aggregate_zonal(1, m, n)
+    _plant(monkeypatch, np.eye(n, m, dtype=complex) * (1 + 1e-6))
     with pytest.raises(NumericalHealthError):
-        if which == "zonal":
-            mc_zonal_inner(P1, P2, m, n, 100, seed=1)
-        else:
-            mc_function_inner(K, K, a, b, 100, seed=1)
+        mc_zonal_inner(P1, P2, m, n, 100, seed=1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("scale", [1 + 1e-6, np.nan, np.inf, 1 + 1e-9])
-@pytest.mark.parametrize("which", ["zonal", "function"])
+@pytest.mark.parametrize("which", ["zonal"])
 def test_mc_planted_member_range_check(which, scale, m, monkeypatch):
     # the power-sum range check keeps checked_cosines' accept/reject:
     # squared cosines of 1 + 2e-6, NaN or inf raise; 1 + 2e-9 is inside the
     # slack and passes
     n = 2 * m + 1
-    a = Subspace(np.eye(n, m, dtype=complex))
     with np.errstate(invalid="ignore"):
-        _plant(monkeypatch, a.basis * scale,
-               None if which == "zonal" else (a, a))
-    K = aggregate_zonal(2, m, n)
-
-    def run():
-        if which == "zonal":
-            return mc_zonal_inner(P1, P2, m, n, 100, seed=1)
-        return mc_function_inner(K, K, a, a, 100, seed=1)
-
+        _plant(monkeypatch, np.eye(n, m, dtype=complex) * scale)
     if scale == 1 + 1e-9:
-        assert all(np.isfinite(run()))
+        assert all(np.isfinite(mc_zonal_inner(P1, P2, m, n, 100, seed=1)))
     else:
         with pytest.raises(NumericalHealthError):
-            run()
+            mc_zonal_inner(P1, P2, m, n, 100, seed=1)
 
 
 def test_mc_runs_no_eigen_solve(monkeypatch):
@@ -300,9 +249,6 @@ def test_mc_runs_no_eigen_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     est, se = mc_zonal_inner(P1, P2, 3, 9, 2000, seed=5)
     assert abs(est) < 5 * se
-    K = aggregate_zonal(2, 2, 5)
-    a, b = haar_subspace(5, 2, seed=1), haar_subspace(5, 2, seed=2)
-    assert all(np.isfinite(mc_function_inner(K, K, a, b, 500, seed=3)))
 
 
 def test_haar_sampling_runs_no_qr(monkeypatch):
@@ -314,72 +260,72 @@ def test_haar_sampling_runs_no_qr(monkeypatch):
     assert np.abs(Q.conj().swapaxes(-1, -2) @ Q - np.eye(3)).max() < 1e-12
     est, se = mc_zonal_inner(P1, P2, 3, 9, 2000, seed=5)
     assert abs(est) < 5 * se
-    K = aggregate_zonal(2, 2, 5)
-    a, b = haar_subspace(5, 2, seed=1), haar_subspace(5, 2, seed=2)
-    assert all(np.isfinite(mc_function_inner(K, K, a, b, 500, seed=3)))
 
 
 @pytest.mark.parametrize("m, n", [(1, 4), (2, 5), (3, 9)])
 def test_mc_estimates_match_the_qr_oracle_sampler(m, n, monkeypatch):
-    # the same seeds through the oracle samplers -- the bidiagonal built by
-    # hand for mc_zonal_inner, the LAPACK QR for mc_function_inner -- give
-    # the same estimates over three full _MC_BLOCK blocks and a ragged last
-    # one, drawn in order from one seeded stream
+    # the same seeds through the oracle sampler, the bidiagonal built by
+    # hand, give the same estimates over three full _MC_BLOCK blocks and a
+    # ragged last one, drawn in order from one seeded stream
     samples = 3 * zonal._MC_BLOCK + 17
-    K = aggregate_zonal(2, m, n)
-    a, b = haar_subspace(n, m, seed=1), haar_subspace(n, m, seed=2)
 
-    def run(cosines, overlaps):
+    def run(cosines):
         draws = []
 
         def drawn_cosines(n, m, count, rng):
-            draws.append((count, rng, None))
+            draws.append((count, rng))
             return cosines(n, m, count, rng)
 
-        def drawn_overlaps(n, m, count, rng, rows=None):
-            draws.append((count, rng, rows))
-            return overlaps(n, m, count, rng, rows)
-
         monkeypatch.setattr(zonal, "haar_cosine_batch", drawn_cosines)
-        monkeypatch.setattr(zonal, "haar_overlap_batch", drawn_overlaps)
         est = (mc_zonal_inner(P1, P2, m, n, samples, seed=7)
-               + mc_zonal_inner(P2, P2, m, n, samples, seed=8)
-               + mc_function_inner(K, K, a, b, samples, seed=9))
+               + mc_zonal_inner(P2, P2, m, n, samples, seed=8))
         # each estimate: the sample range in order, in blocks of at most
-        # _MC_BLOCK, all drawn from one generator; mc_zonal_inner draws the
-        # cosines alone, mc_function_inner the overlaps with the min(n, 2m)
-        # columns of its frame
-        assert [c for c, _, _ in draws] == ([zonal._MC_BLOCK] * 3 + [17]) * 3
-        for i in (0, 4, 8):
-            assert all(rng is draws[i][1] for _, rng, _ in draws[i:i + 4])
-        assert [r for _, _, r in draws] == [None] * 8 + [min(n, 2 * m)] * 4
+        # _MC_BLOCK, all drawn from one generator
+        assert [c for c, _ in draws] == ([zonal._MC_BLOCK] * 3 + [17]) * 2
+        for i in (0, 4):
+            assert all(rng is draws[i][1] for _, rng in draws[i:i + 4])
         return est
 
-    new = run(haar_cosine_batch, haar_overlap_batch)
-    old = run(haar_cosine_batch_bidiagonal, haar_overlap_batch_qr)
+    new = run(haar_cosine_batch)
+    old = run(haar_cosine_batch_bidiagonal)
     assert np.abs(np.subtract(new, old)).max() < 1e-12
 
 
 @pytest.mark.parametrize("same", [False, True])
-def test_mc_function_inner_has_the_full_basis_law(same):
-    # G(2, 9) has n > 3m: each block draws the 4 x 2 overlaps with the frame
-    # of span(a, b) from a stack of 6 rows, not whole 9 x 2 bases.  Its
-    # estimates agree with full phase-fixed QR bases c read through the SVDs
-    # of a^dagger c and b^dagger c, for a != b and for a = b; two-sample
-    # |z| < 5 at 50,000 samples a side
-    m, n, samples = 2, 9, 50_000
-    a = haar_subspace(n, m, seed=41)
-    b = a if same else haar_subspace(n, m, seed=42)
-    C = haar_basis_batch_qr(n, m, samples, seed=43)
-    ya, yb = (np.linalg.svd(s.basis.conj().T @ C, compute_uv=False) ** 2
-              for s in (a, b))
-    Z1, Z2, Z11 = (zonal_general(mu, m, n) for mu in (P1, P2, P11))
-    K = aggregate_zonal(2, m, n)
-    for f, g in [(Z1, Z1), (Z2, Z11), (Z2, Z2), (K, Z2)]:
-        est, se = mc_function_inner(f, g, a, b, samples, seed=44)
-        v = f.eval_batch(ya) * g.eval_batch(yb)
-        z = (est - v.mean()) / np.hypot(se, v.std(ddof=1) / samples ** 0.5)
-        assert abs(z) < 5, (f, g, est, v.mean(), z)
+def test_kernel_pairing_has_the_full_basis_law(same):
+    # the exact pairing K(y(a, b)) against a Monte Carlo over full
+    # phase-fixed QR bases c, read through the SVDs of a^dagger c and
+    # b^dagger c, for a != b and for a = b (K(1, ..., 1), exact); G(2, 9)
+    # and G(3, 9), two-sample |z| < 5 at 50,000 samples
+    samples = 50_000
+    for m, n in [(2, 9), (3, 9)]:
+        a = haar_subspace(n, m, seed=41)
+        b = a if same else haar_subspace(n, m, seed=42)
+        C = haar_basis_batch_qr(n, m, samples, seed=43 + m)
+        ya, yb = (np.linalg.svd(s.basis.conj().T @ C, compute_uv=False) ** 2
+                  for s in (a, b))
+        Z1, Z2, Z11 = (zonal_general(mu, m, n).poly for mu in (P1, P2, P11))
+        K = aggregate_zonal(2, m, n)
+        A = annihilator_sympoly([Fraction(0), Fraction(1, 3)], m)
+        for f, g in [(Z1, Z1), (Z2, Z11), (Z2, Z2), (K, Z2), (A, Z1)]:
+            pair = kernel_pairing(f, g, m, n)
+            want = float(pair.at_ones() if same
+                         else pair.evaluate(list(principal_angles(a, b))))
+            v = f.eval_batch(ya) * g.eval_batch(yb)
+            z = (v.mean() - want) / (v.std(ddof=1) / samples ** 0.5)
+            assert abs(z) < 5, (m, n, f, g, want, v.mean(), z)
+
+
+@pytest.mark.parametrize("m, n", SWEEP)
+def test_kernel_pairing_at_ones_is_the_mc_zonal_inner(m, n):
+    # <Z_mu, Z_nu> = K(1, ..., 1), against mc_zonal_inner within 5 standard
+    # errors, |mu|, |nu| <= 2, on the nine G(m, n) of the exact sweep
+    basis = zonal_basis(m, n, 2)
+    for i, Zm in enumerate(basis):
+        for Zn in basis[i:]:
+            want = float(kernel_pairing(Zm.poly, Zn.poly, m, n).at_ones())
+            est, se = mc_zonal_inner(Zm.mu, Zn.mu, m, n, 20_000, seed=m * n)
+            assert abs(est - want) <= 5 * se, (m, n, Zm.mu, Zn.mu, est, want)
 
 
 # pinned rational points per (m, n), dense near y = 1 where the power-sum
@@ -418,21 +364,13 @@ def test_mc_orthogonality_3_6():
 
 
 def test_aggregate_reproducing_property():
-    m, n = 2, 4
-    K = aggregate_zonal(2, m, n)
-    a = haar_subspace(n, m, seed=21)
-    b = haar_subspace(n, m, seed=22)
-    y_ab = list(principal_angles(a, b))
-    for mu in (P1, P2):
-        Z = zonal_explicit(mu, m, n)
-        est, se = mc_function_inner(K, Z, a, b, 200_000, seed=23)
-        target = float(Z.evaluate(y_ab))
-        assert abs(est - target) < 5 * se, (mu, est, target, se)
-
-
-# the nine G(m, n) of the benchmark's degree-6 exact sweep
-SWEEP = [(1, 5), (2, 4), (2, 7), (3, 7), (3, 9), (4, 9), (4, 11), (5, 11),
-         (6, 13)]
+    # the degree-3 kernel reproduces every Z_nu, |nu| <= 3, and itself,
+    # exactly, on the nine G(m, n) of the exact sweep
+    for m, n in SWEEP:
+        K = aggregate_zonal(3, m, n)
+        for Z in zonal_basis(m, n, 3):
+            assert kernel_pairing(K, Z.poly, m, n) == Z.poly, (m, n, Z.mu)
+        assert kernel_pairing(K, K, m, n) == K, (m, n)
 
 
 def test_aggregate_at_ones_counts_dimensions():
