@@ -16,9 +16,9 @@ from .bounds import (BoundResult, BoundTable, absolute_code_bound,
 from .constructions import (enumerate_isotropic, extraspecial_code,
                             extraspecial_size, isotropic_count, mub_code,
                             pauli_code)
-from .core_linalg import (Code, Subspace, canonical_pair, chordal_distance,
-                          gram_matrix, haar_subspace, principal_angles,
-                          subspace_from_basis, trace_inner_product)
+from .core_linalg import (Code, Subspace, canonical_pair, gram_matrix,
+                          haar_subspace, principal_angles,
+                          subspace_from_basis)
 from .dims import dim_H, dim_Hk, hom_dim_bound, q_binomial, weyl_dim
 from .errors import (ClusterAmbiguity, GrasscodeError, NumericalHealthError,
                      SizeLimit)
@@ -37,7 +37,7 @@ __all__ = [
     "SchemeReport", "SizeLimit", "Subspace", "SymmetricPolynomial",
     "ZonalExpansion", "ZonalPolynomial",
     "absolute_code_bound", "aggregate_zonal", "angle_classes",
-    "canonical_pair", "check_scheme", "chordal_distance",
+    "canonical_pair", "check_scheme",
     "code_design_exact_size", "code_from_dict", "code_to_dict",
     "design_absolute_bound", "design_strength", "dim_H", "dim_Hk",
     "enumerate_isotropic",
@@ -50,7 +50,7 @@ __all__ = [
     "partitions_of", "partitions_up_to", "pauli_code", "principal_angles",
     "q_binomial", "read_code", "relative_code_bound", "relative_design_bound",
     "scheme_idempotents", "simplex_orthoplex", "size_from_simplex_alpha",
-    "subspace_from_basis", "swap_operator", "trace_inner_product",
+    "subspace_from_basis", "swap_operator",
     "twothree_audit", "two_distance_bound", "weyl_dim", "write_code",
     "zonal_basis", "zonal_general", "__version__",
 ]

@@ -4,7 +4,7 @@ A subspace is carried by an n x m matrix with orthonormal columns.  A pair is
 read off the m x m overlap W = basis_a^dagger basis_b, never the n x n
 projector product (a test oracle only): tr(P_a P_b) = ||W||_F^2, and the
 squared principal-angle cosines are the eigenvalues of G = W^dagger W, which
-squared_overlaps builds by rows (rank-one broadcast products, no matmul).
+squared_overlaps forms as one stacked matmul at every m.
 W_ba = W_ab^dagger, so a code's pair pass forms G once per unordered pair
 and copies the other triangle.  Every float consumer that averages or signs
 a symmetric polynomial of the angles -- a code's PairGeometry, the Monte
@@ -140,24 +140,6 @@ def _svd(x, **kwargs):
         raise NumericalHealthError("SVD not computable: %s" % exc) from None
 
 
-def trace_inner_product(a, b):
-    """tr(P_a P_b) = squared Frobenius norm of the overlap matrix; a
-    non-finite value raises NumericalHealthError"""
-    with np.errstate(invalid="ignore", over="ignore"):
-        tr = float(np.sum(np.abs(_overlap(a, b)) ** 2))
-    if not np.isfinite(tr):
-        raise NumericalHealthError("tr(P_a P_b) is not finite: %r" % tr)
-    return tr
-
-
-def chordal_distance(a, b):
-    """sqrt(m - tr(P_a P_b)) for subspaces of equal dimension; a non-finite
-    value raises NumericalHealthError"""
-    if a.m != b.m:
-        raise DimensionMismatch("subspace dimensions differ: %d vs %d" % (a.m, b.m))
-    return float(np.sqrt(max(a.m - trace_inner_product(a, b), 0.0)))
-
-
 def principal_angles(a, b):
     "squared cosines of the principal angles, descending, range-checked"
     sv = _svd(_overlap(a, b), compute_uv=False)
@@ -167,13 +149,9 @@ def principal_angles(a, b):
 
 
 def squared_overlaps(W):
-    """W^dagger W of a stack (..., k, m) into one contiguous (..., m, m) array:
-    the rank-one broadcast products of W's rows, not a stacked matmul."""
-    G = np.zeros(W.shape[:-2] + W.shape[-1:] * 2, dtype=complex)
+    "W^dagger W of a stack (..., k, m), (..., m, m): one stacked matmul"
     with np.errstate(invalid="ignore", over="ignore"):   # checked downstream
-        for row in np.moveaxis(W, -2, 0):
-            G += row[..., :, None].conj() * row[..., None, :]
-    return G
+        return W.conj().swapaxes(-1, -2) @ W
 
 
 def squared_cosines(G):
@@ -206,12 +184,13 @@ def power_sums(H, t, record=None):
     t >= 1, of a stack of W^dagger W (..., m, m) from squared_overlaps (or
     a real T from haar_cosine_batch), centered in place to H.  tr(H^(a+b))
     is the real inner product of H^a and H^b, so k <= 4 takes one product
-    H^2.  Range check, as checked_cosines': W^dagger W is positive
-    semidefinite, and its eigenvalues are below 1 + ANGLE_SLACK iff (1 +
-    ANGLE_SLACK - CENTER) I - H has a Cholesky factor.  Samuelson's bound
-    (mean + sqrt(m - 1) standard deviations) clears most pairs first; the
-    factorization passes NaN, so the sums must be finite.  Failures are
-    worded by checked_cosines."""
+    H^2, a stacked matmul as in squared_overlaps.  Range check, as
+    checked_cosines': W^dagger W is positive semidefinite, and its
+    eigenvalues are below 1 + ANGLE_SLACK iff (1 + ANGLE_SLACK - CENTER) I -
+    H has a Cholesky factor.  Samuelson's bound (mean + sqrt(m - 1)
+    standard deviations) clears most pairs first; the factorization passes
+    NaN, so the sums must be finite.  Failures are worded by
+    checked_cosines."""
     m, top = H.shape[-1], 1 - float(CENTER) + ANGLE_SLACK
     with np.errstate(invalid="ignore", over="ignore"):
         H[..., range(m), range(m)] -= float(CENTER)

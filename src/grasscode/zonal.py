@@ -239,10 +239,13 @@ def expand_in_zonal(f, m, n, experimental=None):
     """Exact change of basis to the unnormalized zonals: f = sum c_mu Z_mu.
 
     Triangular solve from the top degree down: Z_mu is the only basis
-    element containing X*_mu, so each coefficient peels off in turn.
+    element containing X*_mu, so each coefficient peels off in turn.  f is
+    a SymmetricPolynomial or a ZonalPolynomial, read through its poly.
     (`experimental` is accepted and ignored.)
     """
     check_mn(m, n)
+    if isinstance(f, ZonalPolynomial):
+        f = f.poly
     if f.m != m:
         raise OutOfRange("polynomial has %d variables, expected %d" % (f.m, m))
     deg = f.degree

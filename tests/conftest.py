@@ -26,6 +26,12 @@ def es320():
     return extraspecial_code(3, 2, 0)
 
 
+@pytest.fixture(scope="session")
+def haar9():
+    "60 Haar 9-planes of C^27, the G(9, 27) of es(3,3,2)"
+    return random_code(27, 9, 60, seed=29)
+
+
 def random_code(n, m, N, seed):
     "N independent Haar subspaces as a Code (duplicates astronomically unlikely)"
     B = haar_basis_batch(n, m, N, seed=seed)

@@ -5,12 +5,11 @@ from grasscode.analysis import (inner_product_classes, inner_product_set,
                                 pair_angle_matrix)
 from grasscode.constructions import extraspecial_code, mub_code, pauli_code
 from grasscode.core_linalg import (Code, Subspace, _overlap_pass,
-                                   canonical_pair, chordal_distance,
-                                   gram_matrix, haar_basis_batch,
-                                   haar_cosine_batch, haar_subspace,
-                                   power_sums, principal_angles,
-                                   squared_cosines, squared_overlaps,
-                                   subspace_from_basis, trace_inner_product)
+                                   canonical_pair, gram_matrix,
+                                   haar_basis_batch, haar_cosine_batch,
+                                   haar_subspace, power_sums,
+                                   principal_angles, squared_cosines,
+                                   squared_overlaps, subspace_from_basis)
 from grasscode.errors import (DimensionMismatch, DuplicateMember,
                               NumericalHealthError, OutOfRange, RankDeficient,
                               RankTooLarge)
@@ -23,12 +22,14 @@ from haar_oracle import (gaussian_batch, haar_basis_batch_qr,
 
 
 def test_trace_equals_angle_sum():
+    # tr(P_a P_b) of the n x n projectors against the SVD's squared cosines
     rng = np.random.default_rng(101)
     for n, m in [(4, 1), (5, 2), (7, 3)]:
         for _ in range(20):
             a, b = random_subspace_pair(n, m, rng)
             y = principal_angles(a, b)
-            assert abs(trace_inner_product(a, b) - sum(y)) < 1e-8
+            tr = np.trace(a.projection() @ b.projection())
+            assert abs(tr - sum(y)) < 1e-8
 
 
 def test_unitary_invariance():
@@ -45,10 +46,12 @@ def test_unitary_invariance():
 
 
 def test_chordal_distance_frobenius():
+    # the squared chordal distance m - g_ab, read off gram_matrix, is
+    # half the squared Frobenius distance of the projectors
     rng = np.random.default_rng(103)
     for _ in range(20):
         a, b = random_subspace_pair(6, 3, rng)
-        d2 = chordal_distance(a, b) ** 2
+        d2 = 3 - gram_matrix([a, b])[0, 1]
         frob = 0.5 * np.linalg.norm(a.projection() - b.projection()) ** 2
         assert abs(d2 - frob) < 1e-8
 
@@ -180,7 +183,7 @@ def test_gram_matrix_properties():
     assert np.abs(np.diag(g) - 2.0).max() < 1e-10
     for i in range(6):
         for j in range(6):
-            expect = trace_inner_product(S[i], S[j])
+            expect = principal_angles(S[i], S[j]).sum()
             assert abs(g[i, j] - expect) < 1e-8
 
 
@@ -272,8 +275,7 @@ def test_non_finite_member_fails_the_pair_functions(value):
     basis = a.basis.copy()
     basis[0, 0] = value
     bad = Subspace(basis)
-    for call in (principal_angles, canonical_pair, chordal_distance,
-                 trace_inner_product):
+    for call in (principal_angles, canonical_pair):
         for pair in ((bad, b), (b, bad)):
             with pytest.raises(NumericalHealthError):
                 call(*pair)
@@ -296,10 +298,11 @@ def fresh(S):
     return Code(list(S), check_duplicates=False)
 
 
-@pytest.mark.parametrize("name", ["mub5", "pauli2", "es321"])
+@pytest.mark.parametrize("name", ["mub5", "pauli2", "es321", "haar9"])
 def test_shared_angles_match_per_pair_svd_oracle(name, request):
-    # m = 1 (mub5) reads the gram; m > 1 runs eigvalsh(W^dagger W); the
-    # oracle is the SVD of each overlap, one pair at a time
+    # m = 1 (mub5) reads the gram; m > 1 runs eigvalsh(W^dagger W), up to
+    # m = 9 (haar9); the oracle is the SVD of each overlap, one pair at a
+    # time
     S = fresh(request.getfixturevalue(name))
     Y = pair_angle_matrix(S)
     assert Y.shape == (len(S), len(S), S.m)
@@ -427,7 +430,9 @@ def full_block_pass(bases, form):
 @pytest.mark.parametrize("make, stacks", [
     (lambda: extraspecial_code(3, 2, 1), [7260]),     # one block
     # N m = 2100 > 2000 takes two blocks, of 634 and 66 rows
-    (lambda: random_code(9, 3, 700, seed=17), [243139, 2211])])
+    (lambda: random_code(9, 3, 700, seed=17), [243139, 2211]),
+    # m = 9: N m^2 = 19440 takes two blocks, of 205 and 35 rows
+    (lambda: random_code(27, 9, 240, seed=29), [28290, 630])])
 def test_overlap_pass_forms_each_unordered_pair_once(make, stacks):
     bases = make().bases
     N = len(bases)

@@ -7,6 +7,8 @@ import pytest
 
 import grasscode.sympoly as sympoly
 import grasscode.zonal as zonal
+from grasscode.bounds import (code_design_exact_size, relative_code_bound,
+                              relative_design_bound)
 from grasscode.core_linalg import (haar_basis_batch, haar_cosine_batch,
                                    haar_subspace, power_sums,
                                    principal_angles)
@@ -326,6 +328,31 @@ def test_kernel_pairing_at_ones_is_the_mc_zonal_inner(m, n):
             want = float(kernel_pairing(Zm.poly, Zn.poly, m, n).at_ones())
             est, se = mc_zonal_inner(Zm.mu, Zn.mu, m, n, 20_000, seed=m * n)
             assert abs(est - want) <= 5 * se, (m, n, Zm.mu, Zn.mu, est, want)
+
+
+ZONAL_ENTRIES = {
+    "expand_in_zonal": lambda f: expand_in_zonal(f, 2, 5).coeffs,
+    "kernel_pairing": lambda f: kernel_pairing(f, f, 2, 5),
+    "relative_code_bound": lambda f: relative_code_bound(f, 2, 5),
+    "relative_design_bound": lambda f: relative_design_bound(f, 1, 2, 5),
+    "code_design_exact_size": lambda f: code_design_exact_size(f, 1, 2, 5),
+}
+
+
+@pytest.mark.parametrize("mu", [E, P1, P2])
+@pytest.mark.parametrize("entry", sorted(ZONAL_ENTRIES))
+def test_entries_read_a_zonal_polynomial_through_its_poly(entry, mu):
+    # zonal_general returns a ZonalPolynomial: each entry that expands f in
+    # the zonal basis gives the same result, or the same refusal, for Z as
+    # for Z.poly
+    def outcome(f):
+        try:
+            return ZONAL_ENTRIES[entry](f)
+        except OutOfRange as exc:
+            return type(exc), str(exc)
+
+    Z = zonal_general(mu, 2, 5)
+    assert outcome(Z) == outcome(Z.poly)
 
 
 # pinned rational points per (m, n), dense near y = 1 where the power-sum
