@@ -3,6 +3,7 @@
 All arithmetic is exact (Python ints); results are exact integers.
 """
 
+from functools import cache
 from math import comb, inf
 
 from .errors import (NotDominant, OutOfRange, PartitionTooLong,
@@ -14,7 +15,9 @@ def weyl_dim(lam):
     """Dimension of the U(n) irreducible with highest weight lam.
 
     lam is a weakly decreasing integer vector of length n (entries may be
-    negative).  Product formula: prod_{i<j} (lam_i - lam_j + j - i)/(j - i).
+    negative).  Product formula: prod_{i<j} (lam_i - lam_j + j - i)/(j - i),
+    over the unequal pairs only: an equal pair's factor is 1, and equal
+    weights sit in one run.
     """
     lam = [check_integer(x, "a weight", -inf) for x in lam]
     n = len(lam)
@@ -22,14 +25,21 @@ def weyl_dim(lam):
         raise NotDominant("weight not weakly decreasing: %r" % (lam,))
     num = 1
     den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if lam[i] != lam[j]:      # an equal pair's factor is 1
-                num *= lam[i] - lam[j] + j - i
-                den *= j - i
+    after = n     # the first index past the run of lam[i]
+    for i in range(n - 1, -1, -1):
+        if i + 1 < n and lam[i] != lam[i + 1]:
+            after = i + 1
+        for j in range(after, n):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    return _exact_quotient(num, den, "Weyl product")
+
+
+def _exact_quotient(num, den, what):
+    "num / den as an int; ValidationFailure if it is not one"
     q, r = divmod(num, den)
     if r:
-        raise ValidationFailure("Weyl product %d/%d not integral" % (num, den),
+        raise ValidationFailure("%s %d/%d not integral" % (what, num, den),
                                 num, den)
     return q
 
@@ -38,17 +48,24 @@ def dim_H(mu, n):
     """Dimension of the space H_mu of degree-|mu| irreducible functions on
     lines/subspaces of C^n: the U(n) irrep with highest weight
     (mu, 0, ..., 0, -reverse(mu))."""
-    mu = aspartition(mu)
-    check_integer(n, "n")
-    if 2 * len(mu) > n:
-        raise PartitionTooLong("need 2*len(mu) <= n, got len %d, n %d" % (len(mu), n))
-    lam = mu.pad(n - len(mu)) + [-p for p in reversed(mu.parts)]
-    return weyl_dim(lam)
+    return _dim_H(aspartition(mu).parts, check_integer(n, "n"))
+
+
+@cache
+def _dim_H(parts, n):
+    "dim_H once per (parts, n)"
+    if 2 * len(parts) > n:
+        raise PartitionTooLong("need 2*len(mu) <= n, got len %d, n %d"
+                               % (len(parts), n))
+    return weyl_dim(list(parts) + [0] * (n - 2 * len(parts))
+                    + [-p for p in reversed(parts)])
 
 
 def check_integer(x, name, low=0, need=None):
     """x as an int, the one rule for every integer parameter: any Integral
     but a bool, >= low; else OutOfRange, worded by `need` if given"""
+    if type(x) is int and x >= low:
+        return x
     if not (is_integer(x) and x >= low):
         raise OutOfRange(need or "%s must be an integer >= %s, got %r"
                          % (name, low, x))
@@ -87,8 +104,4 @@ def q_binomial(n, m, q):
     for i in range(m):
         num *= q ** (n - i) - 1
         den *= q ** (m - i) - 1
-    quot, rem = divmod(num, den)
-    if rem:
-        raise ValidationFailure("q-binomial %d/%d not integral" % (num, den),
-                                num, den)
-    return quot
+    return _exact_quotient(num, den, "q-binomial")

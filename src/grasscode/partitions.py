@@ -5,6 +5,7 @@ lexicographically descending on the parts, so degree-2 partitions come out
 as (2) before (1,1) and the full order starts (), (1), (2), (1,1), (3), ...
 """
 
+from functools import cache
 from numbers import Integral
 
 from .errors import OutOfRange
@@ -39,6 +40,13 @@ class Partition:
             raise OutOfRange("parts not weakly decreasing: %r" % (parts,))
         self.parts = parts
 
+    @classmethod
+    def _unchecked(cls, parts):
+        "on `parts` as they are: a weakly decreasing tuple of positive ints"
+        out = cls.__new__(cls)
+        out.parts = parts
+        return out
+
     @property
     def size(self):
         return sum(self.parts)
@@ -56,7 +64,7 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(("Partition", self.parts))
+        return hash(self.parts)
 
     def __repr__(self):
         return "Partition%r" % (self.parts,)
@@ -92,11 +100,9 @@ def partitions_of(k, max_len=None, max_part=None):
     Yielded in lexicographically descending order.
     """
     from .dims import check_integer   # dims imports this module
-    check_integer(k, "k")
-    if max_part is None:
-        max_part = k
-    if max_len is None:
-        max_len = k
+    k = check_integer(k, "k")
+    max_len = k if max_len is None else check_integer(max_len, "max_len")
+    max_part = k if max_part is None else check_integer(max_part, "max_part")
 
     def rec(rem, biggest, room):
         if rem == 0:
@@ -108,11 +114,22 @@ def partitions_of(k, max_len=None, max_part=None):
             for rest in rec(rem - first, first, room - 1):
                 yield (first,) + rest
 
-    return map(Partition, rec(k, max_part, max_len))
+    # weakly decreasing positive parts by construction
+    return map(Partition._unchecked, rec(k, max_part, max_len))
 
 
 def partitions_up_to(t, max_len=None):
-    """All partitions of size <= t with at most max_len parts, canonical order."""
+    """All partitions of size <= t with at most max_len parts, canonical
+    order, as a fresh list (of shared Partitions) on each call."""
     from .dims import check_integer
-    return [mu for k in range(check_integer(t, "t") + 1)
-            for mu in partitions_of(k, max_len=max_len)]
+    t = check_integer(t, "t")
+    if max_len is not None:
+        max_len = check_integer(max_len, "max_len")
+    return list(_partitions_up_to(t, max_len))
+
+
+@cache
+def _partitions_up_to(t, max_len):
+    "partitions_up_to's tuple, built once per (t, max_len)"
+    return tuple(mu for k in range(t + 1)
+                 for mu in partitions_of(k, max_len=max_len))

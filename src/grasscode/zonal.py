@@ -13,8 +13,9 @@ exact construction, zonal_general: the Jacobi determinant ratio of James &
 Constantine, expanded in Schur polynomials and scaled to the constant term
 (-1)^|kappa| [m]_kappa, which reproduces the forms above exactly.  The
 determinant, the Schur norms and [m]_kappa are all integers, so the expansion
-runs on ints and the scale is the one Fraction division per zonal.  That
-table, {Schur shape: Fraction}, is built once per (kappa, m, n) and cached;
+runs on ints, and each coefficient c becomes one Fraction(num c, c0), with
+num / c0 the scale to the constant term.  That table, {Schur shape:
+Fraction}, is built once per (kappa, m, n) and cached;
 every zonal_general call hands out a fresh ZonalPolynomial on its own copy,
 so changing a returned zonal changes nothing else.  The reproducing kernel
 and ZonalExpansion.reconstruct sum their zonals in integers over one common
@@ -152,9 +153,10 @@ def _jacobi_table(kappa, m, n):
     c0 = coeffs.get(_EMPTY, 0)
     if c0 == 0:
         raise UnsupportedPartition("Z_%s has no constant term to scale" % kappa)
-    # everything so far is an integer; the one division is the final scale
-    scale = Fraction((-1) ** kappa.size * hypergeom_coeff(m, kappa), c0)
-    return {lam: scale * c for lam, c in coeffs.items()}
+    # everything so far is an integer; the scale num / c0 makes each
+    # coefficient one Fraction
+    num = (-1) ** kappa.size * hypergeom_coeff(m, kappa)
+    return {lam: Fraction(num * c, c0) for lam, c in coeffs.items()}
 
 
 def _normalizing_scale(Z):

@@ -4,9 +4,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from grasscode.dims import (check_integer, check_mn, dim_H, dim_Hk,
+from grasscode.dims import (_dim_H, check_integer, check_mn, dim_H, dim_Hk,
                             hom_dim_bound, q_binomial, weyl_dim)
-from grasscode.errors import OutOfRange
+from grasscode.errors import OutOfRange, PartitionTooLong
+from grasscode.partitions import Partition, partitions_up_to
 
 
 def test_closed_forms_sweep():
@@ -103,3 +104,49 @@ def test_bad_inputs():
     assert dim_Hk(np.int64(2), np.int64(1), np.int64(4)) == dim_Hk(2, 1, 4)
     with pytest.raises(Exception):
         dim_H((1, 1, 1, 1, 1), 4)  # partition longer than n
+
+
+def _weyl_all_pairs(lam):
+    "the Weyl product over every pair i < j, equal weights included"
+    out = Fraction(1)
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            out *= Fraction(lam[i] - lam[j] + j - i, j - i)
+    return out
+
+
+def test_dim_h_is_the_weyl_product_of_the_padded_weight():
+    # dim_H and weyl_dim pair only unequal weights; the oracle pairs all
+    for n in range(17):
+        for mu in partitions_up_to(8, max_len=n // 2):
+            lam = mu.pad(n - len(mu)) + [-p for p in reversed(mu.parts)]
+            assert dim_H(mu, n) == weyl_dim(lam) == _weyl_all_pairs(lam), \
+                (mu, n)
+    for lam in ([3, 3, 1, 1, 0, -2, -2], [2, 2, 2], [5, 0, 0, 0],
+                [0, 0, -1, -1, -1], [4, 2, 2, 2, -3], [7]):
+        assert weyl_dim(lam) == _weyl_all_pairs(lam), lam
+    for mu in partitions_up_to(7, max_len=5):     # Schur norms
+        assert weyl_dim(mu.pad(5)) == _weyl_all_pairs(mu.pad(5)), mu
+
+
+def test_dim_h_refusals():
+    for mu, n in [((1, 1, 1), 5), ((1,), 1), ((2, 1), 3), ((1,), 0)]:
+        with pytest.raises(PartitionTooLong):
+            dim_H(mu, n)
+    for n in (True, False, 4.0, Fraction(4), -1, "4", None):
+        with pytest.raises(OutOfRange):
+            dim_H((1,), n)
+    for mu in [(1, 2), (-1,), (1.5,)]:
+        with pytest.raises(OutOfRange):
+            dim_H(mu, 6)
+
+
+def test_dim_h_caches_a_numpy_n_under_the_int():
+    mu = (3, 2, 1)
+    d = dim_H(mu, np.int64(37))
+    assert type(d) is int and d == dim_H(mu, 37)
+    before = _dim_H.cache_info()
+    assert dim_H(Partition(mu), np.int32(37)) == dim_H(mu, 37) == d
+    after = _dim_H.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits + 2
