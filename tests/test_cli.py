@@ -630,6 +630,41 @@ def test_check_scheme_outputs_match_golden_bytes(tmp_path, capsys):
         assert out == want, (case["construct"], case["argv"])
 
 
+def _close(got, want, tol=1e-12):
+    "the same JSON document, floats within tol absolute"
+    if isinstance(want, float):
+        return isinstance(got, float) and abs(got - want) <= tol
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(_close(g, w, tol) for g, w in zip(got, want)))
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(_close(got[k], want[k], tol) for k in want))
+    return type(got) is type(want) and got == want
+
+
+def test_angles_outputs_match_golden(tmp_path, capsys):
+    # tests/golden_angles.json holds the stdout of `angles`, text and
+    # --json, on four codes.  The text and the class sizes compare exactly;
+    # the JSON floats to 1e-12 absolute, since a zero class's representative
+    # (about 3e-33 on mub(5)) depends on the BLAS
+    with open(Path(__file__).with_name("golden_angles.json")) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 8
+    path = str(tmp_path / "code.json")
+    for case in golden:
+        run(capsys, "construct", *case["construct"], "-o", path)
+        code, out, err = run(capsys, "angles", path, *case["argv"])
+        assert (code, err) == (0, ""), case["argv"]
+        if "--json" not in case["argv"]:
+            assert out == case["stdout"], case["construct"]
+            continue
+        got, want = json.loads(out), json.loads(case["stdout"])
+        assert ([c["pairs"] for c in got["classes"]]
+                == [c["pairs"] for c in want["classes"]]), case["construct"]
+        assert _close(got, want), case["construct"]
+
+
 def test_verify_design_reports_the_two_design_witness_beyond_its_limit(
         tmp_path, capsys):
     # n^2 = 4225 > TWO_DESIGN_LIMIT: the n^4 witness is not computed, as
