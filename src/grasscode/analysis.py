@@ -7,16 +7,15 @@ tolerance cannot certify the separation and ClusterAmbiguity is raised.  The
 pair arrays are symmetric, so each unordered pair is clustered once.
 Design tests are relative to Z_mu(1,...,1), so they are invariant under
 zonal normalization.  design_strength evaluates zonals on the power sums of
-each pair's squared cosines (PairGeometry.power_sums: traces of powers of
+each pair's squared cosines (Code.power_sums: traces of powers of
 W^dagger W - I/2), so it runs no eigen-solve; only clustering reads the
 angles.  Once a scheme's relations close, its idempotents and design strength
 live in the k-dimensional Bose-Mesner algebra: scheme_idempotents works
 there exactly, on the integer intersection numbers and the rationalized
 class representatives, with no pair pass and no N x N product.
 
-Results are records (NamedTuples and RelationPartition) that nothing
-changes after they are returned; the command line (cli) renders them as
-text and JSON.
+Results are records (NamedTuples) that nothing changes after they are
+returned; the command line (cli) renders them as text and JSON.
 """
 
 import math
@@ -41,11 +40,11 @@ REP_DENOMINATOR_LIMIT = 2048
 
 def pair_angle_matrix(S):
     """Squared principal-angle cosines of every ordered pair, (N, N, m),
-    descending, read-only: the code's shared PairGeometry, computed once.
+    descending, read-only: the code's cached angles, computed once.
     For m = 1 they are the gram; for m > 1, eigvalsh(W^dagger W) of each
     overlap W.  Values outside [-ANGLE_SLACK, 1+ANGLE_SLACK] or NaN raise
     NumericalHealthError instead of being clipped."""
-    return S.geometry.angles()
+    return S.angles()
 
 
 def _split_1d(values, tol):
@@ -78,36 +77,23 @@ def _cluster_vectors(vecs, tol):
     return blocks
 
 
-class RelationPartition:
+class RelationPartition(NamedTuple):
     """Ordered pairs of code members grouped by principal-angle vector.
-    Class 0 is the identity relation (the diagonal); relation matrices are
-    symmetric 0/1 and sum to the all-ones matrix.  spreads[c] is the
-    largest max - min of class c's members over the coordinates."""
-
-    __slots__ = ("N", "m", "reps", "spreads", "assignment")
-
-    def __init__(self, N, m, reps, assignment, spreads):
-        self.N = N
-        self.m = m
-        self.reps = [tuple(float(x) for x in r) for r in reps]
-        self.spreads = [float(x) for x in spreads]
-        self.assignment = assignment
+    Class 0 is the identity relation (the diagonal); assignment (N, N) holds
+    each pair's class, symmetric, so the classes' 0/1 relation matrices sum
+    to the all-ones matrix.  spreads[c] is the largest max - min of class
+    c's members over the coordinates, and sizes[c] its number of ordered
+    pairs (N times its valency)."""
+    N: int
+    m: int
+    reps: list          # [tuple of floats]
+    assignment: np.ndarray
+    spreads: list       # [float]
+    sizes: list         # [int]
 
     @property
     def n_classes(self):
         return len(self.reps)
-
-    def class_size(self, k):
-        return int((self.assignment == k).sum())
-
-    def relation_matrix(self, k):
-        return (self.assignment == k).astype(float)
-
-    def __repr__(self):
-        return ("RelationPartition(N=%d, classes=%s)"
-                % (self.N, ["(%s)x%d" % (",".join("%.4g" % v for v in r),
-                                         self.class_size(k))
-                            for k, r in enumerate(self.reps)]))
 
 
 def _relations(X, identity, tol):
@@ -117,7 +103,8 @@ def _relations(X, identity, tol):
     (each coordinate's mean, summed pairwise down one contiguous column),
     lexicographically descending (closest to the identity first), and
     assigned to both triangles.  Each class's spread comes from the same
-    walk over its members, class 0's from the diagonal."""
+    walk over its members, class 0's from the diagonal; its size is twice
+    its unordered pairs, class 0's N."""
     check_tolerance(tol)
     N = X.shape[0]
     if N < 2:
@@ -129,8 +116,9 @@ def _relations(X, identity, tol):
     reps, spreads = [], []
     for idx in blocks:   # idx is sorted by the last coordinate
         v = cols[:, idx]
-        reps.append(tuple(row.mean() for row in v))
-        spreads.append(max([v[-1, -1] - v[-1, 0], *np.ptp(v[:-1], axis=1)]))
+        reps.append(tuple(float(row.mean()) for row in v))
+        spreads.append(float(max([v[-1, -1] - v[-1, 0],
+                                  *np.ptp(v[:-1], axis=1)])))
     order = sorted(range(len(blocks)), key=lambda j: reps[j], reverse=True)
     labels = np.empty(len(flat), dtype=np.int64)
     for c, j in enumerate(order, 1):
@@ -140,7 +128,8 @@ def _relations(X, identity, tol):
     diag = X[range(N), range(N)]
     return RelationPartition(
         N, X.shape[2], [identity] + [reps[j] for j in order], upper + upper.T,
-        [np.ptp(diag, axis=0).max()] + [spreads[j] for j in order])
+        [float(np.ptp(diag, axis=0).max())] + [spreads[j] for j in order],
+        [N] + [2 * len(blocks[j]) for j in order])
 
 
 def angle_classes(S, tol=1e-8):
@@ -178,7 +167,7 @@ def design_strength(S, t_max=2, tol=1e-8):
     The basis goes to power sums from the top degree down, so that one
     cached change of basis serves every degree."""
     check_tolerance(tol)
-    P = S.geometry.power_sums(max(t_max, 1))
+    P = S.power_sums(max(t_max, 1))
     basis = zonal_basis(S.m, S.n, t_max)
     for Z in reversed(basis):
         Z.poly.to_power_sums()
@@ -216,6 +205,8 @@ def is_two_design(S, tol=1e-8):
     (ab, cd)."""
     check_tolerance(tol)
     n, m = S.n, S.m
+    if n < 2:   # the target's n(n^2 - 1) is 0
+        raise OutOfRange("a two-design needs n >= 2, got n = %d" % n)
     if n * n > TWO_DESIGN_LIMIT:
         raise SizeLimit("n^2 = %d exceeds the limit %d" % (n * n, TWO_DESIGN_LIMIT))
     B = S.bases
@@ -250,8 +241,8 @@ def check_scheme(R):
         raise OutOfRange("need at least 2 relation classes")
     k = R.n_classes
     labels = R.assignment.ravel()
-    counts = np.bincount(labels, minlength=k)
-    A = {c: R.relation_matrix(c) for c in range(1, k)}
+    counts = np.array(R.sizes)
+    A = {c: (R.assignment == c).astype(float) for c in range(1, k)}
     worst = 0.0
     inums = np.zeros((k, k, k), dtype=np.int64)
     inums[:, 0, :] = inums[:, :, 0] = np.eye(k, dtype=np.int64)

@@ -7,8 +7,8 @@ simplex/orthoplex separation thresholds, and the combined bound table.
 
 Every value is a Fraction; floating point never enters (a float alpha or beta
 is refused), so results are bit-identical across runs.  The one float step is
-the optional check of a supplied code, which reads the code's shared pair
-geometry.  A bound that fails its regime conditions is still reported, with
+the optional check of a supplied code, which reads the code's cached pair
+power sums.  A bound that fails its regime conditions is still reported, with
 per-condition margins, and marked not applicable.
 
 Results are records (BoundResult, BoundTable's cells); the command line
@@ -108,8 +108,7 @@ def _zonal_sign_check(f, m, n, t=None, code=None):
             raise DimensionMismatch("code in G(%d,%d), bound for G(%d,%d)"
                                     % (code.m, code.n, m, n))
         i, j = np.triu_indices(len(code), 1)
-        vals = f.eval_power_sums(
-            code.geometry.power_sums(max(f.degree, 1))[i, j])
+        vals = f.eval_power_sums(code.power_sums(max(f.degree, 1))[i, j])
         holds = True
         if vals.size:
             # the decisive pair is recomputed through the independent
@@ -128,8 +127,8 @@ def relative_code_bound(f, m, n, code=None):
     The sign conditions are checked exactly from the zonal expansion.  The
     nonpositivity hypothesis is checked numerically when a code is supplied
     (a plain list of subspaces is made a Code): f is evaluated once on the
-    power sums of every distinct pair from the code's shared PairGeometry
-    (no eigen-solve), and the pair where it is largest is confirmed through
+    power sums of every distinct pair, cached on the code (Code.power_sums,
+    no eigen-solve), and the pair where it is largest is confirmed through
     principal_angles.  Otherwise it is recorded as the caller's obligation.
     """
     return _result("relative code bound",

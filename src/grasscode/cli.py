@@ -223,18 +223,16 @@ def _cmd_angles(args):
         doc = {
             "members": len(S), "m": S.m, "n": S.n,
             "inner_products": [float(v) for v in ips],
-            "classes": [{"representative": list(R.reps[k]),
-                         "pairs": R.class_size(k)}
-                        for k in range(R.n_classes)],
+            "classes": [{"representative": list(rep), "pairs": size}
+                        for rep, size in zip(R.reps, R.sizes)],
         }
         _emit(args, json.dumps(doc, sort_keys=True))
         return 0
     lines = ["%d subspaces in G(%d,%d)" % (len(S), S.m, S.n),
              "inner products: {%s}" % ", ".join("%.10g" % v for v in ips)]
-    for k in range(R.n_classes):
+    for k, (rep, size) in enumerate(zip(R.reps, R.sizes)):
         lines.append("class %d: y = (%s), %d pairs"
-                     % (k, ", ".join("%.10g" % v for v in R.reps[k]),
-                        R.class_size(k)))
+                     % (k, ", ".join("%.10g" % v for v in rep), size))
     _emit(args, "\n".join(lines))
     return 0
 
@@ -246,7 +244,7 @@ def _cmd_gram(args):
         _emit(args, json.dumps({"gram": [[float(x) for x in row] for row in g]}))
     else:
         _emit(args, np.array2string(g, precision=6, suppress_small=True,
-                                    threshold=10000, max_line_width=200))
+                                    threshold=g.size, max_line_width=200))
     return 0
 
 

@@ -7,7 +7,7 @@ squared principal-angle cosines are the eigenvalues of G = W^dagger W, which
 squared_overlaps forms as one stacked matmul at every m.
 W_ba = W_ab^dagger, so a code's pair pass forms G once per unordered pair
 and copies the other triangle.  Every float consumer that averages or signs
-a symmetric polynomial of the angles -- a code's PairGeometry, the Monte
+a symmetric polynomial of the angles -- a Code's pair cache, the Monte
 Carlo sampler -- reads the power sums tr(G^k) from power_sums,
 range-checked by a batched Cholesky factorization; only clustering reads
 the angles, from the same G (squared_cosines, checked_cosines).
@@ -251,67 +251,6 @@ def canonical_pair(a, b):
     return ua @ ma, ua @ mb
 
 
-class PairGeometry:
-    """A code's tr(P_a P_b) (gram), squared principal-angle cosines (angles,
-    (N, N, m), descending) and power_sums (N, N, min(t, m)) of all ordered
-    pairs.  Each request forms only its own array, in one pass on first use
-    (power_sums again for a larger t), range-checked and kept read-only; at
-    m = 1 the angles are the gram, the power sums the angles less CENTER.
-    `excursion` is how far the worst angle lay outside [0, 1].  The first
-    gram kept checks the code as a set (check_duplicates), after the range
-    check of its pass, so a non-finite member fails the range check."""
-
-    __slots__ = ("bases", "check_duplicates", "_gram", "_angles", "_sums",
-                 "excursion")
-
-    def __init__(self, bases, check_duplicates=True):
-        self.bases = bases
-        self.check_duplicates = check_duplicates
-        self._gram = self._angles = self._sums = self.excursion = None
-
-    def gram(self):
-        if self._gram is None:
-            self._keep(_overlap_pass(self.bases)[0])
-        return self._gram
-
-    def angles(self):
-        if self._angles is None:
-            m = self.bases.shape[2]
-            gram, y = (self._line_pass() if m == 1 else
-                       _overlap_pass(self.bases, squared_cosines))
-            self._angles = self._keep(gram, checked_cosines(y, self))
-        return self._angles
-
-    def power_sums(self, t):
-        m = self.bases.shape[2]
-        k = min(check_integer(t, "t", 1), m)
-        if self._sums is None or self._sums.shape[-1] < k:
-            gram, p = (self._line_pass() if m == 1 else _overlap_pass(
-                self.bases, lambda G: power_sums(G, k, self)))
-            p = checked_cosines(p, self) - float(CENTER) if m == 1 else p
-            self._sums = self._keep(gram, p)
-        return self._sums[..., :k]
-
-    def _line_pass(self):
-        "at m = 1 cos^2 = |a^dagger b|^2: (gram, angles), no pass once kept"
-        gram = _overlap_pass(self.bases)[0] if self._gram is None else self._gram
-        return gram, gram[:, :, None]
-
-    def _keep(self, gram, out=None):
-        """keep the first gram, refusing two members that span one subspace;
-        returns `out`, the checked array of the same pass, read-only"""
-        if self._gram is None and self.check_duplicates:
-            off = np.where(np.eye(len(gram), dtype=bool), -np.inf, gram)
-            i, j = np.unravel_index(np.argmax(off), off.shape)
-            if not off[i, j] <= self.bases.shape[2] - DUP_SLACK:   # NaN fails
-                raise DuplicateMember("members %d and %d coincide or are not "
-                                      "finite (tr = %.12g)" % (i, j, off[i, j]))
-        self._gram = gram if self._gram is None else self._gram
-        if out is not None:
-            out.flags.writeable = False
-        return out
-
-
 def _overlap_pass(bases, form=None):
     """One GEMM per block of rows a forms the overlaps W = A^dagger B with
     every b >= the block's first row.  Returns the gram ||W||_F^2 and
@@ -344,15 +283,29 @@ def _overlap_pass(bases, form=None):
 
 class Code:
     """A finite set of equi-dimensional subspaces of a common C^n, held as
-    one read-only array `bases` (N, n, m), so the cached PairGeometry cannot
-    go stale.  Built from that array or from a list of Subspaces.  Two
-    members spanning one subspace are refused at the first pair request
-    (DuplicateMember), unless check_duplicates is False."""
+    one read-only array `bases` (N, n, m), so its pair cache cannot go
+    stale.  Built from that array or from a list of Subspaces.
 
-    __slots__ = ("bases", "labels", "geometry")
+    The pair cache holds the tr(P_a P_b) (gram), squared principal-angle
+    cosines (angles, (N, N, m), descending) and power_sums (N, N, min(t,
+    m)) of all ordered pairs.  Each request forms only its own array, in
+    one pass on first use (power_sums again for a larger t), range-checked
+    and kept read-only; at m = 1 the angles are the gram, the power sums
+    the angles less CENTER.  `excursion` is how far the worst angle lay
+    outside [0, 1].  The first gram kept checks the code as a set, after
+    the range check of its pass, so a non-finite member fails the range
+    check: two members spanning one subspace raise DuplicateMember, unless
+    check_duplicates is False."""
+
+    __slots__ = ("bases", "labels", "check_duplicates", "excursion",
+                 "_gram", "_angles", "_sums")
 
     def __init__(self, bases, labels=None, check_duplicates=True):
         if not isinstance(bases, np.ndarray):   # Subspaces
+            bases = list(bases)
+            if not all(isinstance(s, Subspace) for s in bases):
+                raise DimensionMismatch("a code is built from one array of "
+                                        "bases (N, n, m) or a list of Subspaces")
             bases = [s.basis for s in bases]
             shapes = {b.shape for b in bases}
             if len(shapes) > 1:
@@ -368,7 +321,8 @@ class Code:
         bases.flags.writeable = False
         self.bases = bases
         self.labels = labels
-        self.geometry = PairGeometry(bases, check_duplicates)
+        self.check_duplicates = check_duplicates
+        self._gram = self._angles = self._sums = self.excursion = None
 
     @property
     def n(self):
@@ -390,14 +344,54 @@ class Code:
     def __repr__(self):
         return "Code(N=%d, G(%d,%d))" % (len(self), self.m, self.n)
 
+    def gram(self):
+        if self._gram is None:
+            self._keep(_overlap_pass(self.bases)[0])
+        return self._gram
+
+    def angles(self):
+        if self._angles is None:
+            gram, y = (self._line_pass() if self.m == 1 else
+                       _overlap_pass(self.bases, squared_cosines))
+            self._angles = self._keep(gram, checked_cosines(y, self))
+        return self._angles
+
+    def power_sums(self, t):
+        k = min(check_integer(t, "t", 1), self.m)
+        if self._sums is None or self._sums.shape[-1] < k:
+            gram, p = (self._line_pass() if self.m == 1 else _overlap_pass(
+                self.bases, lambda G: power_sums(G, k, self)))
+            p = checked_cosines(p, self) - float(CENTER) if self.m == 1 else p
+            self._sums = self._keep(gram, p)
+        return self._sums[..., :k]
+
+    def _line_pass(self):
+        "at m = 1 cos^2 = |a^dagger b|^2: (gram, angles), no pass once kept"
+        gram = _overlap_pass(self.bases)[0] if self._gram is None else self._gram
+        return gram, gram[:, :, None]
+
+    def _keep(self, gram, out=None):
+        """keep the first gram, refusing two members that span one subspace;
+        returns `out`, the checked array of the same pass, read-only"""
+        if self._gram is None and self.check_duplicates:
+            off = np.where(np.eye(len(gram), dtype=bool), -np.inf, gram)
+            i, j = np.unravel_index(np.argmax(off), off.shape)
+            if not off[i, j] <= self.m - DUP_SLACK:   # NaN fails
+                raise DuplicateMember("members %d and %d coincide or are not "
+                                      "finite (tr = %.12g)" % (i, j, off[i, j]))
+        self._gram = gram if self._gram is None else self._gram
+        if out is not None:
+            out.flags.writeable = False
+        return out
+
 
 def gram_matrix(S):
-    """Symmetric matrix of trace inner products tr(P_a P_b): the gram of the
-    code's cached PairGeometry (read-only).  A plain list of subspaces is
-    made a Code first, duplicate check included."""
+    """Symmetric matrix of trace inner products tr(P_a P_b): the code's
+    cached gram (read-only).  A plain list of subspaces is made a Code
+    first, duplicate check included."""
     if not isinstance(S, Code):
         S = Code(S)
-    return S.geometry.gram()
+    return S.gram()
 
 
 def haar_subspace(n, m, seed=0):

@@ -5,7 +5,8 @@ All N(N - 1) off-diagonal rows are clustered by recursive coordinate
 splitting, single linkage per coordinate with the 3*tol ambiguity band, and
 each class representative is the mean of its rows down axis 0.  Returns the
 assignment (class 0 the diagonal, the rest ordered by representative,
-lexicographically descending) and the representatives.
+lexicographically descending) and the representatives.  relation_matrix
+is a class's N x N 0/1 matrix, as a float array.
 """
 
 import numpy as np
@@ -33,6 +34,11 @@ def cluster_labels(vecs, tol):
     for k, idx in enumerate(blocks):
         labels[idx] = k
     return labels, len(blocks)
+
+
+def relation_matrix(R, k):
+    "the 0/1 relation matrix A_k of a RelationPartition's class k"
+    return (R.assignment == k).astype(float)
 
 
 def ordered_pair_relations(X, identity, tol):

@@ -15,6 +15,8 @@ from grasscode.analysis import (IdempotentReport, design_strength,
 from grasscode.partitions import Partition
 from grasscode.zonal import normalize_zonal, zonal_basis
 
+from relations_oracle import relation_matrix
+
 
 def dense_scheme_idempotents(S, R, t=2, tol=1e-8):
     """Build E_mu = Z_mu(y(a,b))/|S| from normalized zonals for |mu| <= t and
@@ -25,7 +27,7 @@ def dense_scheme_idempotents(S, R, t=2, tol=1e-8):
     whether the measured strength, tested up to 2t, certifies it.  For the
     coarse relations the eigen-relation A'_c E'_i ~ E'_i is also measured."""
     N = len(S)
-    P = S.geometry.power_sums(max(2 * t, 1))
+    P = S.power_sums(max(2 * t, 1))
     Es = {}
     for Z in zonal_basis(S.m, S.n, t):
         Es[Z.mu] = normalize_zonal(Z).eval_power_sums(P) / N
@@ -47,7 +49,7 @@ def dense_scheme_idempotents(S, R, t=2, tol=1e-8):
     for i in degrees:
         Ei = sum(Es[mu] for mu in mus if mu.size == i)
         for c in range(coarse_R.n_classes):
-            A = coarse_R.relation_matrix(c)
+            A = relation_matrix(coarse_R, c)
             M = A @ Ei
             lam = float((M * Ei).sum() / max((Ei * Ei).sum(), 1e-300))
             # eigenvalues of A on the algebra are bounded by the class

@@ -21,35 +21,46 @@ from grasscode.partitions import Partition
 from grasscode.zonal import zonal_basis
 
 from conftest import random_code
-from relations_oracle import ordered_pair_relations
+from relations_oracle import ordered_pair_relations, relation_matrix
 
 
 def test_partition_invariants_hold_exactly(pauli2):
     R = angle_classes(pauli2)
     N = R.N
-    total = sum(R.relation_matrix(k) for k in range(R.n_classes))
+    total = sum(relation_matrix(R, k) for k in range(R.n_classes))
     assert np.array_equal(total, np.ones((N, N)))
-    assert np.array_equal(R.relation_matrix(0), np.eye(N))
-    assert sum(R.class_size(k) for k in range(R.n_classes)) == N * N
-    assert R.class_size(0) == N
+    assert np.array_equal(relation_matrix(R, 0), np.eye(N))
+    assert sum(R.sizes) == N * N
+    assert R.sizes[0] == N
 
 
 def test_partition_invariants_random_code():
     S = random_code(6, 2, 12, seed=601)
     R = angle_classes(S)
-    total = sum(R.relation_matrix(k) for k in range(R.n_classes))
+    total = sum(relation_matrix(R, k) for k in range(R.n_classes))
     assert np.array_equal(total, np.ones((12, 12)))
-    assert np.array_equal(R.relation_matrix(0), np.eye(12))
+    assert np.array_equal(relation_matrix(R, 0), np.eye(12))
     # generic angle vectors are distinct, but (a,b) and (b,a) always share
     # one: each unordered pair is its own class
     assert R.n_classes == 12 * 11 // 2 + 1
 
 
+@pytest.mark.parametrize("name", ["pauli2", "mub5", "es321", "es320"])
+@pytest.mark.parametrize("classes", [angle_classes, inner_product_classes])
+def test_relation_partition_is_a_record_of_its_class_sizes(name, classes,
+                                                          request):
+    R = classes(request.getfixturevalue(name))
+    assert R.sizes == np.bincount(R.assignment.ravel()).tolist()
+    for field in RelationPartition._fields:
+        with pytest.raises(AttributeError):
+            setattr(R, field, None)
+
+
 def test_pauli_angle_classes_frozen(pauli2):
     R = angle_classes(pauli2)
     assert R.n_classes == 4
-    got = {tuple(round(v, 6) for v in rep): R.class_size(k)
-           for k, rep in enumerate(R.reps)}
+    got = {tuple(round(v, 6) for v in rep): size
+           for rep, size in zip(R.reps, R.sizes)}
     assert got == {(1.0, 1.0): 30, (1.0, 0.0): 360,
                    (0.5, 0.5): 480, (0.0, 0.0): 30}
 
@@ -269,7 +280,7 @@ def brute_force_closure(A, k):
 
 def labelling_partition(A, k):
     return RelationPartition(len(A), 1, [(float(c),) for c in range(k)], A,
-                             [0.0] * k)
+                             [0.0] * k, np.bincount(A.ravel()).tolist())
 
 
 def test_check_scheme_matches_brute_force_counts(pauli2):
@@ -404,7 +415,7 @@ def test_design_strength_runs_no_eigen_solve(name, request, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert design_strength(S, t_max=3) == want
-    assert S.geometry.power_sums(3).shape == (len(S), len(S), min(3, S.m))
+    assert S.power_sums(3).shape == (len(S), len(S), min(3, S.m))
 
 
 @pytest.mark.parametrize("name", ["mub5", "pauli2", "es321"])
@@ -422,7 +433,7 @@ def test_design_strength_planted_member_range_check(name, scale, request):
     with pytest.raises(NumericalHealthError):
         design_strength(T, t_max=2)
     if np.isfinite(scale):   # recorded by the failing block
-        assert abs(T.geometry.excursion - (scale ** 4 - 1)) < 1e-12
+        assert abs(T.excursion - (scale ** 4 - 1)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["mub5", "pauli2", "es321"])
@@ -430,7 +441,7 @@ def test_power_sums_match_the_angles(name, request):
     # two routes to the same numbers: tr((G - I/2)^k) against the sums of
     # (y - 1/2)^k over the clipped eigenvalues; exactly symmetric in the pair
     S = Code(list(request.getfixturevalue(name)), check_duplicates=False)
-    P = S.geometry.power_sums(5)
+    P = S.power_sums(5)
     Y = pair_angle_matrix(S) - 0.5
     want = np.stack([(Y ** k).sum(-1) for k in range(1, min(5, S.m) + 1)], -1)
     assert P.shape == want.shape and np.abs(P - want).max() < 1e-12
@@ -458,14 +469,15 @@ def assert_matches_the_ordered_pair_oracle(X, identity, tol):
                for a, b in zip(r, s)) < 1e-12
     for c in range(got.n_classes):   # spread: the exact max - min of its pairs
         assert got.spreads[c] == np.ptp(X[assignment == c], axis=0).max()
+    assert got.sizes == np.bincount(assignment.ravel()).tolist()
     return got
 
 
 @pytest.mark.parametrize("name", ["pauli2", "mub5", "es321", "es320"])
 def test_relations_match_the_ordered_pair_oracle(name, request):
     S = request.getfixturevalue(name)
-    for X, identity in ((S.geometry.angles(), (1.0,) * S.m),
-                        (S.geometry.gram()[:, :, None], (float(S.m),))):
+    for X, identity in ((S.angles(), (1.0,) * S.m),
+                        (S.gram()[:, :, None], (float(S.m),))):
         R = assert_matches_the_ordered_pair_oracle(X, identity, 1e-8)
         assert max(R.spreads) < 1e-14
 
@@ -473,13 +485,13 @@ def test_relations_match_the_ordered_pair_oracle(name, request):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_relations_match_the_oracle_on_random_codes(m):
     S = random_code(7, m, 30, seed=640 + m)
-    X = S.geometry.angles()
+    X = S.angles()
     # the widest gap g of the first coordinate lies in the band at tol = g/2
     g = float(np.diff(np.unique(X[np.triu_indices(30, 1)][:, 0])).max())
     outcomes = []
     for tol in (1e-8, 1e-2, 0.3, g / 2):
         for Y, identity in ((X, (1.0,) * m),
-                            (S.geometry.gram()[:, :, None], (float(m),))):
+                            (S.gram()[:, :, None], (float(m),))):
             got = assert_matches_the_ordered_pair_oracle(Y, identity, tol)
             outcomes.append(got if isinstance(got, str) else got.n_classes)
     assert outcomes[:2] == [436, 436] and outcomes[4:6] == [2, 2]

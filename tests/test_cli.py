@@ -158,6 +158,21 @@ def test_file_commands_text_output(tmp_path, capsys, command, needle):
     assert out.startswith(needle)
 
 
+def test_gram_text_holds_every_entry(tmp_path, capsys):
+    # mub(11) has N = 132, so N^2 entries exceed numpy's default summary
+    # threshold: the text, to stdout or to -o, is still the whole gram
+    path, out_path = str(tmp_path / "mub11.json"), tmp_path / "gram.txt"
+    run(capsys, "construct", "mub", "--p", "11", "-o", path)
+    code, out, err = run(capsys, "gram", path)
+    assert (code, err) == (0, "") and "..." not in out
+    assert run(capsys, "gram", path, "-o", str(out_path)) == (0, "", "")
+    assert out_path.read_text() == out
+    got = np.array(out.replace("[", " ").replace("]", " ").split(), float)
+    want = np.array(json.loads(run(capsys, "gram", path, "--json")[1])["gram"])
+    assert want.shape == (132, 132)
+    assert np.abs(got.reshape(want.shape) - want).max() < 1e-6
+
+
 def test_gram_json(tmp_path, capsys):
     path = tmp_path / "m3.json"
     run(capsys, "construct", "mub", "--p", "3", "-o", str(path))

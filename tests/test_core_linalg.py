@@ -294,7 +294,7 @@ def test_non_finite_basis_fails_the_tolerance_checks():
 
 
 def fresh(S):
-    "the same members in a new Code, so its pair geometry is not yet cached"
+    "the same members in a new Code, so its pair cache is empty"
     return Code(list(S), check_duplicates=False)
 
 
@@ -309,7 +309,7 @@ def test_shared_angles_match_per_pair_svd_oracle(name, request):
     worst = max(np.abs(Y[i, j] - principal_angles(S[i], S[j])).max()
                 for i in range(len(S)) for j in range(len(S)))
     assert worst < 1e-12
-    assert S.geometry.excursion < 1e-12
+    assert S.excursion < 1e-12
 
 
 def test_gram_only_requests_run_no_eigen_solve(pauli2, monkeypatch):
@@ -324,15 +324,16 @@ def test_gram_only_requests_run_no_eigen_solve(pauli2, monkeypatch):
     inner_product_set(S)
     inner_product_classes(S)
     assert calls == ["gram"]   # no W^dagger W is formed
-    assert S.geometry.excursion is None   # no angles were formed
+    assert S.excursion is None   # no angles were formed
     assert np.abs(np.diag(g) - S.m).max() < 1e-12
 
 
 def test_angles_then_gram_runs_one_pass(pauli2, monkeypatch):
     S = fresh(pauli2)
+    assert not hasattr(S, "geometry")   # the code holds its own pair cache
     calls = counting_kernel(monkeypatch)
-    Y = S.geometry.angles()
-    g = S.geometry.gram()
+    Y = S.angles()
+    g = S.gram()
     assert calls == ["angles"]
     assert np.abs(Y.sum(-1) - g).max() < 1e-12
     assert not (Y.flags.writeable or g.flags.writeable)
@@ -341,13 +342,13 @@ def test_angles_then_gram_runs_one_pass(pauli2, monkeypatch):
 def test_power_sums_pass_again_only_for_a_larger_degree(monkeypatch):
     S = random_code(8, 4, 6, seed=5)
     calls = counting_kernel(monkeypatch)
-    P2 = S.geometry.power_sums(2)
-    P4 = S.geometry.power_sums(4)
-    P3 = S.geometry.power_sums(3)
+    P2 = S.power_sums(2)
+    P4 = S.power_sums(4)
+    P3 = S.power_sums(3)
     assert calls == [("sums", 2), ("sums", 4)]
     assert P2.shape == (6, 6, 2) and np.abs(P4[..., :2] - P2).max() < 1e-12
     assert np.array_equal(P3, P4[..., :3]) and not P4.flags.writeable
-    assert S.geometry.angles().shape == (6, 6, 4)
+    assert S.angles().shape == (6, 6, 4)
     assert calls == [("sums", 2), ("sums", 4), "angles"]
 
 
@@ -356,10 +357,10 @@ def test_line_code_requests_share_the_gram(mub5, monkeypatch):
     # CENTER: one pass for all three, and an angle request keeps no sums
     S = fresh(mub5)
     calls = counting_kernel(monkeypatch)
-    Y = S.geometry.angles()
-    assert S.geometry._sums is None
-    P = S.geometry.power_sums(3)
-    g = S.geometry.gram()
+    Y = S.angles()
+    assert S._sums is None
+    P = S.power_sums(3)
+    g = S.gram()
     assert calls == ["gram"]
     assert P.shape == Y.shape == (len(S), len(S), 1)
     assert np.array_equal(P, Y - 0.5) and np.array_equal(Y[..., 0], g)
@@ -369,10 +370,10 @@ def test_power_sums_refuse_degree_below_one(pauli2):
     S = fresh(pauli2)
     for t in (0, -1):
         with pytest.raises(OutOfRange):
-            S.geometry.power_sums(t)
-    S.geometry.power_sums(2)
+            S.power_sums(t)
+    S.power_sums(2)
     with pytest.raises(OutOfRange):
-        S.geometry.power_sums(0)
+        S.power_sums(0)
 
 
 @pytest.mark.parametrize("name", ["mub5", "pauli2"])
@@ -385,8 +386,8 @@ def test_non_finite_member_fails_the_range_check_first(name, request_kind,
     with np.errstate(invalid="ignore"):
         planted = Subspace(S[0].basis * np.nan)
     T = Code([planted] + list(S)[1:], check_duplicates=True)
-    ask = (T.geometry.angles if request_kind == "angles"
-           else lambda: T.geometry.power_sums(2))
+    ask = (T.angles if request_kind == "angles"
+           else lambda: T.power_sums(2))
     with pytest.raises(NumericalHealthError):
         ask()
 
@@ -400,9 +401,9 @@ def test_out_of_range_squared_cosine_raises(name, scale, request):
     with pytest.raises(NumericalHealthError):
         pair_angle_matrix(T)
     if np.isfinite(scale):   # the diagonal pair has cos^2 = scale^4
-        assert abs(T.geometry.excursion - (scale ** 4 - 1)) < 1e-12
+        assert abs(T.excursion - (scale ** 4 - 1)) < 1e-12
     else:
-        assert np.isnan(T.geometry.excursion)
+        assert np.isnan(T.excursion)
 
 
 def full_block_pass(bases, form):

@@ -7,7 +7,9 @@ is no rational, OutOfRange for a bool); tolerances pass
 core_linalg.check_tolerance (OutOfRange); a Haar seed that is no numpy
 Generator passes check_integer on its way to numpy; a basis entry that is
 not finite is OutOfRange, and a finite one so large that a squared cosine
-overflows is NumericalHealthError."""
+overflows is NumericalHealthError.  Inputs outside a function's domain
+share the table: a Code from items that are no Subspaces is
+DimensionMismatch, and the two-design test in C^1 OutOfRange."""
 
 from fractions import Fraction
 
@@ -15,11 +17,12 @@ import numpy as np
 import pytest
 
 from grasscode import analysis, bounds, constructions, dims, partitions, zonal
-from grasscode.core_linalg import (Subspace, haar_basis_batch,
+from grasscode.core_linalg import (Code, Subspace, haar_basis_batch,
                                    haar_cosine_batch, haar_subspace,
                                    principal_angles, subspace_from_basis)
-from grasscode.errors import (InexactCoefficient, NumericalHealthError,
-                              OutOfRange, VariableCountMismatch)
+from grasscode.errors import (DimensionMismatch, InexactCoefficient,
+                              NumericalHealthError, OutOfRange,
+                              VariableCountMismatch)
 from grasscode.sympoly import SymmetricPolynomial, ascending_product
 
 from conftest import random_code
@@ -124,9 +127,13 @@ CASES = [
     ("subspace_from_basis inf entry", OutOfRange,
      lambda c: subspace_from_basis([[INF], [1.0]])),
     ("power_sums t=1.5", OutOfRange,
-     lambda c: c["mub5"].geometry.power_sums(1.5)),
+     lambda c: c["mub5"].power_sums(1.5)),
     ("power_sums t=True", OutOfRange,
-     lambda c: c["mub5"].geometry.power_sums(True)),
+     lambda c: c["mub5"].power_sums(True)),
+    ("Code from a list of arrays", DimensionMismatch,
+     lambda c: Code(list(c["mub5"].bases[:2]))),
+    ("Code from nested lists", DimensionMismatch,
+     lambda c: Code([[[1.0], [0.0]], [[0.0], [1.0]]])),
     # zonal
     ("mc_zonal_inner samples=True", OutOfRange,
      lambda c: zonal.mc_zonal_inner((1,), (1,), 1, 3, samples=True)),
@@ -168,6 +175,9 @@ CASES = [
     # analysis
     ("twothree_audit t='2'", OutOfRange,
      lambda c: analysis.twothree_audit(c["mub5"], "2")),
+    ("is_two_design n=1", OutOfRange,
+     lambda c: analysis.is_two_design(
+         Code(np.ones((2, 1, 1), complex), check_duplicates=False))),
     ("scheme_idempotents t=True", OutOfRange,
      lambda c: analysis.scheme_idempotents(
          c["mub5"], analysis.angle_classes(c["mub5"]), t=True)),

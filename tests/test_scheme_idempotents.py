@@ -77,13 +77,11 @@ def test_no_pair_data_is_read(scheme, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("pair data read")
 
-    monkeypatch.setattr(RelationPartition, "relation_matrix", refuse)
     monkeypatch.setattr(analysis, "inner_product_classes", refuse)
     monkeypatch.setattr(SymmetricPolynomial, "eval_power_sums", refuse)
     monkeypatch.setattr(core_linalg, "_overlap_pass", refuse)
     got = scheme_idempotents(SimpleNamespace(m=S.m, n=S.n),
-                             RelationPartition(R.N, R.m, R.reps, None,
-                                               R.spreads),
+                             R._replace(assignment=None),
                              t=2, scheme=rep)
     assert got.pair_residuals == want.pair_residuals
     assert got.coarse_residuals == want.coarse_residuals
@@ -93,7 +91,7 @@ def test_no_pair_data_is_read(scheme, monkeypatch):
 def test_valencies_are_the_class_sizes(scheme):
     S, R, rep = scheme
     for c in range(R.n_classes):
-        assert len(S) * rep.intersection_numbers[0][c][c] == R.class_size(c)
+        assert len(S) * rep.intersection_numbers[0][c][c] == R.sizes[c]
 
 
 def test_closure_failure_is_refused(es320):
@@ -116,21 +114,22 @@ def test_denominator_limit_covers_every_construction():
 
 def test_irrational_representative_is_refused():
     y = (3 - 5 ** 0.5) / 2   # 1/phi^2: no rational of denominator <= 2048
-    R = RelationPartition(2, 2, [(1.0, 1.0), (0.5, y)], None, [0.0, 0.0])
+    R = RelationPartition(2, 2, [(1.0, 1.0), (0.5, y)], None, [0.0, 0.0],
+                          [2, 2])
     with pytest.raises(ClusterAmbiguity, match="class 1"):
         rational_representatives(R)
     R = RelationPartition(2, 2, [(1.0, 1.0), (0.5, 1 / 3 + 3e-9)], None,
-                          [0.0, 0.0])
+                          [0.0, 0.0], [2, 2])
     assert rational_representatives(R)[1] == (Fraction(1, 2), Fraction(1, 3))
 
 
 def test_representative_is_refused_when_its_members_spread():
     # |rep - q| + spread bounds every member's distance from q
     reps = [(1.0,), (0.2,)]
-    R = RelationPartition(2, 1, reps, None, [0.0, 2e-8])
+    R = RelationPartition(2, 1, reps, None, [0.0, 2e-8], [2, 2])
     with pytest.raises(ClusterAmbiguity, match="class 1: .* spread over 2e-08"):
         rational_representatives(R)
-    R = RelationPartition(2, 1, reps, None, [0.0, 5e-9])
+    R = RelationPartition(2, 1, reps, None, [0.0, 5e-9], [2, 2])
     assert rational_representatives(R)[1] == (Fraction(1, 5),)
 
 
@@ -145,7 +144,8 @@ def row_classes(S, tol=1e-8):
     reps = [tuple(y[idx].mean(axis=0)) for idx in blocks]
     spreads = [np.ptp(y[idx], axis=0).max() for idx in blocks]
     return RelationPartition(len(S), S.m, [(1.0,) * S.m] + reps, None,
-                             [0.0] + spreads)
+                             [0.0] + spreads,
+                             [len(S)] + [len(S) * len(idx) for idx in blocks])
 
 
 @pytest.mark.parametrize("make, classes", [
