@@ -12,13 +12,13 @@ Carlo sampler -- reads the power sums tr(G^k) from power_sums,
 range-checked by a batched Cholesky factorization; only clustering reads
 the angles, from the same G (squared_cosines, checked_cosines).
 principal_angles keeps its own SVD as the per-pair oracle; a pair function
-refuses a non-finite member or result as NumericalHealthError.  Two
-functions draw Haar samples.  haar_basis_batch gives whole bases from one
-Gaussian stream, orthonormalized by batched Gram-Schmidt run twice (CGS2,
-_cgs2), not LAPACK QR: the same phase-fixed Q.  Where only the squared
-cosines with one fixed m-plane are read, haar_cosine_batch draws them alone,
-as the eigenvalues of a real tridiagonal T from the beta = 2 Jacobi matrix
-model: 2 min(m, n - m) - 1 Beta variables per sample.
+refuses a non-finite member or result as NumericalHealthError.  Every basis
+the package orthonormalizes, a given one (subspace_from_basis) or a stack of
+Gaussians (haar_basis_batch), is the phase-fixed Q of one batched LAPACK QR,
+_phase_fixed_q.  Where only the squared cosines with one fixed m-plane are
+read, haar_cosine_batch draws them alone, as the eigenvalues of a real
+tridiagonal T from the beta = 2 Jacobi matrix model: 2 min(m, n - m) - 1
+Beta variables per sample.
 """
 
 from math import inf
@@ -33,7 +33,7 @@ from .sympoly import CENTER
 
 ANGLE_SLACK = 1e-8      # certified range for squared cosines is [-slack, 1+slack]
 DUP_SLACK = 1e-8        # members with tr(PaPb) > m - DUP_SLACK count as duplicates
-RANK_SLACK = 1e-10      # a smallest singular value <= RANK_SLACK is rank-deficient
+RANK_SLACK = 1e-10      # singular values s_min <= RANK_SLACK s_max are rank-deficient
 
 
 class Subspace:
@@ -42,7 +42,7 @@ class Subspace:
     __slots__ = ("basis",)
 
     def __init__(self, basis):
-        basis = np.ascontiguousarray(basis, dtype=complex)
+        basis = _as_complex(np.ascontiguousarray, basis, "basis")
         if basis.ndim != 2 or basis.shape[0] < basis.shape[1] or basis.shape[1] < 1:
             raise DimensionMismatch("basis must be n x m with 1 <= m <= n, got %r"
                                     % (basis.shape,))
@@ -89,37 +89,42 @@ def orthonormality_defects(bases, tol=1e-8):
     return err
 
 
-def subspace_from_basis(raw):
-    """Build a Subspace from a full-rank n x m matrix.
+def _as_complex(convert, x, what):
+    "convert(x, dtype=complex); an entry that is no number is OutOfRange"
+    try:
+        return convert(x, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise OutOfRange("%s entries must be numbers: %s" % (what, exc)) from None
 
-    An already-orthonormal input is kept verbatim; otherwise the columns are
-    orthonormalized (QR with a positive-diagonal phase convention), which
-    preserves the span.  An entry above 2 in modulus rules out the first, and
-    such a matrix is scaled by a power of two (exact) to entries below 1
-    first, so that no Gram entry overflows.
-    """
-    raw = np.asarray(raw, dtype=complex)
-    if raw.ndim != 2:
-        raise DimensionMismatch("expected a matrix, got shape %r" % (raw.shape,))
-    n, m = raw.shape
+
+def _phase_fixed_q(z):
+    """Q of the QR of each full-rank matrix of a stack (..., n, m), column j
+    times the phase of R_jj (1 where R_jj = 0), so R's diagonal is > 0"""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(np.abs(d) > 0, d / np.abs(d), 1.0)[..., None, :]
+
+
+def subspace_from_basis(raw):
+    """Build a Subspace from a full-rank n x m matrix: its smallest singular
+    value must exceed RANK_SLACK times its largest, at any scale.  An
+    already-orthonormal input is kept verbatim; otherwise the columns are
+    orthonormalized (_phase_fixed_q), which preserves the span.  An entry
+    above 2 in modulus rules out the first, so no Gram entry overflows."""
+    raw = _as_complex(np.asarray, raw, "basis")
+    n, m = raw.shape if raw.ndim == 2 else (0, 0)
     if not 1 <= m <= n:
-        raise DimensionMismatch("need 1 <= m <= n, got n=%d m=%d" % (n, m))
+        raise DimensionMismatch("need an n x m matrix, 1 <= m <= n, got shape %r"
+                                % (raw.shape,))
     if not np.isfinite(raw).all():
         raise OutOfRange("basis entries must be finite")
     sv = _svd(raw, compute_uv=False)
-    if sv[-1] <= RANK_SLACK:
-        raise RankDeficient("column rank < m (smallest singular value %.3e)"
-                            % sv[-1])
-    big = np.abs(raw).max()
-    if big > 2:
-        raw = raw * 2.0 ** -np.frexp(big)[1]
-    g = raw.conj().T @ raw
-    if np.abs(g - np.eye(m)).max() <= 1e-12:
-        return Subspace(raw)
-    q, r = np.linalg.qr(raw)
-    d = np.diagonal(r).copy()
-    d = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
-    return Subspace(q * d)
+    if sv[-1] <= RANK_SLACK * sv[0]:
+        raise RankDeficient("column rank < m (singular values %.3e to %.3e)"
+                            % (sv[-1], sv[0]))
+    if np.abs(raw).max() > 2 or np.abs(raw.conj().T @ raw - np.eye(m)).max() > 1e-12:
+        raw = _phase_fixed_q(raw)
+    return Subspace(raw)
 
 
 def _overlap(a, b):
@@ -240,12 +245,8 @@ def canonical_pair(a, b):
     uf = np.linalg.svd(ma, full_matrices=True)[0]
     nc = uf[:, m:]
     q, r = np.linalg.qr(nc.conj().T @ mb, mode="complete")
-    # phase-fix so the leading diagonal of r is real nonnegative
-    for j in range(m):
-        d = r[j, j]
-        if abs(d) > 1e-12:
-            ph = d / abs(d)
-            q[:, j] *= ph
+    d = np.diagonal(r)   # phase-fix: the leading diagonal of r real, >= 0
+    q[:, :m] *= np.where(np.abs(d) > 1e-12, d / np.maximum(np.abs(d), 1e-12), 1)
     nc = nc @ q
     ua = np.vstack([ma.conj().T, nc.conj().T])
     return ua @ ma, ua @ mb
@@ -310,7 +311,7 @@ class Code:
             shapes = {b.shape for b in bases}
             if len(shapes) > 1:
                 raise DimensionMismatch("mixed member shapes: %s" % sorted(shapes))
-        bases = np.array(bases, dtype=complex)
+        bases = _as_complex(np.array, bases, "code basis")
         if bases.ndim != 3 or 0 in bases.shape or bases.shape[2] > bases.shape[1]:
             raise DimensionMismatch("a code needs bases (N, n, m) with N >= 1 "
                                     "and 1 <= m <= n, got %r" % (bases.shape,))
@@ -408,19 +409,17 @@ def seeded_generator(seed):
 
 
 def haar_basis_batch(n, m, samples, seed=0):
-    """Orthonormal bases of Haar samples, (samples, n, m), a view of a
-    batch-last array; `seed` as seeded_generator takes it.  Haar is the Q of
-    a complex Gaussian whose R has a positive diagonal (Mezzadri 2007), as
-    _cgs2 gives it.  The stream is one standard_normal buffer
-    (2, samples, n, m), real then imaginary parts."""
+    """Orthonormal bases of Haar samples, (samples, n, m); `seed` as
+    seeded_generator takes it.  Haar is the Q of a complex Gaussian whose R
+    has a positive diagonal (Mezzadri 2007), _phase_fixed_q.  The stream is
+    one standard_normal buffer (2, samples, n, m), real then imaginary
+    parts."""
     m = check_integer(m, "m", 1)
     n = check_integer(n, "n", m)
     samples = check_integer(samples, "samples")
     g = np.empty((2, samples, n, m))
     seeded_generator(seed).standard_normal(out=g)
-    q = np.empty((m, n, samples), dtype=complex)
-    q.real, q.imag = g[0].T, g[1].T
-    return _cgs2(q).transpose(2, 1, 0)
+    return _phase_fixed_q(g[0] + 1j * g[1])
 
 
 def haar_cosine_batch(n, m, samples, seed=0):
@@ -457,16 +456,3 @@ def haar_cosine_batch(n, m, samples, seed=0):
     T[:, j[1:], j[:-1]] = T[:, j[:-1], j[1:]] = np.sqrt(d2[:-1] * e2).T
     return T
 
-
-def _cgs2(q):
-    """Orthonormalize the columns of each sample of a batch-last stack q
-    (m, rows, samples) in place and return q: classical Gram-Schmidt run
-    twice per column (CGS2), the Q of LAPACK QR with R's diagonal made
-    positive while cond(G) eps << 1 (Giraud, Langou, Rozloznik, Smoktunowicz
-    2005), with no QR call."""
-    for j in range(len(q)):
-        for _ in range(2 if j else 0):   # classical Gram-Schmidt, twice
-            r = [(q[k].conj() * q[j]).sum(0) for k in range(j)]
-            q[j] -= sum(q[k] * r[k] for k in range(j))
-        q[j] /= np.sqrt((q[j].real ** 2 + q[j].imag ** 2).sum(0))
-    return q

@@ -32,7 +32,7 @@ the Haar side, and one block loop, _angle_batch.  It fixes one m-plane and
 reads a Haar subspace c only through the squared cosines with it, so
 core_linalg.haar_cosine_batch draws those alone: the spectrum of a real
 m x m tridiagonal T from the beta = 2 Jacobi matrix model, 2 min(m, n - m) - 1
-Beta variables per sample, with no Gaussian basis and no Gram-Schmidt.  Each
+Beta variables per sample, with no Gaussian basis and no QR.  Each
 sample's power sums of T - I/2 pass core_linalg.power_sums and its range
 check, as for every float consumer that evaluates a polynomial: no angle is
 formed.  Blocks of _MC_BLOCK = 2048 samples keep a block's T stack, 16 m^2

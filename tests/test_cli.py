@@ -10,7 +10,7 @@ from grasscode.cli import main
 from grasscode.core_linalg import Code
 from grasscode.io import read_code, write_code
 
-from conftest import counting_kernel, pass_form
+from conftest import counting_kernel, pass_form, random_code
 
 
 def run(capsys, *argv):
@@ -230,6 +230,7 @@ def test_info(tmp_path, capsys):
     code, out, _ = run(capsys, "info", str(path))
     assert code == 0
     assert "30 subspaces in G(1,5)" in out
+    assert "inner products: {0, 0.2}" in out   # rationalized, no BLAS noise
 
 
 def test_non_numeric_entry_is_format_error(tmp_path, capsys):
@@ -660,9 +661,10 @@ def _close(got, want, tol=1e-12):
 
 def test_angles_outputs_match_golden(tmp_path, capsys):
     # tests/golden_angles.json holds the stdout of `angles`, text and
-    # --json, on four codes.  The text and the class sizes compare exactly;
-    # the JSON floats to 1e-12 absolute, since a zero class's representative
-    # (about 3e-33 on mub(5)) depends on the BLAS
+    # --json, on four codes.  The text and the class sizes compare exactly:
+    # every class rationalizes, so a zero prints as 0, not BLAS noise.  The
+    # JSON floats compare to 1e-12 absolute, since the file keeps the class
+    # means printed before the rationalization (about 3e-33 for a zero)
     with open(Path(__file__).with_name("golden_angles.json")) as fh:
         golden = json.load(fh)
     assert len(golden) == 8
@@ -678,6 +680,28 @@ def test_angles_outputs_match_golden(tmp_path, capsys):
         assert ([c["pairs"] for c in got["classes"]]
                 == [c["pairs"] for c in want["classes"]]), case["construct"]
         assert _close(got, want), case["construct"]
+
+
+def test_angles_of_a_haar_code_print_the_class_means(tmp_path, capsys):
+    # no class of a Haar code rationalizes, so `angles` and `info` print the
+    # cluster means, byte for byte as they did before the rationalization
+    path = str(tmp_path / "haar.json")
+    write_code(random_code(4, 2, 4, seed=29), path)
+    ips = ("inner products: {0.6862609146, 0.6930709624, 0.9130422814, "
+           "0.9818752402, 0.99079371, 1.194482485}")
+    code, out, err = run(capsys, "angles", path)
+    assert (code, err) == (0, "")
+    assert out == "\n".join([
+        "4 subspaces in G(2,4)", ips,
+        "class 0: y = (1, 1), 4 pairs",
+        "class 1: y = (0.9626097377, 0.2318727475), 2 pairs",
+        "class 2: y = (0.9211987616, 0.06067647861), 2 pairs",
+        "class 3: y = (0.8325018261, 0.1582918839), 2 pairs",
+        "class 4: y = (0.7576490597, 0.1553932217), 2 pairs",
+        "class 5: y = (0.6427599981, 0.04350091653), 2 pairs",
+        "class 6: y = (0.5415375819, 0.1515333806), 2 pairs", ""])
+    code, out, err = run(capsys, "info", path)
+    assert (code, err) == (0, "") and out.splitlines()[2] == ips
 
 
 def test_verify_design_reports_the_two_design_witness_beyond_its_limit(

@@ -100,6 +100,19 @@ def test_subspace_from_basis_conventions():
         subspace_from_basis(np.hstack([col, 2 * col]))
 
 
+def test_subspace_from_basis_decides_rank_at_the_input_scale():
+    # the rank test is relative to the largest singular value: a full-rank
+    # matrix keeps its span at every scale, and a rank-1 one is refused at
+    # every scale
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    want = subspace_from_basis(X).projection()
+    for scale in (1e-200, 1e-11, 1.0, 1e200):
+        got = subspace_from_basis(scale * X)
+        assert np.abs(got.projection() - want).max() < 1e-12, scale
+        with pytest.raises(RankDeficient):
+            subspace_from_basis(scale * np.outer([1.0, 2.0, 3.0], [1.0, -2.0]))
+
+
 def test_canonical_pair_structure():
     rng = np.random.default_rng(108)
     for _ in range(20):
@@ -217,6 +230,19 @@ def test_haar_sampler_matches_the_qr_oracle(n, m):
     assert np.abs(np.tril(R, -1)).max() < 1e-12 * scale
     d = np.diagonal(R, axis1=1, axis2=2)
     assert d.real.min() > 0 and np.abs(d.imag).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("n, m", HAAR_SHAPES)
+def test_haar_bases_are_subspace_from_basis_of_their_gaussians(n, m):
+    # one phase-fixed QR orthonormalizes both: row i of the batch is
+    # subspace_from_basis of the i-th Gaussian, the batch is one C-contiguous
+    # array, and haar_subspace is the one row of a batch of one
+    Q = haar_basis_batch(n, m, 50, seed=n + m)
+    assert Q.flags.c_contiguous
+    for q, g in zip(Q, gaussian_batch(n, m, 50, seed=n + m)):
+        assert np.abs(q - subspace_from_basis(g).basis).max() < 1e-14
+    assert np.array_equal(haar_subspace(n, m, seed=n + m).basis,
+                          haar_basis_batch(n, m, 1, seed=n + m)[0])
 
 
 @pytest.mark.parametrize("n, m", HAAR_SHAPES + [(3, 2), (7, 5)])

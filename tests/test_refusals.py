@@ -6,10 +6,10 @@ sympoly._exact_coefficient (InexactCoefficient for a float or for text that
 is no rational, OutOfRange for a bool); tolerances pass
 core_linalg.check_tolerance (OutOfRange); a Haar seed that is no numpy
 Generator passes check_integer on its way to numpy; a basis entry that is
-not finite is OutOfRange, and a finite one so large that a squared cosine
-overflows is NumericalHealthError.  Inputs outside a function's domain
-share the table: a Code from items that are no Subspaces is
-DimensionMismatch, and the two-design test in C^1 OutOfRange."""
+no number or not finite is OutOfRange, and a finite one so large that a
+squared cosine overflows is NumericalHealthError.  Inputs outside a
+function's domain share the table: a Code from items that are no Subspaces
+is DimensionMismatch, and the two-design test in C^1 OutOfRange."""
 
 from fractions import Fraction
 
@@ -126,6 +126,12 @@ CASES = [
      lambda c: subspace_from_basis([[NAN], [1.0]])),
     ("subspace_from_basis inf entry", OutOfRange,
      lambda c: subspace_from_basis([[INF], [1.0]])),
+    ("Subspace entry 'a'", OutOfRange,
+     lambda c: Subspace(np.array([["a"]]))),
+    ("Code entries 'a', 'b'", OutOfRange,
+     lambda c: Code(np.array([[["a"]], [["b"]]]))),
+    ("subspace_from_basis entry 'a'", OutOfRange,
+     lambda c: subspace_from_basis([["a"]])),
     ("power_sums t=1.5", OutOfRange,
      lambda c: c["mub5"].power_sums(1.5)),
     ("power_sums t=True", OutOfRange,
