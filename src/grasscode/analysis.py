@@ -145,9 +145,11 @@ def inner_product_classes(S, tol=1e-8):
 
 
 def inner_product_set(S, tol=1e-8):
-    """The distinct off-diagonal trace inner products: the representatives
-    (cluster means) of the non-identity inner_product_classes, ascending."""
-    return tuple(sorted(r[0] for r in inner_product_classes(S, tol).reps[1:]))
+    """The distinct off-diagonal trace inner products: the
+    float_representatives of the non-identity inner_product_classes,
+    ascending."""
+    R = inner_product_classes(S, tol)
+    return tuple(sorted(y for y, in float_representatives(R, tol)[1:]))
 
 
 def _first_failure(basis, average, t_max, tol):
@@ -170,7 +172,7 @@ def design_strength(S, t_max=2, tol=1e-8):
     P = S.power_sums(max(t_max, 1))
     basis = zonal_basis(S.m, S.n, t_max)
     for Z in reversed(basis):
-        Z.poly.to_power_sums()
+        Z.to_power_sums()
     return _first_failure(basis, lambda Z: float(Z.eval_power_sums(P).mean()),
                           t_max, tol)
 
@@ -290,6 +292,16 @@ def rational_representatives(R, tol=1e-8):
                     % (c, y, spread, REP_DENOMINATOR_LIMIT, radius))
         out.append(exact)
     return out
+
+
+def float_representatives(R, tol=1e-8):
+    """R's class representatives as tuples of floats: the
+    rational_representatives where every class rationalizes (so an exact 0
+    reads 0, not BLAS noise), else the cluster means R.reps"""
+    try:
+        return [tuple(map(float, rep)) for rep in rational_representatives(R, tol)]
+    except ClusterAmbiguity:
+        return R.reps
 
 
 def scheme_idempotents(S, R, t=2, tol=1e-8, scheme=None):

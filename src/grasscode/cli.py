@@ -22,16 +22,16 @@ from io import StringIO
 import numpy as np
 
 from .analysis import (angle_classes, check_scheme, design_strength,
-                       inner_product_classes, is_one_design, is_two_design,
-                       rational_representatives, scheme_idempotents)
+                       float_representatives, inner_product_set, is_one_design,
+                       is_two_design, scheme_idempotents)
 from .bounds import (BoundTable, absolute_code_bound, design_absolute_bound,
                      one_distance_bound, simplex_orthoplex,
                      size_from_simplex_alpha, two_distance_bound)
 from .constructions import extraspecial_code, mub_code, pauli_code
 from .core_linalg import check_tolerance, gram_matrix, orthonormality_defects
 from .dims import dim_H, dim_Hk
-from .errors import (ClusterAmbiguity, GrasscodeError, NumericalHealthError,
-                     OutOfRange, SizeLimit)
+from .errors import (GrasscodeError, NumericalHealthError, OutOfRange,
+                     SizeLimit)
 from .io import code_to_dict, read_code, write_code
 from .partitions import partitions_up_to
 
@@ -215,21 +215,11 @@ def _cmd_construct(args):
     return 0
 
 
-def _class_reps(R, tol):
-    """R's class representatives: the rational_representatives as floats
-    where every class rationalizes (0, not BLAS noise), else R.reps"""
-    try:
-        return [tuple(map(float, rep)) for rep in rational_representatives(R, tol)]
-    except ClusterAmbiguity:
-        return R.reps
-
-
 def _cmd_angles(args):
     S = read_code(args.file, tol=args.tol)
     R = angle_classes(S, tol=args.tol)
-    reps = _class_reps(R, args.tol)
-    ips = sorted(y for y, in _class_reps(inner_product_classes(S, args.tol),
-                                         args.tol)[1:])
+    reps = float_representatives(R, args.tol)
+    ips = list(inner_product_set(S, args.tol))
     if args.json:
         doc = {
             "members": len(S), "m": S.m, "n": S.n,
@@ -417,8 +407,7 @@ def _cmd_check_scheme(args):
 def _cmd_info(args):
     S = read_code(args.file, tol=args.tol)
     ortho = float(orthonormality_defects(S.bases, args.tol).max())
-    ips = sorted(y for y, in _class_reps(inner_product_classes(S, args.tol),
-                                         args.tol)[1:]) if len(S) > 1 else ()
+    ips = inner_product_set(S, args.tol) if len(S) > 1 else ()
     if args.json:
         _emit(args, json.dumps({
             "members": len(S), "m": S.m, "n": S.n,

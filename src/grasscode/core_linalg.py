@@ -37,12 +37,13 @@ RANK_SLACK = 1e-10      # singular values s_min <= RANK_SLACK s_max are rank-def
 
 
 class Subspace:
-    """An m-dimensional subspace of C^n, held as an orthonormal basis."""
+    """An m-dimensional subspace of C^n, held as an orthonormal basis: a
+    read-only copy of the array it is given."""
 
     __slots__ = ("basis",)
 
     def __init__(self, basis):
-        basis = _as_complex(np.ascontiguousarray, basis, "basis")
+        basis = _as_complex(np.array, basis, "basis")
         if basis.ndim != 2 or basis.shape[0] < basis.shape[1] or basis.shape[1] < 1:
             raise DimensionMismatch("basis must be n x m with 1 <= m <= n, got %r"
                                     % (basis.shape,))

@@ -73,10 +73,10 @@ def check_integer(x, name, low=0, need=None):
 
 
 def check_mn(m, n):
-    "raise OutOfRange unless G(m,n) is in range: integers 1 <= m, 2m <= n"
+    "(m, n) as ints; OutOfRange unless G(m,n) is in range: 1 <= m, 2m <= n"
     need = "need integers 1 <= m and 2m <= n, got m=%r n=%r" % (m, n)
-    check_integer(m, "m", 1, need)
-    check_integer(n, "n", 2 * m, need)
+    return (check_integer(m, "m", 1, need),
+            check_integer(n, "n", 2 * m, need))
 
 
 def dim_Hk(k, m, n):

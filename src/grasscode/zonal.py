@@ -15,11 +15,12 @@ Constantine, expanded in Schur polynomials and scaled to the constant term
 determinant, the Schur norms and [m]_kappa are all integers, so the expansion
 runs on ints, and each coefficient c becomes one Fraction(num c, c0), with
 num / c0 the scale to the constant term.  That table, {Schur shape:
-Fraction}, is built once per (kappa, m, n) and cached;
-every zonal_general call hands out a fresh ZonalPolynomial on its own copy,
-so changing a returned zonal changes nothing else.  The reproducing kernel
-and ZonalExpansion.reconstruct sum their zonals in integers over one common
-denominator, with one Fraction per shape.
+Fraction}, is built once per (kappa, m, n) and cached; every zonal_general
+call hands out a fresh ZonalPolynomial on its own copy, so changing a returned
+zonal changes nothing else.  A ZonalPolynomial is a SymmetricPolynomial that
+knows its mu and n, so f = sum c_mu Z_mu is written from zonals directly.  The
+reproducing kernel and ZonalExpansion.reconstruct sum their zonals in integers
+over one common denominator, with one Fraction per shape.
 
 The Haar pairing of two functions of the angles is exact, with no
 sampling: the normalized zonals are the reproducing kernels of the H_mu, so
@@ -57,41 +58,34 @@ from .sympoly import (SymmetricPolynomial, _accumulate, _exact_coefficient,
 _EMPTY = Partition(())
 
 
-class ZonalPolynomial:
-    """A zonal polynomial Z_mu for G(m,n), held as an exact SymmetricPolynomial."""
+class ZonalPolynomial(SymmetricPolynomial):
+    """A zonal polynomial Z_mu for G(m,n): an exact SymmetricPolynomial that
+    knows its mu, n and normalization."""
 
-    __slots__ = ("mu", "m", "n", "poly", "normalized")
+    __slots__ = ("mu", "n", "normalized")
 
     def __init__(self, mu, m, n, poly, normalized=False):
         self.mu = aspartition(mu)
-        check_mn(m, n)
-        self.m = int(m)
-        self.n = int(n)
+        self.m, self.n = check_mn(m, n)
         self.poly = poly
         self.normalized = bool(normalized)
 
     @property
-    def degree(self):
-        return self.poly.degree
+    def poly(self):
+        "the zonal itself; assigning a polynomial replaces its coefficients"
+        return self
 
-    def evaluate(self, y):
-        return self.poly.evaluate(y)
-
-    __call__ = evaluate
-
-    def eval_batch(self, Y):
-        return self.poly.eval_batch(Y)
-
-    def eval_power_sums(self, P):
-        return self.poly.eval_power_sums(P)
-
-    def at_ones(self):
-        return self.poly.at_ones()
+    @poly.setter
+    def poly(self, f):
+        if f.m != self.m:
+            raise VariableCountMismatch("Z_%s on G(%d,%d) given %d variables"
+                                        % (self.mu, self.m, self.n, f.m))
+        self.coeffs, self._power = f.coeffs, None
 
     def __repr__(self):
         tag = "norm" if self.normalized else "raw"
-        return "Zonal[mu=%s, m=%d, n=%d, %s](%r)" % (
-            self.mu, self.m, self.n, tag, self.poly)
+        return "Zonal[mu=%s, m=%d, n=%d, %s](%s)" % (
+            self.mu, self.m, self.n, tag, super().__repr__())
 
 
 def _jacobi_coeffs(d, alpha):
@@ -118,13 +112,12 @@ def zonal_general(kappa, m, n):
     printed form for |kappa| <= 2 and makes Z_kappa(1,...,1) > 0.
     """
     kappa = aspartition(kappa)
-    check_mn(m, n)
+    m, n = check_mn(m, n)
     if len(kappa) > m:
         raise LengthExceedsVariables(
             "partition %s too long for m=%d" % (kappa, m))
-    # a fresh polynomial on its own copy of the table, built on Python ints
-    table = _jacobi_table(kappa, int(m), int(n))
-    poly = SymmetricPolynomial._unchecked(m, dict(table))
+    # a fresh zonal on its own copy of the table, built on Python ints
+    poly = SymmetricPolynomial._unchecked(m, dict(_jacobi_table(kappa, m, n)))
     return ZonalPolynomial(kappa, m, n, poly, normalized=not kappa.parts)
 
 
@@ -170,7 +163,7 @@ def _normalizing_scale(Z):
 def normalize_zonal(Z):
     "rescale so that Z(1,...,1) = dim H_mu exactly; idempotent"
     scale = _normalizing_scale(Z)
-    poly = Z.poly if scale == 1 else Z.poly.scale(scale)
+    poly = Z if scale == 1 else Z.scale(scale)
     return ZonalPolynomial(Z.mu, Z.m, Z.n, poly, normalized=True)
 
 
@@ -187,8 +180,8 @@ def _zonal_sum(m, terms):
     over = []
     for s, Z in terms:
         s = _exact_coefficient(s)
-        D = lcm(*(c.denominator for c in Z.poly.coeffs.values()))
-        over.append((s, D, Z.poly.coeffs))
+        D = lcm(*(c.denominator for c in Z.coeffs.values()))
+        over.append((s, D, Z.coeffs))
     L = lcm(*(s.denominator * D for s, D, _ in over))
     total = {}
     for s, D, coeffs in over:
@@ -242,12 +235,10 @@ def expand_in_zonal(f, m, n, experimental=None):
 
     Triangular solve from the top degree down: Z_mu is the only basis
     element containing X*_mu, so each coefficient peels off in turn.  f is
-    a SymmetricPolynomial or a ZonalPolynomial, read through its poly.
-    (`experimental` is accepted and ignored.)
+    any SymmetricPolynomial, a zonal included.  (`experimental` is accepted
+    and ignored.)
     """
     check_mn(m, n)
-    if isinstance(f, ZonalPolynomial):
-        f = f.poly
     if f.m != m:
         raise OutOfRange("polynomial has %d variables, expected %d" % (f.m, m))
     deg = f.degree
@@ -255,11 +246,11 @@ def expand_in_zonal(f, m, n, experimental=None):
     rest = dict(f.coeffs)
     coeffs = {}
     for Z in reversed(basis):
-        lead = Z.poly.coeffs[Z.mu]
+        lead = Z.coeffs[Z.mu]
         c = rest.get(Z.mu, Fraction(0)) / lead
         coeffs[Z.mu] = c
         if c != 0:
-            _accumulate(rest, Z.poly.coeffs, -c)
+            _accumulate(rest, Z.coeffs, -c)
     if any(rest.values()):
         raise ValidationFailure("zonal expansion left a remainder: %r" % rest,
                                 rest, {})

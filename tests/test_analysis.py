@@ -82,6 +82,16 @@ def test_inner_product_sets(mub5, es321):
     assert abs(v3[0]) < 1e-9 and abs(v3[1] - 1.0) < 1e-9
 
 
+def test_inner_product_set_reads_the_rationalized_classes(pauli2):
+    # pauli(2)'s inner products are exactly 0 and 1: the set holds those,
+    # not the cluster means' rounding noise, as angles and info print them
+    assert inner_product_set(pauli2) == (0.0, 1.0)
+    # a Haar code's classes do not rationalize: it keeps the cluster means
+    S = random_code(5, 2, 6, seed=603)
+    means = tuple(sorted(y for y, in inner_product_classes(S).reps[1:]))
+    assert len(means) == 15 and inner_product_set(S) == means
+
+
 def test_cluster_ambiguity_raised(pauli2):
     with pytest.raises(ClusterAmbiguity):
         inner_product_set(pauli2, tol=0.4)

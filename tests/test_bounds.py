@@ -15,7 +15,8 @@ from grasscode.cli import _table_csv, _table_text
 from grasscode.core_linalg import Code
 from grasscode.dims import dim_Hk
 from grasscode.errors import DegenerateDenominator, DimensionMismatch, OutOfRange
-from grasscode.zonal import annihilator_sympoly, zonal_general
+from grasscode.zonal import (annihilator_sympoly, expand_in_zonal, zonal_basis,
+                             zonal_general)
 
 from conftest import counting_kernel
 from dgs_oracle import dgs_one_distance, dgs_two_distance
@@ -231,6 +232,11 @@ def test_relative_bound_checks_code(request):
         assert res.value == len(S) and res.applicable and checked(res)
         assert relative_code_bound(f, S.m, S.n, code=list(S)) == res
         assert relative_code_bound(f, S.m, S.n).value == res.value
+        # f = sum c_mu Z_mu, written from the zonals with the c_mu of f's
+        # expansion, is f and bounds the code alike
+        c = expand_in_zonal(f, S.m, S.n)
+        g = sum(c.coeff(Z.mu) * Z for Z in zonal_basis(S.m, S.n, c.degree))
+        assert g == f and relative_code_bound(g, S.m, S.n, code=S) == res
         # f = sum(y) is positive on every pair that is not orthogonal
         bad = annihilator_sympoly([Fraction(0)], S.m)
         res = relative_code_bound(bad, S.m, S.n, code=S)

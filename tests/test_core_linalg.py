@@ -100,6 +100,21 @@ def test_subspace_from_basis_conventions():
         subspace_from_basis(np.hstack([col, 2 * col]))
 
 
+@pytest.mark.parametrize("build", [Subspace, subspace_from_basis])
+def test_subspace_copies_the_callers_array(build):
+    # the caller's array stays writeable, and writing to it leaves the
+    # subspace as it was; the subspace's own basis is read-only
+    x = np.eye(3, dtype=complex)[:, :2].copy()
+    S = build(x)
+    assert x.flags.writeable
+    x[0, 0] = 5
+    assert np.array_equal(S.basis, np.eye(3)[:, :2])
+    assert not S.basis.flags.writeable
+    code = Code([S, build(np.eye(3, dtype=complex)[:, 1:])])
+    assert not code.bases.flags.writeable
+    assert not any(T.basis.flags.writeable for T in code)
+
+
 def test_subspace_from_basis_decides_rank_at_the_input_scale():
     # the rank test is relative to the largest singular value: a full-rank
     # matrix keeps its span at every scale, and a rank-1 one is refused at
@@ -217,12 +232,12 @@ HAAR_SHAPES = [(1, 1), (4, 1), (4, 2), (5, 5), (9, 3), (13, 6)]
 
 @pytest.mark.parametrize("n, m", HAAR_SHAPES)
 def test_haar_sampler_matches_the_qr_oracle(n, m):
-    # Gram-Schmidt on the batch-last stream gives the oracle's phase-fixed
-    # Q factor of the same Gaussians: Q^dagger Q = I, and Q^dagger G = R is
-    # upper triangular with a positive real diagonal
+    # the sampler is the oracle's phase-fixed Q factor of the same Gaussians,
+    # bit for bit (one batched QR of one stream): Q^dagger Q = I, and
+    # Q^dagger G = R is upper triangular with a positive real diagonal
     Q = haar_basis_batch(n, m, 400, seed=n * m)
     assert Q.shape == (400, n, m)
-    assert np.abs(Q - haar_basis_batch_qr(n, m, 400, seed=n * m)).max() < 1e-12
+    assert np.array_equal(Q, haar_basis_batch_qr(n, m, 400, seed=n * m))
     QH = Q.conj().swapaxes(-1, -2)
     assert np.abs(QH @ Q - np.eye(m)).max() < 1e-12
     R = QH @ gaussian_batch(n, m, 400, seed=n * m)

@@ -175,6 +175,11 @@ CASES = [
      lambda c: zonal.ZonalPolynomial((), 2.5, 5, SymmetricPolynomial(2, {}))),
     ("ZonalPolynomial m=True", OutOfRange,
      lambda c: zonal.ZonalPolynomial((), True, 5, SymmetricPolynomial(1, {}))),
+    ("ZonalPolynomial a 1-variable poly for m=2", VariableCountMismatch,
+     lambda c: zonal.ZonalPolynomial((1,), 2, 5, SymmetricPolynomial(1, {}))),
+    ("ZonalPolynomial.poly = a 1-variable poly for m=2", VariableCountMismatch,
+     lambda c: setattr(zonal.zonal_general((1,), 2, 5), "poly",
+                       SymmetricPolynomial.x_star((1,), 1))),
     ("ZonalExpansion.coeff mu=(0.5,)", OutOfRange,
      lambda c: zonal.expand_in_zonal(
          zonal.annihilator_sympoly([0], 1), 1, 5).coeff((0.5,))),

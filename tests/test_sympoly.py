@@ -10,7 +10,7 @@ from grasscode.errors import (InexactCoefficient, LengthExceedsVariables,
 from grasscode.partitions import Partition, partitions_up_to
 from grasscode.sympoly import (SymmetricPolynomial, ascending_product,
                                hypergeom_coeff, schur_norm)
-from grasscode.zonal import annihilator_sympoly, zonal_basis
+from grasscode.zonal import annihilator_sympoly, zonal_basis, zonal_general
 
 from monomial_oracle import from_monomial, kostka_row, to_monomial
 from schur_oracle import schur_eval_bialternant
@@ -296,3 +296,27 @@ def test_eval_power_sums_needs_enough_sums():
     # at y = (1, 1, 1) the centered sums are 3 / 2^k and X* is 1
     q = np.tile(3 / 2.0 ** np.arange(1, 4), (4, 1))
     assert p.eval_power_sums(q) == pytest.approx(1.0)
+
+
+ZONALS = [((), 1, 4), ((1,), 2, 5), ((2, 1), 3, 9), ((3,), 1, 60)]
+
+
+@pytest.mark.parametrize("mu, m, n", ZONALS)
+def test_a_zonal_is_a_symmetric_polynomial(mu, m, n):
+    Z = zonal_general(mu, m, n)
+    assert isinstance(Z, SymmetricPolynomial)
+    assert Z == zonal_general(mu, m, n)   # two fresh zonals are equal
+    assert Z.poly is Z
+
+
+def test_zonals_take_part_in_polynomial_arithmetic():
+    # each expression on zonals equals the same expression on plain
+    # polynomials with their coefficients, and is a plain polynomial itself
+    m, n = 2, 5
+    Z1, Z2 = zonal_general((1,), m, n), zonal_general((2,), m, n)
+    P1, P2 = (SymmetricPolynomial(m, Z.poly.coeffs) for Z in (Z1, Z2))
+    f = annihilator_sympoly([0, Fraction(1, 5)], m)
+    for got, want in [(f + Z1, f + P1), (Z1 + Z2, P1 + P2),
+                      (2 * Z1, 2 * P1), (Z1 * Z2, P1 * P2),
+                      (Z1 - f, P1 - f), (Fraction(1, 3) * Z2, P2.scale("1/3"))]:
+        assert type(got) is SymmetricPolynomial and got == want
